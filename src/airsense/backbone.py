@@ -6,23 +6,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .spconv import (
-    ActiveMask,
-    ConvMode,
-    ConvSpec,
-    FeatureMap,
-    KernelTensor,
-    MacCounter,
-    compact_active_sites,
-    scatter_conv,
-    scatter_reachable_mask,
-    sparse_scatter_conv,
-    submanifold_conv,
-    transposed_conv,
-)
+from .spconv import FeatureMap, KernelTensor, _Taps
 
 __all__ = [
     "BackboneSpec",
@@ -139,90 +127,116 @@ class InstrumentationReport:
         return "\n".join(lines) + "\n"
 
 
-def _apply_hooks(values: np.ndarray, bias: np.ndarray | None, relu: bool) -> np.ndarray:
-    if bias is not None:
-        values = values + bias.astype(np.float32)
-    if relu:
-        values = np.maximum(values, 0.0)
-    return values
+class _Sites(NamedTuple):
+    """A map between layers: sorted flat keys of its active sites on a (p, q)
+    grid, their float32 features, and, on the dense engine when a bias is
+    set, the keys of the cells reachable from the occupied input."""
+
+    p: int
+    q: int
+    keys: np.ndarray
+    feats: np.ndarray
+    reach: np.ndarray | None
 
 
 def run_backbone(pseudo_image, spec: BackboneSpec, weights: BackboneWeights,
                  engine: str = "dense") -> tuple[FeatureMap, InstrumentationReport]:
     """Forward pass of the [4, 6, 6] + 3-deconv graph on the chosen engine.
 
-    The three engines are numerically interchangeable: sparse paths carry an
-    explicit reachable-set mask whose complement is exactly zero. The
-    submanifold engine applies the set-preserving convolution everywhere
-    except the first (strided) convolution of each block and the deconvs.
-    Returns the channel-concatenated upsampled maps plus per-layer stats.
+    Every layer runs the same tap kernel over a list of active sites; the
+    engines differ only in that set. Dense keeps every cell, sparse the cells
+    the taps reach, and sparse+submanifold keeps the input set in every
+    convolution except the first (strided) one of each block and the deconvs.
+    A bias, then ReLU, applies on the active set only, and the dense engine
+    masks its bias to the cells reachable from the occupied input, so the
+    engines stay numerically interchangeable. Maps stay site lists between
+    layers; the upsampled maps are cropped to the first one's size (rounding
+    in the strided blocks can leave the others a few cells larger) and
+    densified once, at the channel concat. Returns that map plus per-layer
+    stats.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    values = np.asarray(pseudo_image.values, dtype=np.float32)
-    fm = FeatureMap(values)
-    mask = ActiveMask(np.asarray(pseudo_image.mask, dtype=bool)) if hasattr(pseudo_image, "mask") \
-        else ActiveMask(np.abs(values).max(axis=2) > 0)
-    if mask.flags.shape != (fm.p, fm.q):
+    fm = FeatureMap(np.asarray(pseudo_image.values, dtype=np.float32))
+    flags = np.asarray(pseudo_image.mask, dtype=bool) if hasattr(pseudo_image, "mask") \
+        else np.abs(fm.values).max(axis=2) > 0
+    if flags.shape != (fm.p, fm.q):
         raise ValueError("occupancy mask does not match pseudo-image grid")
 
     plan = _layer_plan(spec, fm.channels)
     if len(weights.kernels) != len(plan):
         raise ValueError(f"graph needs {len(plan)} kernels, got {len(weights.kernels)}")
 
+    dense = engine == "dense"
+    occupied = np.flatnonzero(flags)
+    values = fm.values.reshape(fm.p * fm.q, fm.channels)
+    track_reach = dense and any(b is not None for b in weights.biases)
+    if dense:
+        cur = _Sites(fm.p, fm.q, np.arange(fm.p * fm.q), values,
+                     occupied if track_reach else None)
+    else:
+        cur = _Sites(fm.p, fm.q, occupied, values[occupied], None)
+
     stats: list[LayerStats] = []
-    block_outputs: list[tuple[FeatureMap, ActiveMask]] = []
+    block_outputs: list[_Sites] = []
+    upsampled: list[_Sites] = []
     block_ends = np.cumsum(spec.block_convs)
-
-    cur_fm, cur_mask = fm, mask
-    deconv_inputs_done = 0
     for idx, (kind, stride, c_in, c_out, is_first) in enumerate(plan):
-        if kind == "deconv":
-            src_fm, src_mask = block_outputs[deconv_inputs_done]
-            deconv_inputs_done += 1
-        else:
-            src_fm, src_mask = cur_fm, cur_mask
-        if src_fm.channels != c_in:
-            raise ValueError(f"layer {idx} expects {c_in} channels, got {src_fm.channels}")
-
+        src = block_outputs[len(upsampled)] if kind == "deconv" else cur
+        if src.feats.shape[1] != c_in:
+            raise ValueError(f"layer {idx} expects {c_in} channels, got {src.feats.shape[1]}")
         kernel = weights.kernels[idx]
         if kernel.in_channels != c_in or kernel.out_channels != c_out:
             raise ValueError(f"kernel {idx} shape mismatch for layer plan")
-        counter = MacCounter()
-        density = src_mask.popcount() / (src_fm.p * src_fm.q)
+        # the dense engine reports the input's occupancy at the first layer
+        active = len(occupied) if idx == 0 else len(src.keys)
+        density = active / (src.p * src.q)
         t0 = time.perf_counter_ns()
 
-        if engine == "dense":
-            mode = ConvMode.TRANSPOSED if kind == "deconv" else ConvMode.STANDARD
-            out = scatter_conv(src_fm, kernel, ConvSpec(stride=stride, mode=mode), counter=counter)
-            out_mask = ActiveMask(np.ones((out.p, out.q), dtype=bool))
+        transposed = kind == "deconv"
+        taps = _Taps(src.keys, src.p, src.q, kernel.k, stride, transposed)
+        if dense:
+            keys = np.arange(taps.out_p * taps.out_q)
+        elif engine == "sparse+submanifold" and kind == "conv" and not is_first:
+            keys = src.keys
         else:
-            sfm = compact_active_sites(src_mask, src_fm)
-            submanifold_layer = (engine == "sparse+submanifold" and kind == "conv" and not is_first)
-            if submanifold_layer:
-                out_s = submanifold_conv(sfm, kernel, counter=counter)
-                out = out_s.to_dense()
-                out_mask = src_mask
-            elif kind == "deconv":
-                out = transposed_conv(sfm, kernel, stride, counter=counter)
-                out_mask = scatter_reachable_mask(src_mask, kernel.k, stride, transposed=True)
+            keys = taps.touched()
+        feats, macs = taps.scatter(src.feats, kernel.weights, keys)
+        reach = None
+        if src.reach is not None:
+            reach = _Taps(src.reach, src.p, src.q, kernel.k, stride, transposed).touched()
+        bias = weights.biases[idx]
+        if bias is not None:
+            if dense:
+                feats[reach] += np.asarray(bias, dtype=np.float32)
             else:
-                out = sparse_scatter_conv(sfm, kernel, ConvSpec(stride=stride), counter=counter)
-                out_mask = scatter_reachable_mask(src_mask, kernel.k, stride)
-
-        out = FeatureMap(_apply_hooks(out.values, weights.biases[idx], spec.relu))
+                feats += np.asarray(bias, dtype=np.float32)
+        if spec.relu:
+            np.maximum(feats, 0.0, out=feats)
+        out = _Sites(taps.out_p, taps.out_q, keys, feats, reach)
         t1 = time.perf_counter_ns()
-        stats.append(LayerStats(idx, kind, stride, counter.count, density, t1 - t0))
+        stats.append(LayerStats(idx, kind, stride, macs, density, t1 - t0))
 
         if kind == "conv":
-            cur_fm, cur_mask = out, out_mask
+            cur = out
             if idx + 1 in block_ends:
-                block_outputs.append((out, out_mask))
+                block_outputs.append(out)
         else:
-            block_outputs[deconv_inputs_done - 1] = (out, out_mask)
+            upsampled.append(out)
 
-    shapes = {(f.p, f.q) for f, _ in block_outputs}
-    if len(shapes) != 1:
-        raise ValueError(f"upsampled block outputs disagree on size: {sorted(shapes)}")
-    final = FeatureMap(np.concatenate([f.values for f, _ in block_outputs], axis=2))
-    return final, InstrumentationReport(engine, stats)
+    p, q = upsampled[0].p, upsampled[0].q
+    if any(u.p < p or u.q < q for u in upsampled):
+        raise ValueError("upsampled block outputs disagree on size: "
+                         f"{sorted((u.p, u.q) for u in upsampled)}")
+    final = np.zeros((p, q, sum(u.feats.shape[1] for u in upsampled)), dtype=np.float32)
+    lo = 0
+    for u in upsampled:
+        hi = lo + u.feats.shape[1]
+        if len(u.keys) == u.p * u.q:
+            final[:, :, lo:hi] = u.feats.reshape(u.p, u.q, -1)[:p, :q]
+        else:
+            rows, cols = np.divmod(u.keys, u.q)
+            keep = (rows < p) & (cols < q)
+            final[rows[keep], cols[keep], lo:hi] = u.feats[keep]
+        lo = hi
+    return FeatureMap(final), InstrumentationReport(engine, stats)

@@ -223,10 +223,12 @@ def cmd_detect_eval(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = _load_cfg(args)
-    frames = list(window_frames(read_points(args.frames), args.window))
+    window = args.window if args.window is not None else cfg.window_ms
+    separation = args.separation if args.separation is not None else cfg.tracker.separation_m
+    frames = list(window_frames(read_points(args.frames), window))
     dets = _boxes_by_frame(read_jsonl(args.detections))
     det_lists = [dets.get(k, []) for k in range(len(frames))]
-    tc = TrackerConfig(gate_m=cfg.tracker.gate_m, separation_m=args.separation,
+    tc = TrackerConfig(gate_m=cfg.tracker.gate_m, separation_m=separation,
                        max_skips=cfg.tracker.max_skips)
     track_log, alert_log, summary = replay(frames, det_lists, tc)
     write_jsonl(args.out_tracks, track_log)
@@ -302,8 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="replay frames + detections into a track log")
     p.add_argument("--frames", required=True, help="point file (.las or columnar)")
     p.add_argument("--detections", required=True, help="JSONL of frame/box rows")
-    p.add_argument("--window", type=float, default=100.0)
-    p.add_argument("--separation", type=float, default=15.0)
+    p.add_argument("--window", type=float, default=None,
+                   help="frame window, ms (default: the config's window_ms)")
+    p.add_argument("--separation", type=float, default=None,
+                   help="alert distance, m (default: the config's tracker.separation_m)")
     p.add_argument("--out-tracks", required=True)
     p.add_argument("--out-alerts", required=True)
     p.set_defaults(func=cmd_track)

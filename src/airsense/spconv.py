@@ -1,19 +1,25 @@
 """Scatter-based 2D convolution engines over dense and sparse feature maps.
 
-The core primitive pushes each input element's weighted contributions out to
-the output cells selected by the filter tap, instead of gathering a
-neighborhood per output cell. Combined with active-site compaction this gives
-a sparse engine whose work scales with the number of active sites rather than
-the grid area. No rule book and no coordinate hash map is built anywhere:
-destination cells follow from index arithmetic alone.
+The core primitive pushes each input site's weighted contributions out to the
+output cells selected by the filter tap, instead of gathering a neighborhood
+per output cell. One private tap kernel does this for every engine; the
+engines differ only in their active set. Sites are sorted flat keys on a
+(p, q) grid, so work scales with the number of active sites rather than the
+grid area. No rule book, coordinate hash map or bounds mask is built anywhere:
+destinations follow from index arithmetic alone, into a buffer padded by
+k // 2 on every side that holds every destination. At stride 1 and in
+transposed mode a tap's destination is the site's base key plus a constant
+offset, so a run of consecutive sites lands on one slice of the buffer: long
+runs are added by slice, the remaining sites by one indexed add per tap.
+Strided convolution selects, per tap, the sites whose destination falls on
+the output lattice.
 
 All feature values are stored as float32; accumulation happens in float64 and
-results are rounded back to float32 on output.
+results are rounded back to float32 on the output sites only.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -215,10 +221,6 @@ def _check_input(channels: int, kernel: KernelTensor):
         )
 
 
-def _standard_out_dims(p: int, q: int, stride: int) -> tuple[int, int]:
-    return (p + stride - 1) // stride, (q + stride - 1) // stride
-
-
 def gather_conv(fm: FeatureMap, kernel: KernelTensor, spec: ConvSpec = ConvSpec()) -> FeatureMap:
     """Reference gather convolution: each output cell sums its input window.
 
@@ -243,251 +245,195 @@ def gather_conv(fm: FeatureMap, kernel: KernelTensor, spec: ConvSpec = ConvSpec(
     return FeatureMap(out.reshape(out_p, out_q, kernel.out_channels).astype(np.float32))
 
 
-def _scatter_dense(values64: np.ndarray, kernel64: np.ndarray, stride: int,
-                   transposed: bool, counter: MacCounter | None) -> np.ndarray:
-    """Full-grid scatter: per filter tap, multiply the contributing sub-grid
-    and add it to the matching output slice. Destinations of one tap never
-    collide, so plain slice addition is conflict-free."""
-    p, q, c = values64.shape
-    fout, k = kernel64.shape[0], kernel64.shape[1]
-    a = k // 2
-    if transposed:
-        out_p, out_q = p * stride, q * stride
-    else:
-        out_p, out_q = _standard_out_dims(p, q, stride)
-    out = np.zeros((out_p, out_q, fout), dtype=np.float64)
-    macs = 0
-    for m in range(k):
-        for n in range(k):
-            if transposed:
-                macs += p * q * c * fout
-                src_r, dst_r = _transposed_span(p, out_p, m, a, stride)
-                src_c, dst_c = _transposed_span(q, out_q, n, a, stride)
-            else:
-                # count every stride-surviving site for this tap, including
-                # contributions the boundary crop will drop, matching the
-                # convention of the site-list path
-                macs += (len(range((m - a) % stride, p, stride))
-                         * len(range((n - a) % stride, q, stride)) * c * fout)
-                src_r, dst_r = _standard_span(p, out_p, m, a, stride)
-                src_c, dst_c = _standard_span(q, out_q, n, a, stride)
-            if src_r is None or src_c is None:
-                continue
-            block = values64[src_r, src_c]
-            nr, nc = block.shape[0], block.shape[1]
-            if nr == 0 or nc == 0:
-                continue
-            contrib = block.reshape(nr * nc, c) @ kernel64[:, m, n, :].T
-            out[dst_r, dst_c] += contrib.reshape(nr, nc, fout)
-    if counter is not None:
-        counter.add(macs)
-    return out
+# Runs of at least this many consecutive sites are scattered by slice, the
+# remaining sites by one indexed add per tap. On a 504 x 440 frame at 2 %
+# occupancy, cutoffs from 4 to 64 ran within 3 % of each other.
+_LONG_RUN = 16
 
 
-def _standard_span(p: int, out_p: int, m: int, a: int, s: int):
-    """Source/destination slices for tap offset m of a strided forward pass.
+class _Taps:
+    """Where each filter tap of a k x k kernel sends a list of active sites.
 
-    A source index i lands on output (i - m + a) / s when that quantity is a
-    nonnegative multiple of s inside the output grid.
+    keys are the sites' sorted flat keys r * q + c on a (p, q) grid.
+    Destinations are flat keys on the output grid padded by a = k // 2 on
+    every side; the padding holds every destination, so none needs a bounds
+    check. Tap (m, n) sends site (r, c) to output cell (r - m + a, c - n + a)
+    of a standard convolution, kept only where stride divides both, and to
+    (r * s - m + a, c * s - n + a) of a transposed one.
     """
-    lo = (a - m + s - 1) // s if a > m else 0  # ceil((a - m) / s) clamped at 0
-    hi = min(out_p - 1, (p - 1 - m + a) // s)
-    if hi < lo:
-        return None, None
-    i_start = lo * s + m - a
-    n = hi - lo + 1
-    return slice(i_start, i_start + (n - 1) * s + 1, s), slice(lo, hi + 1)
+
+    def __init__(self, keys: np.ndarray, p: int, q: int, k: int, stride: int = 1,
+                 transposed: bool = False):
+        a = k // 2
+        if transposed:
+            self.out_p, self.out_q = p * stride, q * stride
+        else:
+            self.out_p, self.out_q = -(-p // stride), -(-q // stride)
+        self.keys, self.a, self.stride = keys, a, stride
+        self.width = w = self.out_q + 2 * a
+        self.size = (self.out_p + 2 * a) * w
+        rows, cols = np.divmod(keys, q)
+        self.selected = None
+        if stride > 1 and not transposed:
+            # (selected sites, their destinations) per tap
+            self.selected = []
+            for m in range(k):
+                for n in range(k):
+                    di, dj = rows - m + a, cols - n + a
+                    sel = np.flatnonzero((di % stride == 0) & (dj % stride == 0))
+                    self.selected.append(
+                        (sel, (di[sel] // stride + a) * w + dj[sel] // stride + a))
+        else:
+            # a tap's destination is the base key plus a constant offset
+            self.base = rows * (stride * w) + cols * stride
+            self.offsets = [(2 * a - m) * w + 2 * a - n for m in range(k) for n in range(k)]
+
+    def touched(self) -> np.ndarray:
+        """Sorted output-grid keys of the cells some tap reaches: the active
+        set of a standard sparse convolution's output."""
+        hit = np.zeros(self.size, dtype=bool)
+        if self.selected is not None:
+            for _, dest in self.selected:
+                hit[dest] = True
+        else:
+            src = np.zeros(self.size, dtype=bool)
+            src[self.base] = True
+            for off in self.offsets:
+                hit[off:] |= src[:self.size - off]
+        a = self.a
+        return np.flatnonzero(hit.reshape(-1, self.width)[a:a + self.out_p, a:a + self.out_q])
+
+    def scatter(self, feats: np.ndarray, weights: np.ndarray,
+                at: np.ndarray) -> tuple[np.ndarray, int]:
+        """Accumulate every tap's contributions in float64, in tap order, and
+        read the sums back at the sorted output-grid keys `at`, rounded to
+        float32. Returns the (len(at), F) block and the multiply count, which
+        includes contributions that land in the padding."""
+        f, k, _, c = weights.shape
+        kernel64 = weights.astype(np.float64)
+        buf = np.zeros((self.size, f), dtype=np.float64)
+        macs = 0
+        if self.selected is not None:
+            feats64 = feats.astype(np.float64)
+            for (m, n), (sel, dest) in zip(np.ndindex(k, k), self.selected):
+                if len(sel):
+                    macs += len(sel) * c * f
+                    buf[dest] += feats64[sel] @ kernel64[:, m, n, :].T
+        elif len(self.keys):
+            # split the sites once into maximal runs whose destinations are
+            # evenly spaced; long runs go first so each tap's remaining
+            # sites form one contiguous block of its products
+            s = self.stride
+            bounds = np.flatnonzero(np.diff(self.base) != s) + 1
+            bounds = np.concatenate(([0], bounds, [len(self.base)]))
+            lengths = np.diff(bounds)
+            is_long = lengths >= _LONG_RUN
+            long_sites = np.repeat(is_long, lengths)
+            ends = np.cumsum(lengths[is_long])
+            runs = list(zip((ends - lengths[is_long]).tolist(), ends.tolist(),
+                            self.base[bounds[:-1][is_long]].tolist()))
+            n_long = int(ends[-1]) if len(ends) else 0
+            short_base = self.base[~long_sites]
+            if 0 < n_long < len(feats):
+                feats = feats[np.concatenate((np.flatnonzero(long_sites),
+                                              np.flatnonzero(~long_sites)))]
+            feats64 = feats.astype(np.float64)
+            for (m, n), off in zip(np.ndindex(k, k), self.offsets):
+                contrib = feats64 @ kernel64[:, m, n, :].T
+                for i0, i1, b in runs:
+                    buf[b + off:b + off + (i1 - i0) * s:s] += contrib[i0:i1]
+                if len(short_base):
+                    buf[short_base + off] += contrib[n_long:]
+            macs = k * k * len(feats) * c * f
+        a, w = self.a, self.width
+        if len(at) == self.out_p * self.out_q:
+            block = buf.reshape(-1, w, f)[a:a + self.out_p, a:a + self.out_q]
+            return block.astype(np.float32).reshape(-1, f), macs
+        rows, cols = np.divmod(at, self.out_q)
+        return buf[(rows + a) * w + cols + a].astype(np.float32), macs
 
 
-def _transposed_span(p: int, out_p: int, m: int, a: int, s: int):
-    """Source/destination slices for tap offset m of a transposed pass.
-
-    Source i scatters to i * s - m + a; out-of-range destinations are cropped.
-    """
-    lo = max(0, (m - a + s - 1) // s) if m > a else 0
-    hi = min(p - 1, (out_p - 1 + m - a) // s)
-    if hi < lo:
-        return None, None
-    d_start = lo * s - m + a
-    n = hi - lo + 1
-    return slice(lo, hi + 1), slice(d_start, d_start + (n - 1) * s + 1, s)
-
-
-def _scatter_sites(coords: np.ndarray, feats64: np.ndarray, kernel64: np.ndarray,
-                   stride: int, out_p: int, out_q: int, transposed: bool) -> tuple[np.ndarray, int]:
-    """Scatter from an explicit site list into a dense output buffer.
-
-    Within one filter tap every site maps to a distinct destination, so
-    fancy-index accumulation needs no conflict handling. Multiplications are
-    counted before boundary cropping drops any contribution.
-    """
-    fout, k = kernel64.shape[0], kernel64.shape[1]
-    c = feats64.shape[1]
-    a = k // 2
-    out = np.zeros((out_p, out_q, fout), dtype=np.float64)
-    macs = 0
-    rows = coords[:, 0]
-    cols = coords[:, 1]
-    for m in range(k):
-        for n in range(k):
-            if transposed:
-                di = rows * stride - m + a
-                dj = cols * stride - n + a
-                feats_mn = feats64
-            else:
-                di = rows - m + a
-                dj = cols - n + a
-                if stride > 1:
-                    sel = (di % stride == 0) & (dj % stride == 0)
-                    di = di[sel] // stride
-                    dj = dj[sel] // stride
-                    feats_mn = feats64[sel]
-                else:
-                    feats_mn = feats64
-            if feats_mn.shape[0] == 0:
-                continue
-            macs += feats_mn.shape[0] * c * fout
-            contrib = feats_mn @ kernel64[:, m, n, :].T
-            inb = (di >= 0) & (di < out_p) & (dj >= 0) & (dj < out_q)
-            if inb.all():
-                out[di, dj] += contrib
-            else:
-                out[di[inb], dj[inb]] += contrib[inb]
-    return out, macs
-
-
-def _partition(n: int, workers: int) -> list[slice]:
-    step = (n + workers - 1) // workers
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+def _site_keys(sfm: SparseFeatureMap) -> np.ndarray:
+    return sfm.coords[:, 0] * sfm.q + sfm.coords[:, 1]
 
 
 def scatter_conv(fm: FeatureMap, kernel: KernelTensor, spec: ConvSpec = ConvSpec(),
-                 counter: MacCounter | None = None, workers: int = 1) -> FeatureMap:
-    """Dense convolution in scatter form.
+                 counter: MacCounter | None = None) -> FeatureMap:
+    """Dense convolution in scatter form: every cell is an active site.
 
-    Equals gather_conv up to floating point reassociation. workers > 1 splits
-    the grid into site ranges accumulated into per-worker buffers that are
-    summed in a fixed order; workers == 1 is the sequential deterministic mode.
+    Equals gather_conv up to floating point reassociation, and is
+    bit-reproducible.
     """
     _check_input(fm.channels, kernel)
-    transposed = spec.mode == ConvMode.TRANSPOSED
     if spec.mode == ConvMode.SUBMANIFOLD:
         raise ValueError("use submanifold_conv for submanifold mode")
-    values64 = fm.values.astype(np.float64)
-    kernel64 = kernel.weights.astype(np.float64)
-    if workers <= 1:
-        out = _scatter_dense(values64, kernel64, spec.stride, transposed, counter)
-        return FeatureMap(out.astype(np.float32))
-    p, q, _ = values64.shape
-    grid = np.stack(np.unravel_index(np.arange(p * q), (p, q)), axis=1)
-    feats = values64.reshape(p * q, -1)
-    if transposed:
-        out_p, out_q = p * spec.stride, q * spec.stride
-    else:
-        out_p, out_q = _standard_out_dims(p, q, spec.stride)
-    parts = _partition(p * q, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(
-            lambda sl: _scatter_sites(grid[sl], feats[sl], kernel64,
-                                      spec.stride, out_p, out_q, transposed),
-            parts,
-        ))
-    out = np.zeros((out_p, out_q, kernel.out_channels), dtype=np.float64)
-    macs = 0
-    for buf, n in results:
-        out += buf
-        macs += n
+    taps = _Taps(np.arange(fm.p * fm.q), fm.p, fm.q, kernel.k, spec.stride,
+                 spec.mode == ConvMode.TRANSPOSED)
+    feats, macs = taps.scatter(fm.values.reshape(-1, fm.channels), kernel.weights,
+                               np.arange(taps.out_p * taps.out_q))
     if counter is not None:
         counter.add(macs)
-    return FeatureMap(out.astype(np.float32))
+    return FeatureMap(feats.reshape(taps.out_p, taps.out_q, -1))
 
 
 def compact_active_sites(mask: ActiveMask, fm: FeatureMap) -> SparseFeatureMap:
-    """Compress the active sites of a dense map into row-major site order.
-
-    Destination slots come from an exclusive prefix sum over the flattened
-    mask, so site i of the output is the i-th set flag in row-major order.
-    """
+    """Compress the active sites of a dense map into row-major site order."""
     if mask.flags.shape != fm.values.shape[:2]:
         raise ValueError(
             f"mask shape {mask.flags.shape} does not match map {fm.values.shape[:2]}"
         )
-    flat = mask.flags.ravel()
-    ones = flat.astype(np.int64)
-    slots = np.cumsum(ones) - ones  # exclusive prefix sum
-    total = int(ones.sum())
-    coords = np.empty((total, 2), dtype=np.int64)
-    feats = np.empty((total, fm.channels), dtype=np.float32)
-    idx = np.nonzero(flat)[0]
-    dest = slots[idx]
-    coords[dest, 0] = idx // fm.q
-    coords[dest, 1] = idx % fm.q
-    feats[dest] = fm.values.reshape(-1, fm.channels)[idx]
-    return SparseFeatureMap(fm.p, fm.q, coords, feats)
+    keys = np.flatnonzero(mask.flags)
+    coords = np.stack(np.divmod(keys, fm.q), axis=1)
+    return SparseFeatureMap(fm.p, fm.q, coords, fm.values.reshape(-1, fm.channels)[keys])
 
 
 def sparse_scatter_conv(sfm: SparseFeatureMap, kernel: KernelTensor,
-                        spec: ConvSpec = ConvSpec(), counter: MacCounter | None = None,
-                        workers: int = 1) -> FeatureMap:
+                        spec: ConvSpec = ConvSpec(),
+                        counter: MacCounter | None = None) -> FeatureMap:
     """Convolution over active sites only; output is returned densified.
 
     Work is proportional to the site count: exactly l * k^2 * C * F multiplies
-    at stride 1. Out-of-range destinations are cropped after the multiply.
+    at stride 1, counted before contributions off the grid are dropped.
     """
     _check_input(sfm.channels, kernel)
     if spec.mode == ConvMode.SUBMANIFOLD:
         raise ValueError("use submanifold_conv for submanifold mode")
-    transposed = spec.mode == ConvMode.TRANSPOSED
-    if transposed:
-        out_p, out_q = sfm.p * spec.stride, sfm.q * spec.stride
-    else:
-        out_p, out_q = _standard_out_dims(sfm.p, sfm.q, spec.stride)
-    feats64 = sfm.feats.astype(np.float64)
-    kernel64 = kernel.weights.astype(np.float64)
-    if workers <= 1 or sfm.num_sites == 0:
-        out, macs = _scatter_sites(sfm.coords, feats64, kernel64,
-                                   spec.stride, out_p, out_q, transposed)
-    else:
-        parts = _partition(sfm.num_sites, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda sl: _scatter_sites(sfm.coords[sl], feats64[sl], kernel64,
-                                          spec.stride, out_p, out_q, transposed),
-                parts,
-            ))
-        out = np.zeros((out_p, out_q, kernel.out_channels), dtype=np.float64)
-        macs = 0
-        for buf, n in results:
-            out += buf
-            macs += n
+    taps = _Taps(_site_keys(sfm), sfm.p, sfm.q, kernel.k, spec.stride,
+                 spec.mode == ConvMode.TRANSPOSED)
+    keys = taps.touched()
+    feats, macs = taps.scatter(sfm.feats, kernel.weights, keys)
     if counter is not None:
         counter.add(macs)
-    return FeatureMap(out.astype(np.float32))
+    out = np.zeros((taps.out_p * taps.out_q, kernel.out_channels), dtype=np.float32)
+    out[keys] = feats
+    return FeatureMap(out.reshape(taps.out_p, taps.out_q, -1))
 
 
 def submanifold_conv(sfm: SparseFeatureMap, kernel: KernelTensor,
                      counter: MacCounter | None = None) -> SparseFeatureMap:
     """Stride-1 convolution that keeps the active set fixed.
 
-    Scatter from the active sites into a dense buffer, then read the buffer
-    back at exactly the input active set: values outside it are discarded, so
-    the active set never dilates.
+    Scatter from the active sites, then read the sums back at exactly the
+    input active set: values outside it are discarded, so the active set
+    never dilates.
     """
     _check_input(sfm.channels, kernel)
-    dense = sparse_scatter_conv(sfm, kernel, ConvSpec(stride=1), counter=counter)
-    feats = dense.values[sfm.coords[:, 0], sfm.coords[:, 1]]
+    keys = _site_keys(sfm)
+    feats, macs = _Taps(keys, sfm.p, sfm.q, kernel.k).scatter(sfm.feats, kernel.weights, keys)
+    if counter is not None:
+        counter.add(macs)
     return SparseFeatureMap(sfm.p, sfm.q, sfm.coords.copy(), feats)
 
 
 def transposed_conv(sfm: SparseFeatureMap, kernel: KernelTensor, stride: int,
-                    counter: MacCounter | None = None, workers: int = 1) -> FeatureMap:
+                    counter: MacCounter | None = None) -> FeatureMap:
     """Transposed (upsampling) convolution from active sites.
 
     Site (i, j) scatters to (i*s - m + a, j*s - n + a); equivalent to a
     zero-insertion upsample to (p*s, q*s) followed by stride-1 scatter.
     """
     return sparse_scatter_conv(sfm, kernel, ConvSpec(stride=stride, mode=ConvMode.TRANSPOSED),
-                               counter=counter, workers=workers)
+                               counter=counter)
 
 
 def scatter_reachable_mask(mask: ActiveMask, k: int, stride: int = 1,
@@ -497,26 +443,7 @@ def scatter_reachable_mask(mask: ActiveMask, k: int, stride: int = 1,
     This is the active set of a standard sparse convolution's output; cells
     outside it are exactly zero.
     """
-    a = k // 2
-    p, q = mask.flags.shape
-    if transposed:
-        out_p, out_q = p * stride, q * stride
-    else:
-        out_p, out_q = _standard_out_dims(p, q, stride)
-    out = np.zeros((out_p, out_q), dtype=bool)
-    rows, cols = np.nonzero(mask.flags)
-    for m in range(k):
-        for n in range(k):
-            if transposed:
-                di = rows * stride - m + a
-                dj = cols * stride - n + a
-            else:
-                di = rows - m + a
-                dj = cols - n + a
-                if stride > 1:
-                    sel = (di % stride == 0) & (dj % stride == 0)
-                    di = di[sel] // stride
-                    dj = dj[sel] // stride
-            inb = (di >= 0) & (di < out_p) & (dj >= 0) & (dj < out_q)
-            out[di[inb], dj[inb]] = True
-    return ActiveMask(out)
+    taps = _Taps(np.flatnonzero(mask.flags), mask.p, mask.q, k, stride, transposed)
+    flags = np.zeros(taps.out_p * taps.out_q, dtype=bool)
+    flags[taps.touched()] = True
+    return ActiveMask(flags.reshape(taps.out_p, taps.out_q))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airsense.backbone import (
     ENGINES,
@@ -8,7 +10,9 @@ from airsense.backbone import (
     make_backbone_weights,
     run_backbone,
 )
+from airsense.config import default_config
 from airsense.pillars import PseudoImage
+from airsense.spconv import ConvSpec, FeatureMap, KernelTensor, gather_conv
 
 
 SMALL = BackboneSpec(block_channels=(8, 16, 32), up_channels=16)
@@ -23,6 +27,23 @@ def sparse_pseudo_image(rng, h, w, c, density):
     mask = rng.random((h, w)) < density
     values = rng.normal(size=(h, w, c)).astype(np.float32) * mask[:, :, None]
     return PseudoImage(values, mask)
+
+
+def with_biases(weights, rng):
+    return BackboneWeights(weights.kernels,
+                           [rng.normal(size=kt.out_channels).astype(np.float32)
+                            for kt in weights.kernels])
+
+
+def reachable(mask, k, stride, transposed=False):
+    """Cells a k x k scatter from the masked cells reaches, by the gather oracle."""
+    m = mask.astype(np.float32)[:, :, None]
+    if transposed:
+        up = np.zeros((m.shape[0] * stride, m.shape[1] * stride, 1), dtype=np.float32)
+        up[::stride, ::stride] = m
+        m, stride = up, 1
+    ones = KernelTensor(np.ones((1, k, k, 1), dtype=np.float32))
+    return gather_conv(FeatureMap(m), ones, ConvSpec(stride=stride)).values[:, :, 0] > 0
 
 
 class TestGraphShape:
@@ -103,6 +124,34 @@ class TestEngineAgreement:
         assert outs[0].min() >= 0.0
 
 
+    def test_biases_preserve_agreement_on_sparse_input(self, rng):
+        spec = BackboneSpec(block_channels=(8, 16, 32), up_channels=16, relu=True)
+        weights = with_biases(make_backbone_weights(spec, 4, rng), rng)
+        mask = np.zeros(32 * 32, dtype=bool)
+        mask[rng.choice(32 * 32, size=40, replace=False)] = True
+        mask = mask.reshape(32, 32)
+        values = rng.normal(size=(32, 32, 4)).astype(np.float32) * mask[:, :, None]
+        pi = PseudoImage(values, mask)
+        dense, _ = run_backbone(pi, spec, weights, engine="dense")
+        sparse, _ = run_backbone(pi, spec, weights, engine="sparse")
+        np.testing.assert_allclose(dense.values, sparse.values, atol=1e-4)
+
+    def test_biases_preserve_agreement_on_saturated_input(self, rng):
+        weights = with_biases(make_backbone_weights(SMALL, 4, rng), rng)
+        pi = full_pseudo_image(rng, 16, 16, 4)
+        outs = [run_backbone(pi, SMALL, weights, engine=e)[0].values for e in ENGINES]
+        np.testing.assert_allclose(outs[0], outs[1], atol=1e-4)
+        np.testing.assert_allclose(outs[0], outs[2], atol=1e-4)
+
+    def test_default_grid_runs_on_every_engine(self, rng):
+        grid = default_config().grid
+        pi = sparse_pseudo_image(rng, grid.ny, grid.nx, 4, 0.02)
+        weights = make_backbone_weights(SMALL, 4, rng)
+        outs = [run_backbone(pi, SMALL, weights, engine=e)[0].values for e in ENGINES]
+        assert all(o.shape == (250, 220, 3 * SMALL.up_channels) for o in outs)
+        np.testing.assert_allclose(outs[0], outs[1], atol=1e-4)
+
+
 class TestInstrumentation:
     def test_submanifold_engine_does_less_work_on_sparse_input(self, rng):
         weights = make_backbone_weights(SMALL, 4, rng)
@@ -131,3 +180,20 @@ class TestInstrumentation:
         assert "total.macs = " in text
         for line in text.strip().splitlines():
             assert " = " in line
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), engine=st.sampled_from(ENGINES[1:]))
+    def test_density_equals_a_numpy_recount(self, seed, engine):
+        r = np.random.default_rng(seed)
+        p, q = 2 * int(r.integers(6, 20)) + 1, 2 * int(r.integers(6, 20)) + 1
+        pi = sparse_pseudo_image(r, p, q, 4, float(r.uniform(0.0, 0.2)))
+        _, report = run_backbone(pi, SMALL, make_backbone_weights(SMALL, 4, r), engine)
+        want, blocks, cur = [], [], pi.mask
+        for b, n_convs in enumerate(SMALL.block_convs):
+            for i in range(n_convs):
+                want.append(int(cur.sum()) / cur.size)
+                if engine == "sparse" or i == 0:
+                    cur = reachable(cur, SMALL.kernel_size, SMALL.block_strides[b] if i == 0 else 1)
+            blocks.append(cur)
+        want += [int(m.sum()) / m.size for m in blocks]
+        assert [l.density for l in report.layers] == want

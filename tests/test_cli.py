@@ -166,8 +166,9 @@ class TestDetectEvalCommand:
 
 
 class TestTrackCommand:
-    def test_flyby_alert_log(self, tmp_path):
-        # two constant-velocity targets crossing the 15 m separation
+    @staticmethod
+    def flyby(tmp_path):
+        """Two constant-velocity targets 20 - 0.4k m apart in 100 ms frame k."""
         from airsense.pointio import PointRecord, write_columnar
         records, det_rows = [], []
         for k in range(40):
@@ -185,6 +186,11 @@ class TestTrackCommand:
         dets = tmp_path / "dets.jsonl"
         write_columnar(pts, records)
         write_jsonl(dets, det_rows)
+        return pts, dets
+
+    def test_flyby_alert_log(self, tmp_path):
+        # the two targets cross the 15 m separation
+        pts, dets = self.flyby(tmp_path)
         out_t, out_a = tmp_path / "tracks.jsonl", tmp_path / "alerts.jsonl"
         assert run(["track", "--frames", pts, "--detections", dets,
                     "--separation", 15, "--out-tracks", out_t,
@@ -196,6 +202,19 @@ class TestTrackCommand:
         assert all(a["distance"] < 15.0 for a in alerts)
         tracks = read_jsonl(out_t)
         assert {t["frame"] for t in tracks} == set(range(40))
+
+    def test_window_and_separation_default_to_the_config(self, tmp_path):
+        pts, dets = self.flyby(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tracker": {"separation_m": 18.0}, "window_ms": 200}))
+        out_t, out_a = tmp_path / "tracks.jsonl", tmp_path / "alerts.jsonl"
+        assert run(["--config", cfg, "track", "--frames", pts, "--detections", dets,
+                    "--out-tracks", out_t, "--out-alerts", out_a]) == 0
+        # 200 ms windows halve the 40 recorded frames; 20 - 0.4k < 18 first at k = 6
+        assert {t["frame"] for t in read_jsonl(out_t)} == set(range(20))
+        alerts = read_jsonl(out_a)
+        assert min(a["frame"] for a in alerts) == 6
+        assert all(a["distance"] < 18.0 for a in alerts)
 
 
 class TestAugmentCommand:

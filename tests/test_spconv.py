@@ -11,6 +11,7 @@ from airsense.spconv import (
     KernelTensor,
     MacCounter,
     SparseFeatureMap,
+    _LONG_RUN,
     compact_active_sites,
     gather_conv,
     scatter_conv,
@@ -155,13 +156,6 @@ class TestScatterConv:
         a = scatter_conv(fm, kt, ConvSpec(stride=1))
         b = scatter_conv(fm, kt, ConvSpec(stride=1))
         assert np.array_equal(a.values, b.values)
-
-    def test_parallel_matches_sequential(self, rng):
-        fm, _, kt = random_case(rng, 16, 16, 4, 4, 3)
-        for stride in (1, 2):
-            a = scatter_conv(fm, kt, ConvSpec(stride=stride))
-            b = scatter_conv(fm, kt, ConvSpec(stride=stride), workers=4)
-            np.testing.assert_allclose(a.values, b.values, atol=1e-4)
 
 
 class TestCompaction:
@@ -325,6 +319,65 @@ class TestReachableMask:
             reach = scatter_reachable_mask(mask, 3, stride)
             nonzero = np.abs(out.values).max(axis=2) > 0
             assert not (nonzero & ~reach.flags).any()
+
+
+def runs_and_singles(r, p, q):
+    """Mask with row runs long enough for the kernel's slice adds in rows
+    1.., and an isolated site in row 0 plus sparse noise for its indexed adds."""
+    mask = r.random((p, q)) < r.uniform(0.0, 0.1)
+    mask[0] = False
+    mask[0, int(r.integers(0, q))] = True
+    for _ in range(int(r.integers(1, 5))):
+        start = int(r.integers(0, q - _LONG_RUN + 1))
+        stop = int(r.integers(start + _LONG_RUN, q + 1))
+        mask[int(r.integers(1, p)), start:stop] = True
+    return mask
+
+
+def reach_oracle(mask, k, stride, transposed):
+    """Cells reachable from the mask, by gathering with an all-ones kernel."""
+    m = mask.astype(np.float32)[:, :, None]
+    if transposed:
+        up = np.zeros((m.shape[0] * stride, m.shape[1] * stride, 1), dtype=np.float32)
+        up[::stride, ::stride] = m
+        m, stride = up, 1
+    ones = KernelTensor(np.ones((1, k, k, 1), dtype=np.float32))
+    return gather_conv(FeatureMap(m), ones, ConvSpec(stride=stride)).values[:, :, 0] > 0
+
+
+class TestTapKernel:
+    """Runs of consecutive sites take the kernel's slice adds, the rest its
+    indexed adds; both must match the gather oracles."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10_000), k=st.sampled_from([1, 3, 5]),
+           conv=st.sampled_from([(False, 1), (False, 2), (True, 1), (True, 2), (True, 4)]))
+    def test_runs_and_singles_match_oracles(self, seed, k, conv):
+        transposed, stride = conv
+        r = np.random.default_rng(seed)
+        p, q = 2 * int(r.integers(3, 12)) + 1, 2 * int(r.integers(_LONG_RUN // 2, 20)) + 1
+        c, f = int(r.integers(1, 5)), int(r.integers(1, 5))
+        mask = runs_and_singles(r, p, q)
+        fm = FeatureMap(r.normal(size=(p, q, c)).astype(np.float32) * mask[:, :, None])
+        sfm = compact_active_sites(ActiveMask(mask), fm)
+        kt = KernelTensor(r.normal(size=(f, k, k, c)).astype(np.float32))
+        if transposed:
+            got = transposed_conv(sfm, kt, stride).values
+            upsampled = np.zeros((p * stride, q * stride, c), dtype=np.float32)
+            upsampled[::stride, ::stride] = fm.values
+            ref = gather_conv(FeatureMap(upsampled), kt).values
+        else:
+            got = sparse_scatter_conv(sfm, kt, ConvSpec(stride=stride)).values
+            ref = gather_conv(fm, kt, ConvSpec(stride=stride)).values
+            np.testing.assert_allclose(scatter_conv(fm, kt, ConvSpec(stride=stride)).values,
+                                       ref, atol=1e-5)
+        np.testing.assert_allclose(got, ref, atol=1e-5)
+        if stride == 1 and not transposed:
+            sub = submanifold_conv(sfm, kt)
+            np.testing.assert_allclose(sub.feats, ref[mask], atol=1e-5)
+        touched = scatter_reachable_mask(ActiveMask(mask), k, stride, transposed).flags
+        assert np.array_equal(touched, reach_oracle(mask, k, stride, transposed))
+        assert not got[~touched].any()
 
 
 class TestRelativeSpeed:
