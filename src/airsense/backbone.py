@@ -228,15 +228,14 @@ def run_backbone(pseudo_image, spec: BackboneSpec, weights: BackboneWeights,
     if any(u.p < p or u.q < q for u in upsampled):
         raise ValueError("upsampled block outputs disagree on size: "
                          f"{sorted((u.p, u.q) for u in upsampled)}")
-    final = np.zeros((p, q, sum(u.feats.shape[1] for u in upsampled)), dtype=np.float32)
+    final = np.zeros((p * q, sum(u.feats.shape[1] for u in upsampled)), dtype=np.float32)
     lo = 0
     for u in upsampled:
-        hi = lo + u.feats.shape[1]
-        if len(u.keys) == u.p * u.q:
-            final[:, :, lo:hi] = u.feats.reshape(u.p, u.q, -1)[:p, :q]
-        else:
-            rows, cols = np.divmod(u.keys, u.q)
+        keys, feats = u.keys, u.feats
+        if (u.p, u.q) != (p, q):
+            rows, cols = np.divmod(keys, u.q)
             keep = (rows < p) & (cols < q)
-            final[rows[keep], cols[keep], lo:hi] = u.feats[keep]
-        lo = hi
-    return FeatureMap(final), InstrumentationReport(engine, stats)
+            keys, feats = rows[keep] * q + cols[keep], feats[keep]
+        final[keys, lo:lo + feats.shape[1]] = feats
+        lo += feats.shape[1]
+    return FeatureMap(final.reshape(p, q, -1)), InstrumentationReport(engine, stats)

@@ -338,8 +338,9 @@ class _Taps:
                 feats = feats[np.concatenate((np.flatnonzero(long_sites),
                                               np.flatnonzero(~long_sites)))]
             feats64 = feats.astype(np.float64)
+            contrib = np.empty((len(feats64), f))  # reused by every tap
             for (m, n), off in zip(np.ndindex(k, k), self.offsets):
-                contrib = feats64 @ kernel64[:, m, n, :].T
+                np.matmul(feats64, kernel64[:, m, n, :].T, out=contrib)
                 for i0, i1, b in runs:
                     buf[b + off:b + off + (i1 - i0) * s:s] += contrib[i0:i1]
                 if len(short_base):
