@@ -7,12 +7,11 @@ engines differ only in their active set. Sites are sorted flat keys on a
 (p, q) grid, so work scales with the number of active sites rather than the
 grid area. No rule book, coordinate hash map or bounds mask is built anywhere:
 destinations follow from index arithmetic alone, into a buffer padded by
-k // 2 on every side that holds every destination. At stride 1 and in
-transposed mode a tap's destination is the site's base key plus a constant
-offset, so a run of consecutive sites lands on one slice of the buffer: long
-runs are added by slice, the remaining sites by one indexed add per tap.
-Strided convolution selects, per tap, the sites whose destination falls on
-the output lattice.
+k // 2 on every side that holds every destination. A tap's destination is a
+site's base key plus a constant offset (strided convolution first selects
+the sites that land on the output lattice), so a run of consecutive sites
+lands on one evenly spaced slice of the buffer: long runs are added by
+slice, the remaining sites by one indexed add per tap.
 
 All feature values are stored as float32; accumulation happens in float64 and
 results are rounded back to float32 on the output sites only.
@@ -251,15 +250,37 @@ def gather_conv(fm: FeatureMap, kernel: KernelTensor, spec: ConvSpec = ConvSpec(
 _LONG_RUN = 16
 
 
+def _runs(dest: np.ndarray, step: int):
+    """Split sorted destination keys into maximal runs spaced `step` apart.
+
+    Returns (order, runs, short): order lists the entries of long runs first,
+    then the rest, each in their own order; runs holds (start, stop, first
+    destination) of each long run at its place in that order; short holds
+    the destinations of the rest.
+    """
+    bounds = np.flatnonzero(np.diff(dest) != step) + 1
+    bounds = np.concatenate(([0], bounds, [len(dest)]))
+    lengths = np.diff(bounds)
+    is_long = lengths >= _LONG_RUN
+    in_long = np.repeat(is_long, lengths)
+    stops = np.cumsum(lengths[is_long])
+    runs = list(zip((stops - lengths[is_long]).tolist(), stops.tolist(),
+                    dest[bounds[:-1][is_long]].tolist()))
+    order = np.concatenate((np.flatnonzero(in_long), np.flatnonzero(~in_long)))
+    return order, runs, dest[~in_long]
+
+
 class _Taps:
     """Where each filter tap of a k x k kernel sends a list of active sites.
 
     keys are the sites' sorted flat keys r * q + c on a (p, q) grid.
     Destinations are flat keys on the output grid padded by a = k // 2 on
     every side; the padding holds every destination, so none needs a bounds
-    check. Tap (m, n) sends site (r, c) to output cell (r - m + a, c - n + a)
-    of a standard convolution, kept only where stride divides both, and to
-    (r * s - m + a, c * s - n + a) of a transposed one.
+    check. Tap (m, n) sends site (r, c) to output cell ((r - m + a) / s,
+    (c - n + a) / s) of a standard convolution with stride s, when s divides
+    both, and to (r * s - m + a, c * s - n + a) of a transposed one. Each
+    tap's sites split into runs whose destinations are evenly spaced, added
+    by slice, and the rest, added by index.
     """
 
     def __init__(self, keys: np.ndarray, p: int, q: int, k: int, stride: int = 1,
@@ -269,37 +290,45 @@ class _Taps:
             self.out_p, self.out_q = p * stride, q * stride
         else:
             self.out_p, self.out_q = -(-p // stride), -(-q // stride)
-        self.keys, self.a, self.stride = keys, a, stride
+        self.a = a
         self.width = w = self.out_q + 2 * a
         self.size = (self.out_p + 2 * a) * w
         rows, cols = np.divmod(keys, q)
-        self.selected = None
+        # self.taps holds per tap: the sites it takes in scatter order (None:
+        # all sites, in self.order), the offset of its destinations, its long
+        # runs and the destinations of its other sites
         if stride > 1 and not transposed:
-            # (selected sites, their destinations) per tap
-            self.selected = []
-            for m in range(k):
-                for n in range(k):
-                    di, dj = rows - m + a, cols - n + a
-                    sel = np.flatnonzero((di % stride == 0) & (dj % stride == 0))
-                    self.selected.append(
-                        (sel, (di[sel] // stride + a) * w + dj[sel] // stride + a))
+            # tap (m, n) takes the sites with r = m - a and c = n - a modulo
+            # the stride; the taps of one such class send them to the same
+            # cells up to a constant offset
+            self.order, self.step, self.taps = None, 1, []
+            classes = {}
+            for m, n in np.ndindex(k, k):
+                i, j = (m - a) % stride, (n - a) % stride
+                if (i, j) not in classes:
+                    sel = np.flatnonzero((rows % stride == i) & (cols % stride == j))
+                    order, runs, short = _runs(
+                        (rows[sel] - i) // stride * w + (cols[sel] - j) // stride, 1)
+                    classes[i, j] = (sel[order], runs, short)
+                sel, runs, short = classes[i, j]
+                off = ((i - m + a) // stride + a) * w + (j - n + a) // stride + a
+                self.taps.append((sel, off, runs, short))
         else:
             # a tap's destination is the base key plus a constant offset
-            self.base = rows * (stride * w) + cols * stride
-            self.offsets = [(2 * a - m) * w + 2 * a - n for m in range(k) for n in range(k)]
+            self.order, runs, short = _runs(rows * (stride * w) + cols * stride, stride)
+            self.step = stride
+            self.taps = [(None, (2 * a - m) * w + 2 * a - n, runs, short)
+                         for m in range(k) for n in range(k)]
 
     def touched(self) -> np.ndarray:
         """Sorted output-grid keys of the cells some tap reaches: the active
         set of a standard sparse convolution's output."""
         hit = np.zeros(self.size, dtype=bool)
-        if self.selected is not None:
-            for _, dest in self.selected:
-                hit[dest] = True
-        else:
-            src = np.zeros(self.size, dtype=bool)
-            src[self.base] = True
-            for off in self.offsets:
-                hit[off:] |= src[:self.size - off]
+        s = self.step
+        for _, off, runs, short in self.taps:
+            for i0, i1, d in runs:
+                hit[d + off:d + off + (i1 - i0) * s:s] = True
+            hit[short + off] = True
         a = self.a
         return np.flatnonzero(hit.reshape(-1, self.width)[a:a + self.out_p, a:a + self.out_q])
 
@@ -312,40 +341,21 @@ class _Taps:
         f, k, _, c = weights.shape
         kernel64 = weights.astype(np.float64)
         buf = np.zeros((self.size, f), dtype=np.float64)
-        macs = 0
-        if self.selected is not None:
+        if self.order is None:
             feats64 = feats.astype(np.float64)
-            for (m, n), (sel, dest) in zip(np.ndindex(k, k), self.selected):
-                if len(sel):
-                    macs += len(sel) * c * f
-                    buf[dest] += feats64[sel] @ kernel64[:, m, n, :].T
-        elif len(self.keys):
-            # split the sites once into maximal runs whose destinations are
-            # evenly spaced; long runs go first so each tap's remaining
-            # sites form one contiguous block of its products
-            s = self.stride
-            bounds = np.flatnonzero(np.diff(self.base) != s) + 1
-            bounds = np.concatenate(([0], bounds, [len(self.base)]))
-            lengths = np.diff(bounds)
-            is_long = lengths >= _LONG_RUN
-            long_sites = np.repeat(is_long, lengths)
-            ends = np.cumsum(lengths[is_long])
-            runs = list(zip((ends - lengths[is_long]).tolist(), ends.tolist(),
-                            self.base[bounds[:-1][is_long]].tolist()))
-            n_long = int(ends[-1]) if len(ends) else 0
-            short_base = self.base[~long_sites]
-            if 0 < n_long < len(feats):
-                feats = feats[np.concatenate((np.flatnonzero(long_sites),
-                                              np.flatnonzero(~long_sites)))]
-            feats64 = feats.astype(np.float64)
-            contrib = np.empty((len(feats64), f))  # reused by every tap
-            for (m, n), off in zip(np.ndindex(k, k), self.offsets):
-                np.matmul(feats64, kernel64[:, m, n, :].T, out=contrib)
-                for i0, i1, b in runs:
-                    buf[b + off:b + off + (i1 - i0) * s:s] += contrib[i0:i1]
-                if len(short_base):
-                    buf[short_base + off] += contrib[n_long:]
-            macs = k * k * len(feats) * c * f
+        else:
+            feats64 = feats[self.order].astype(np.float64)
+            shared = np.empty((len(feats64), f))  # every tap's products, in turn
+        macs, s = 0, self.step
+        for (m, n), (sel, off, runs, short) in zip(np.ndindex(k, k), self.taps):
+            if sel is None:
+                prod = np.matmul(feats64, kernel64[:, m, n, :].T, out=shared)
+            else:
+                prod = feats64[sel] @ kernel64[:, m, n, :].T
+            macs += len(prod) * c * f
+            for i0, i1, d in runs:
+                buf[d + off:d + off + (i1 - i0) * s:s] += prod[i0:i1]
+            buf[short + off] += prod[len(prod) - len(short):]
         a, w = self.a, self.width
         if len(at) == self.out_p * self.out_q:
             block = buf.reshape(-1, w, f)[a:a + self.out_p, a:a + self.out_q]

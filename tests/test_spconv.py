@@ -322,14 +322,15 @@ class TestReachableMask:
 
 
 def runs_and_singles(r, p, q):
-    """Mask with row runs long enough for the kernel's slice adds in rows
-    1.., and an isolated site in row 0 plus sparse noise for its indexed adds."""
+    """Mask with row runs in rows 1.. long enough for the kernel's slice adds
+    even at stride 2, and an isolated site in row 0 plus sparse noise for its
+    indexed adds."""
     mask = r.random((p, q)) < r.uniform(0.0, 0.1)
     mask[0] = False
     mask[0, int(r.integers(0, q))] = True
     for _ in range(int(r.integers(1, 5))):
-        start = int(r.integers(0, q - _LONG_RUN + 1))
-        stop = int(r.integers(start + _LONG_RUN, q + 1))
+        start = int(r.integers(0, q - 2 * _LONG_RUN + 1))
+        stop = int(r.integers(start + 2 * _LONG_RUN, q + 1))
         mask[int(r.integers(1, p)), start:stop] = True
     return mask
 
@@ -347,7 +348,7 @@ def reach_oracle(mask, k, stride, transposed):
 
 class TestTapKernel:
     """Runs of consecutive sites take the kernel's slice adds, the rest its
-    indexed adds; both must match the gather oracles."""
+    indexed adds; both must match the gather oracles at every stride."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 10_000), k=st.sampled_from([1, 3, 5]),
@@ -355,7 +356,7 @@ class TestTapKernel:
     def test_runs_and_singles_match_oracles(self, seed, k, conv):
         transposed, stride = conv
         r = np.random.default_rng(seed)
-        p, q = 2 * int(r.integers(3, 12)) + 1, 2 * int(r.integers(_LONG_RUN // 2, 20)) + 1
+        p, q = 2 * int(r.integers(3, 12)) + 1, 2 * int(r.integers(_LONG_RUN, 2 * _LONG_RUN)) + 1
         c, f = int(r.integers(1, 5)), int(r.integers(1, 5))
         mask = runs_and_singles(r, p, q)
         fm = FeatureMap(r.normal(size=(p, q, c)).astype(np.float32) * mask[:, :, None])
