@@ -53,8 +53,11 @@ class MatchThresholds:
     neg_iou: float = 0.35
 
     def __post_init__(self):
-        if not self.pos_iou > self.neg_iou:
-            raise ValueError("positive threshold must exceed negative threshold")
+        if not (math.isfinite(self.pos_iou) and math.isfinite(self.neg_iou)):
+            raise ValueError(f"thresholds must be finite, got {(self.pos_iou, self.neg_iou)}")
+        if not 0.0 <= self.neg_iou < self.pos_iou <= 1.0:
+            raise ValueError("thresholds must satisfy 0 <= neg_iou < pos_iou <= 1, "
+                             f"got {(self.pos_iou, self.neg_iou)}")
 
 
 @dataclass(frozen=True)
@@ -184,6 +187,25 @@ class TargetAssignment:
         return {"positive": pos, "negative": neg, "ignored": ign}
 
 
+def _window(offset: float, radius: float, cell: float, n: int) -> range:
+    """Indices of the cells, clipped to [0, n), whose centers may lie within
+    `radius` of a point `offset` meters from the grid's low edge. floor and
+    ceil widen the bounds by up to one cell, so rounding never drops a cell;
+    the caller applies the exact distance test."""
+    lo = math.floor((offset - radius) / cell - 0.5)
+    hi = math.ceil((offset + radius) / cell - 0.5)
+    return range(max(lo, 0), min(hi + 1, n))
+
+
+def _z_overlap(layer: AnchorLayer, gt: Box3D) -> float:
+    """Vertical overlap of a layer's anchors with a box, computed as iou3d
+    computes it, so a 0.0 here is a 0.0 IoU there."""
+    z, h = layer.z_center, layer.size[2]
+    z_lo = max(z - h / 2.0, gt.z - gt.h / 2.0)
+    z_hi = min(z + h / 2.0, gt.z + gt.h / 2.0)
+    return max(0.0, z_hi - z_lo)
+
+
 def assign_targets(gts: list[Box3D], grid: AnchorGrid,
                    thr: MatchThresholds = MatchThresholds(),
                    use_bev: bool = False) -> TargetAssignment:
@@ -192,54 +214,58 @@ def assign_targets(gts: list[Box3D], grid: AnchorGrid,
     Overlap >= pos_iou makes the anchor positive with its layer's class,
     overlap < neg_iou negative, anything between is ignored. Each ground
     truth box additionally forces its single best anchor positive so no
-    target goes unsupervised. Anchors too far from every box to overlap are
-    settled as negative without an exact IoU evaluation.
+    target goes unsupervised; a box that overlaps no anchor forces the
+    nearest one.
+
+    Overlap is evaluated only where it can be non-zero. Two footprints whose
+    centers lie farther apart than the sum of their half-diagonals cannot
+    intersect, so each box visits only the cells of its window, the cells
+    whose centers lie within that reach plus one cell of its own center. In
+    3D, it also skips the layers whose vertical overlap with it is exactly
+    zero, where iou3d returns exactly 0.0. Every skipped anchor thus has
+    overlap 0.0 with the box, which moves neither a label nor a best match.
+    Each box visits its candidates in ascending (iy, ix, layer) order and
+    replaces its best anchor only on a strictly greater overlap, so ties
+    resolve to the first anchor in row-major order. The result equals an
+    exhaustive evaluation of every anchor against every box, bit for bit.
     """
     overlap = iou_bev if use_bev else iou3d
-    ny, nx, nl = grid.grid.ny, grid.grid.nx, grid.num_layers
-    labels = np.full((ny, nx, nl), NEGATIVE, dtype=np.int16)
-    if not gts:
-        return TargetAssignment(labels)
-
-    best_iou = np.zeros(len(gts))
-    best_anchor: list[tuple[int, int, int] | None] = [None] * len(gts)
-
-    cell = grid.grid.cell_size
-    for iy in range(ny):
-        for ix in range(nx):
-            cx, cy = grid.grid.cell_center(ix, iy)
-            for il in range(nl):
-                anchor = None
-                best = 0.0
-                for gi, gt in enumerate(gts):
-                    # cheap reject: farther apart than both footprints can reach
-                    reach = (math.hypot(gt.l, gt.w) + math.hypot(*ANCHOR_SIZE[:2])) / 2.0
-                    if math.hypot(gt.x - cx, gt.y - cy) > reach + cell:
-                        continue
-                    if anchor is None:
-                        anchor = grid.anchor_box(iy, ix, il)
-                    v = overlap(anchor, gt)
-                    best = max(best, v)
-                    if v > best_iou[gi]:
-                        best_iou[gi] = v
-                        best_anchor[gi] = (iy, ix, il)
-                if best >= thr.pos_iou:
-                    labels[iy, ix, il] = grid.class_of_layer(il)
-                elif best >= thr.neg_iou:
-                    labels[iy, ix, il] = IGNORED
+    spec = grid.grid
+    ny, nx, nl = spec.ny, spec.nx, grid.num_layers
+    cell = spec.cell_size
+    # an anchor that no box reaches has best overlap 0.0
+    labels = np.full((ny, nx, nl), IGNORED if 0.0 >= thr.neg_iou else NEGATIVE,
+                     dtype=np.int16)
 
     forced = []
-    for gi, gt in enumerate(gts):
-        if best_anchor[gi] is None:
+    for gt in gts:
+        reach = (math.hypot(gt.l, gt.w) + math.hypot(*ANCHOR_SIZE[:2])) / 2.0
+        layers = [il for il in range(nl)
+                  if use_bev or _z_overlap(grid.layers[il], gt) != 0.0]
+        best_iou, best_anchor = 0.0, None
+        for iy in _window(gt.y - spec.y_range[0], reach + cell, cell, ny):
+            for ix in _window(gt.x - spec.x_range[0], reach + cell, cell, nx):
+                cx, cy = spec.cell_center(ix, iy)
+                if math.hypot(gt.x - cx, gt.y - cy) > reach + cell:
+                    continue
+                for il in layers:
+                    v = overlap(grid.anchor_box(iy, ix, il), gt)
+                    if v > best_iou:
+                        best_iou, best_anchor = v, (iy, ix, il)
+                    if v >= thr.pos_iou:
+                        labels[iy, ix, il] = grid.class_of_layer(il)
+                    elif v >= thr.neg_iou and labels[iy, ix, il] == NEGATIVE:
+                        labels[iy, ix, il] = IGNORED
+        if best_anchor is None:
             # no anchor overlaps this target at all; force the nearest one
             # (distance decomposes per axis, so pick each index directly)
-            ix = int(np.clip(math.floor((gt.x - grid.grid.x_range[0]) / cell), 0, nx - 1))
-            iy = int(np.clip(math.floor((gt.y - grid.grid.y_range[0]) / cell), 0, ny - 1))
+            ix = int(np.clip(math.floor((gt.x - spec.x_range[0]) / cell), 0, nx - 1))
+            iy = int(np.clip(math.floor((gt.y - spec.y_range[0]) / cell), 0, ny - 1))
             il = int(np.argmin([abs(l.z_center - gt.z) for l in grid.layers]))
-            best_anchor[gi] = (iy, ix, il)
-        iy, ix, il = best_anchor[gi]
+            best_anchor = (iy, ix, il)
+        forced.append(best_anchor)
+    for iy, ix, il in forced:
         labels[iy, ix, il] = grid.class_of_layer(il)
-        forced.append(best_anchor[gi])
     return TargetAssignment(labels, forced)
 
 

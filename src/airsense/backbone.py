@@ -91,6 +91,9 @@ def make_backbone_weights(spec: BackboneSpec, in_channels: int,
 
 @dataclass
 class LayerStats:
+    """One layer's work: density is the share of the input grid's cells it
+    computes from (1.0 on the dense engine), as its MACs count them."""
+
     index: int
     kind: str
     stride: int
@@ -188,9 +191,7 @@ def run_backbone(pseudo_image, spec: BackboneSpec, weights: BackboneWeights,
         kernel = weights.kernels[idx]
         if kernel.in_channels != c_in or kernel.out_channels != c_out:
             raise ValueError(f"kernel {idx} shape mismatch for layer plan")
-        # the dense engine reports the input's occupancy at the first layer
-        active = len(occupied) if idx == 0 else len(src.keys)
-        density = active / (src.p * src.q)
+        density = len(src.keys) / (src.p * src.q)
         t0 = time.perf_counter_ns()
 
         transposed = kind == "deconv"

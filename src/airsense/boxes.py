@@ -36,6 +36,9 @@ class Box3D:
     yaw: float = 0.0
 
     def __post_init__(self):
+        for name in ("x", "y", "z", "l", "w", "h", "yaw"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"box {name} must be finite, got {getattr(self, name)}")
         if self.l <= 0 or self.w <= 0 or self.h <= 0:
             raise ValueError(f"box sides must be positive, got {(self.l, self.w, self.h)}")
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))

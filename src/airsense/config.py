@@ -4,7 +4,6 @@ rejected so typos fail loudly."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass, field, fields
 
@@ -107,12 +106,3 @@ def load_config(path) -> Config:
 
 def default_config() -> Config:
     return Config()
-
-
-def config_to_dict(cfg: Config) -> dict:
-    out = {}
-    for section, cls in _SECTIONS.items():
-        out[section] = dataclasses.asdict(getattr(cfg, section))
-    out["window_ms"] = cfg.window_ms
-    out["sensor_elevation"] = cfg.sensor_elevation
-    return out

@@ -72,9 +72,6 @@ class HitBatch:
     triangle: np.ndarray      # (n,) int64, -1 where no hit
     cos_incidence: np.ndarray # (n,) float64
 
-    def incidence_angle(self) -> np.ndarray:
-        return np.arccos(np.clip(self.cos_incidence, 0.0, 1.0))
-
     @property
     def count(self) -> int:
         return int(self.hit.sum())

@@ -177,12 +177,6 @@ class SparseFeatureMap:
         flags[self.coords[:, 0], self.coords[:, 1]] = True
         return ActiveMask(flags)
 
-    @classmethod
-    def from_dense(cls, fm: FeatureMap, mask: ActiveMask | None = None) -> "SparseFeatureMap":
-        if mask is None:
-            mask = ActiveMask(np.abs(fm.values).max(axis=2) > 0)
-        return compact_active_sites(mask, fm)
-
 
 @dataclass
 class KernelTensor:

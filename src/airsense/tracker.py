@@ -26,12 +26,9 @@ __all__ = [
     "recenter",
     "separation_monitor",
     "SEPARATION_THRESHOLD_M",
-    "RANGE_RESOLUTION_M",
 ]
 
 SEPARATION_THRESHOLD_M = 15.0
-# distance figures are only meaningful down to the sensor's range resolution
-RANGE_RESOLUTION_M = 0.05
 
 
 class TrackState:

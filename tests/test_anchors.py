@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from airsense.anchors import (
     z_residual,
 )
 from airsense.boxes import Box3D
-from airsense.metrics import iou3d
+from airsense.metrics import iou3d, iou_bev
 from airsense.pillars import PillarGridSpec
 
 SMALL_GRID = PillarGridSpec(x_range=(0.0, 8.0), y_range=(-4.0, 4.0),
@@ -160,38 +161,79 @@ class TestAssignTargets:
         counts = ta.counts()
         assert sum(counts.values()) == grid.num_anchors
 
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 1000))
-    def test_matches_exhaustive_iou_oracle(self, seed):
+    @settings(max_examples=16, deadline=None)
+    @given(seed=st.integers(0, 10_000), cell=st.sampled_from([1.0, 0.4, 0.16]),
+           use_bev=st.booleans())
+    def test_matches_exhaustive_iou_oracle(self, seed, cell, use_bev):
         r = np.random.default_rng(seed)
-        grid = build_anchor_grid(SMALL_GRID)
-        thr = MatchThresholds()
-        gts = [Box3D(r.uniform(1, 7), r.uniform(-3, 3), r.uniform(-2, 2),
-                     *ANCHOR_SIZE, yaw=r.uniform(-math.pi, math.pi))
-               for _ in range(int(r.integers(1, 3)))]
-        ta = assign_targets(gts, grid)
-        # oracle: evaluate IoU of every anchor against every gt, no shortcuts
+        spec = replace(SMALL_GRID, cell_size=cell)
+        grid = build_anchor_grid(spec)
+
+        def coord(lo, hi):
+            # on a cell boundary, or anywhere up to 4 m beyond either edge
+            if r.random() < 0.3:
+                return lo + cell * int(r.integers(0, round((hi - lo) / cell) + 1))
+            return float(r.uniform(lo - 4.0, hi + 4.0))
+
+        def box():
+            l, w, h = r.uniform(0.3, 4.0, 3)
+            yaw = r.uniform(-math.pi, math.pi)
+            if r.random() < 0.3:
+                # an axis-aligned square meets the anchors corner to corner
+                # right at the reach, so the reach is tight along diagonals
+                w, yaw = l, 0.0
+            return Box3D(coord(*spec.x_range), coord(*spec.y_range), r.uniform(-13, 13),
+                         l, w, h, yaw)
+
+        gts = [box() for _ in range(int(r.integers(1, 5)))]
+
+        # oracle: evaluate every anchor against every gt, no shortcuts
+        ny, nx = spec.ny, spec.nx
+        best = np.zeros((ny, nx, NUM_LAYERS))
         best_per_gt = np.zeros(len(gts))
         best_anchor = [None] * len(gts)
-        expected = np.full(ta.labels.shape, NEGATIVE, dtype=np.int16)
-        for iy in range(SMALL_GRID.ny):
-            for ix in range(SMALL_GRID.nx):
+        for iy in range(ny):
+            for ix in range(nx):
+                if use_bev:
+                    # iou_bev ignores z, so all layers of a cell share one value
+                    bev = [iou_bev(grid.anchor_box(iy, ix, 0), g) for g in gts]
                 for il in range(NUM_LAYERS):
                     anchor = grid.anchor_box(iy, ix, il)
-                    best = max(iou3d(anchor, g) for g in gts)
-                    for gi, g in enumerate(gts):
-                        v = iou3d(anchor, g)
+                    values = bev if use_bev else [iou3d(anchor, g) for g in gts]
+                    for gi, v in enumerate(values):
                         if v > best_per_gt[gi]:
                             best_per_gt[gi] = v
                             best_anchor[gi] = (iy, ix, il)
-                    if best >= thr.pos_iou:
-                        expected[iy, ix, il] = il
-                    elif best >= thr.neg_iou:
-                        expected[iy, ix, il] = IGNORED
-        for ba in best_anchor:
-            if ba is not None:
+                    best[iy, ix, il] = max(values)
+        for gi, g in enumerate(gts):
+            if best_anchor[gi] is None:
+                # overlaps no anchor: the cell holding its center, clipped to
+                # the grid, in the layer nearest in z
+                ix = min(max(math.floor((g.x - spec.x_range[0]) / cell), 0), nx - 1)
+                iy = min(max(math.floor((g.y - spec.y_range[0]) / cell), 0), ny - 1)
+                il = int(np.argmin([abs(l.z_center - g.z) for l in grid.layers]))
+                best_anchor[gi] = (iy, ix, il)
+
+        # with neg_iou just above 0, every anchor with any overlap is ignored,
+        # so the labels expose each overlap that is skipped
+        for thr in (MatchThresholds(), MatchThresholds(0.5, 0.0),
+                    MatchThresholds(0.4, 1e-12)):
+            ta = assign_targets(gts, grid, thr, use_bev=use_bev)
+            layer = np.broadcast_to(np.arange(NUM_LAYERS, dtype=np.int16), best.shape)
+            expected = np.where(best >= thr.pos_iou, layer,
+                                np.where(best >= thr.neg_iou, IGNORED, NEGATIVE))
+            for ba in best_anchor:
                 expected[ba] = ba[2]
-        assert np.array_equal(ta.labels, expected)
+            assert ta.forced_positives == best_anchor
+            assert np.array_equal(ta.labels, expected)
+
+    def test_thresholds_must_be_finite_and_ordered_within_unit_range(self):
+        for pos, neg in [(0.4, math.nan), (math.nan, 0.35), (math.inf, 0.35),
+                         (0.4, -math.inf), (0.35, 0.4), (0.4, 0.4), (1.2, 0.35),
+                         (0.4, -0.1)]:
+            with pytest.raises(ValueError, match="threshold"):
+                MatchThresholds(pos, neg)
+        MatchThresholds(1.0, 0.0)
 
 
 class TestNms:

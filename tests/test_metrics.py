@@ -84,6 +84,14 @@ class TestIou3d:
         with pytest.raises(ValueError):
             box(l=0.0)
 
+    def test_nonfinite_box_rejected_naming_the_field(self):
+        for name in ("x", "y", "z", "l", "w", "h", "yaw"):
+            for bad in (math.nan, math.inf, -math.inf):
+                fields = dict(x=0.0, y=0.0, z=0.0, l=1.0, w=1.0, h=1.0, yaw=0.0)
+                fields[name] = bad
+                with pytest.raises(ValueError, match=f"box {name} must be finite"):
+                    Box3D(**fields)
+
 
 class TestPolygonClip:
     def test_full_containment(self):
