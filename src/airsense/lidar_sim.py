@@ -43,6 +43,10 @@ THRESHOLD_DENSE = 14
 
 MIN_CLUSTER_HITS = 10
 
+# rays traced per traversal in directivity_analysis; bounds its memory on
+# large regions while still sharing each traversal among many voxels
+_RAY_BATCH = 1 << 15
+
 
 @dataclass(frozen=True)
 class ScanPattern:
@@ -103,6 +107,13 @@ class Pose2D:
     yaw: float = 0.0
     translation: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
+    def __post_init__(self):
+        if not math.isfinite(self.yaw):
+            raise ValueError(f"yaw must be finite, got {self.yaw}")
+        t = np.asarray(self.translation, dtype=np.float64)
+        if t.shape != (3,) or not np.isfinite(t).all():
+            raise ValueError(f"translation must be three finite values, got {self.translation}")
+
     def rotation(self) -> np.ndarray:
         c, s = math.cos(self.yaw), math.sin(self.yaw)
         return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -154,18 +165,25 @@ def simulate_frame(pattern: ScanPattern, target: TriangleMesh | Bvh, pose: Pose2
     """Scan a posed target for one window.
 
     Pipeline: generate the pattern, transform rays into the mesh rest frame,
-    intersect, apply the Lambertian model, and map hit points back into the
-    sensor frame. The frame is accepted only when at least min_hits returns
-    came back.
+    intersect the rays that can reach the target, apply the Lambertian model,
+    and map hit points back into the sensor frame. The frame is accepted only
+    when at least min_hits returns came back; rays_cast counts every ray of
+    the pattern.
     """
     bvh = target if isinstance(target, Bvh) else Bvh(target)
     rays = gen_pattern(pattern, window_ms, start_ms)
-    hits = bvh.intersect(transform_rays(rays, pose))
+    local = transform_rays(rays, pose)
+    # every ray leaves the sensor origin, so only rays in the cone around the
+    # target's bounding sphere can reach it; the rest skip the traversal
+    apex = -np.asarray(pose.translation, dtype=np.float64) @ pose.rotation()
+    keep = _in_cone(bvh, apex, local.directions)
+    hits = bvh.intersect(RayBundle(local.origins[keep], local.directions[keep],
+                                   local.t_us[keep]))
     sel = hits.hit
     points = rays_to_sensor_frame(hits.points[sel], pose)
     intensity = i0 * hits.cos_incidence[sel]
     t_start = int(round(start_ms * 1000))
-    frame = ScanFrame(points, intensity, rays.t_us[sel],
+    frame = ScanFrame(points, intensity, local.t_us[keep][sel],
                       t_start, int(round(window_ms * 1000)))
     count = int(sel.sum())
     return FrameSim(frame, count, count >= min_hits, len(rays))
@@ -180,6 +198,14 @@ class VoxelRegion:
     z_range: tuple[float, float]
     voxel_size: float = 1.0
 
+    def __post_init__(self):
+        for name in ("x_range", "y_range", "z_range"):
+            lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise ValueError(f"{name} must be finite with lo < hi, got {(lo, hi)}")
+        if not (math.isfinite(self.voxel_size) and self.voxel_size > 0):
+            raise ValueError(f"voxel_size must be finite and positive, got {self.voxel_size}")
+
     def centers(self) -> np.ndarray:
         axes = []
         for lo, hi in (self.x_range, self.y_range, self.z_range):
@@ -187,6 +213,22 @@ class VoxelRegion:
             axes.append(lo + (np.arange(n) + 0.5) * self.voxel_size)
         gx, gy, gz = np.meshgrid(*axes, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+
+
+def _in_cone(bvh: Bvh, apex: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Mask of the rays from apex that can meet the sphere through the corners
+    of bvh's root box: those whose unit direction lies within the sphere's
+    angular radius of its center, one dot product each. The radius is padded
+    by 1e-6 of itself plus 1e-9 of the distance to the apex, far above the
+    rounding of this test and of the slab test, so no ray that reaches the
+    root box is dropped. Rays from inside the sphere are all kept."""
+    root = bvh.nodes[0]
+    v = (root.lo + root.hi) / 2.0 - apex
+    dist = math.sqrt(v @ v)
+    r = math.sqrt(np.sum((root.hi - root.lo) ** 2)) / 2.0 * (1.0 + 1e-6) + dist * 1e-9
+    if dist <= r:
+        return np.ones(len(directions), dtype=bool)
+    return directions @ v >= math.sqrt(dist * dist - r * r)
 
 
 def _in_fov(centers: np.ndarray, pattern: ScanPattern) -> np.ndarray:
@@ -228,18 +270,43 @@ def directivity_analysis(pattern: ScanPattern, mesh: TriangleMesh, window_ms: fl
     """Hit-count map of the target swept over the voxel centers of a region.
 
     Only voxel centers inside the field of view are scanned; the rest stay at
-    zero. One acceleration structure serves every placement since each voxel
-    is just a different ray transform.
+    zero. Every placement shares one acceleration structure and one yaw, so
+    the pattern turns into the mesh rest frame once and each voxel only moves
+    the rays' common origin. Each voxel keeps the rays in the cone around the
+    target's bounding sphere, and the kept rays of many voxels go through one
+    traversal, their hits counted back per voxel.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     centers = region.centers()
     counts = np.zeros(len(centers), dtype=np.int64)
+    voxels = np.nonzero(_in_fov(centers, pattern))[0]
     offset = mesh.center()
+    shift = centers[voxels] - offset if np.any(offset) else centers[voxels]
+    rot_inv = Pose2D(yaw).rotation().T
     bvh = Bvh(mesh)
-    rays = gen_pattern(pattern, window_ms)
-    for i in np.nonzero(_in_fov(centers, pattern))[0]:
-        pose = Pose2D(yaw, tuple(centers[i] - offset if np.any(offset) else centers[i]))
-        hits = bvh.intersect(transform_rays(rays, pose))
-        counts[i] = int(hits.hit.sum())
+    # the same rows transform_rays gives for each voxel's pose
+    dirs = gen_pattern(pattern, window_ms).directions @ rot_inv.T
+    apexes = (np.zeros_like(shift) - shift) @ rot_inv.T
+    batch, size = [], 0
+    for voxel, apex in zip(voxels, apexes):
+        kept = dirs[_in_cone(bvh, apex, dirs)]
+        if size + len(kept) > _RAY_BATCH:
+            _count_hits(bvh, batch, counts)
+            batch, size = [], 0
+        batch.append((voxel, apex, kept))
+        size += len(kept)
+    _count_hits(bvh, batch, counts)
     return DirectivityGrid(centers, counts, threshold, window_ms)
+
+
+def _count_hits(bvh: Bvh, batch: list, counts: np.ndarray):
+    """Trace the (voxel, origin, directions) entries of a batch in one
+    traversal and add each voxel's hits to counts."""
+    if not batch:
+        return
+    voxels, apexes, dirs = zip(*batch)
+    sizes = [len(d) for d in dirs]
+    hit = bvh.intersect(RayBundle(np.repeat(apexes, sizes, axis=0), np.concatenate(dirs),
+                                  np.zeros(sum(sizes), dtype=np.int64))).hit
+    counts += np.bincount(np.repeat(voxels, sizes)[hit], minlength=len(counts))

@@ -15,27 +15,10 @@ import numpy as np
 
 from .mesh import TriangleMesh
 
-__all__ = ["Ray", "RayBundle", "HitBatch", "Bvh", "moller_trumbore"]
+__all__ = ["RayBundle", "HitBatch", "Bvh", "moller_trumbore"]
 
 _EPS_DET = 1e-12
 _T_MIN = 1e-9
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Single ray with unit direction."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        o = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        d = np.asarray(self.direction, dtype=np.float64).reshape(3)
-        n = np.linalg.norm(d)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError(f"direction must be unit length, |d| = {n}")
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "direction", d)
 
 
 @dataclass
@@ -53,8 +36,11 @@ class RayBundle:
         self.t_us = np.asarray(self.t_us, dtype=np.int64).reshape(-1)
         if not (len(self.origins) == len(self.directions) == len(self.t_us)):
             raise ValueError("bundle arrays must share length")
+        for name in ("origins", "directions"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         norms = np.linalg.norm(self.directions, axis=1)
-        if len(norms) and np.abs(norms - 1.0).max() > 1e-9:
+        if not (np.abs(norms - 1.0) <= 1e-9).all():
             raise ValueError("directions must be unit length")
 
     def __len__(self) -> int:
@@ -85,17 +71,26 @@ def moller_trumbore(origins, directions, v0, v1, v2):
     """
     e1 = v1 - v0
     e2 = v2 - v0
-    pvec = np.cross(directions, e2)
+    pvec = _cross(directions, e2)
     det = np.sum(e1 * pvec, axis=-1)
     valid = np.abs(det) > _EPS_DET
     inv_det = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
     tvec = origins - v0
     u = np.sum(tvec * pvec, axis=-1) * inv_det
-    qvec = np.cross(tvec, e1)
+    qvec = _cross(tvec, e1)
     v = np.sum(directions * qvec, axis=-1) * inv_det
     t = np.sum(e2 * qvec, axis=-1) * inv_det
     valid &= (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0) & (t > _T_MIN)
     return valid, t, u, v
+
+
+def _cross(a, b):
+    """Cross product over the last axis, broadcasting the rest. Each component
+    is the same product difference that np.cross forms, so the bits agree;
+    np.cross spends most of a small call on axis bookkeeping and copies."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
 
 
 @dataclass

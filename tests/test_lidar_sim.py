@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airsense import lidar_sim
 from airsense.lidar_sim import (
     THRESHOLD_DENSE,
     THRESHOLD_SPARSE,
@@ -18,9 +20,10 @@ from airsense.lidar_sim import (
     rays_to_sensor_frame,
     simulate_frame,
     transform_rays,
+    _in_fov,
 )
-from airsense.mesh import TriangleMesh, icosphere, quadcopter_mesh
-from airsense.raytrace import Bvh, Ray, RayBundle
+from airsense.mesh import TriangleMesh, box_mesh, icosphere, quadcopter_mesh
+from airsense.raytrace import Bvh, RayBundle, moller_trumbore
 
 FAST = ScanPattern(points_per_second=24_000, seed=7)
 
@@ -48,6 +51,45 @@ def brute_force_hits(origins, dirs, mesh):
         best_t[upd] = t[upd]
         best[upd] = ti
     return best_t, best
+
+
+def unculled_frame(pattern, bvh, pose, window_ms, start_ms):
+    """simulate_frame without the cone cull: every ray traverses from the root."""
+    rays = gen_pattern(pattern, window_ms, start_ms)
+    hits = bvh.intersect(transform_rays(rays, pose))
+    sel = hits.hit
+    return (rays_to_sensor_frame(hits.points[sel], pose), hits.cos_incidence[sel],
+            rays.t_us[sel], int(sel.sum()), len(rays))
+
+
+def unculled_directivity(pattern, mesh, window_ms, region, yaw):
+    """directivity_analysis as a per-voxel loop tracing every ray of the pattern."""
+    centers = region.centers()
+    counts = np.zeros(len(centers), dtype=np.int64)
+    offset = mesh.center()
+    bvh = Bvh(mesh)
+    rays = gen_pattern(pattern, window_ms)
+    for i in np.nonzero(_in_fov(centers, pattern))[0]:
+        pose = Pose2D(yaw, tuple(centers[i] - offset if np.any(offset) else centers[i]))
+        counts[i] = bvh.intersect(transform_rays(rays, pose)).count
+    return counts
+
+
+def cross_product_mt(origins, directions, v0, v1, v2):
+    """moller_trumbore as written with np.cross."""
+    e1 = v1 - v0
+    e2 = v2 - v0
+    pvec = np.cross(directions, e2)
+    det = np.sum(e1 * pvec, axis=-1)
+    valid = np.abs(det) > 1e-12
+    inv_det = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
+    tvec = origins - v0
+    u = np.sum(tvec * pvec, axis=-1) * inv_det
+    qvec = np.cross(tvec, e1)
+    v = np.sum(directions * qvec, axis=-1) * inv_det
+    t = np.sum(e2 * qvec, axis=-1) * inv_det
+    valid &= (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0) & (t > 1e-9)
+    return valid, t, u, v
 
 
 class TestPattern:
@@ -177,9 +219,32 @@ class TestIntersect:
         ref_pts = origins[ref_hit] + bt[ref_hit, None] * dirs[ref_hit]
         assert np.abs(hits.points[hits.hit] - ref_pts).max() <= 1e-7
 
-    def test_ray_requires_unit_direction(self):
-        with pytest.raises(ValueError):
-            Ray(np.zeros(3), np.array([1.0, 1.0, 0.0]))
+    def test_bundle_requires_unit_directions(self):
+        with pytest.raises(ValueError, match="unit length"):
+            RayBundle(np.zeros((1, 3)), np.array([[1.0, 1.0, 0.0]]), np.array([0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_bundle_rejects_nonfinite_rays(self, bad):
+        dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        origins = np.zeros((2, 3))
+        origins[1, 2] = bad
+        with pytest.raises(ValueError, match="origins"):
+            RayBundle(origins, dirs, np.arange(2))
+        dirs[0, 1] = bad
+        with pytest.raises(ValueError, match="directions"):
+            RayBundle(np.zeros((2, 3)), dirs, np.arange(2))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), rays=st.integers(1, 40), tris=st.integers(1, 6))
+    def test_moller_trumbore_bits_match_np_cross(self, seed, rays, tris):
+        r = np.random.default_rng(seed)
+        o = r.normal(size=(rays, 1, 3))
+        d = r.normal(size=(rays, 1, 3))
+        d /= np.linalg.norm(d, axis=-1, keepdims=True)
+        v0, v1, v2 = (r.normal(size=(1, tris, 3)) for _ in range(3))
+        for got, ref in zip(moller_trumbore(o, d, v0, v1, v2),
+                            cross_product_mt(o, d, v0, v1, v2)):
+            assert np.array_equal(got, ref)
 
 
 class TestLambertian:
@@ -235,11 +300,70 @@ class TestSimulateFrame:
         assert sim.frame.intensity.min() >= 0.0
         assert sim.frame.intensity.max() <= 0.8 + 1e-12
 
+    def test_nonfinite_pose_rejected_naming_the_field(self):
+        with pytest.raises(ValueError, match="yaw"):
+            simulate_frame(FAST, quadcopter_mesh(), Pose2D(math.nan, (12, 0, 0)), 100.0)
+        with pytest.raises(ValueError, match="yaw"):
+            Pose2D(math.inf)
+        for t in ((12.0, math.nan, 0.0), (math.inf, 0.0, 0.0), (12.0, 0.0)):
+            with pytest.raises(ValueError, match="translation"):
+                Pose2D(0.0, t)
+
     def test_points_near_posed_target(self):
         loc = np.array([14.0, 2.0, -1.0])
         sim = simulate_frame(FAST, icosphere(0.6, 1), Pose2D(1.0, tuple(loc)), 100.0)
         assert sim.hit_count > 0
         assert np.abs(sim.frame.points - loc).max() <= 0.6 + 1e-9
+
+
+MESHES = {"sphere": icosphere(0.5, 1), "box": box_mesh((1.0, 1.0, 0.5)),
+          "drone": quadcopter_mesh()}
+
+
+class TestConeCull:
+    """The culled traces against the unculled ones: the cull drops only rays
+    that would have missed the root box, so everything matches exactly."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(name=st.sampled_from(sorted(MESHES)), seed=st.integers(0, 10_000),
+           yaw=st.floats(-math.pi, math.pi), dist=st.floats(1.2, 9.0),
+           elevation_edge=st.booleans())
+    def test_matches_unculled_trace(self, name, seed, yaw, dist, elevation_edge):
+        mesh = MESHES[name]
+        pattern = ScanPattern(points_per_second=24_000, seed=seed)
+        # sensor inside the bounding sphere, then just outside it
+        near = VoxelRegion((0.0, 1.2), (-0.3, 0.3), (-0.3, 0.3), 0.6)
+        # a row of voxels across the azimuth or elevation edge of the view
+        edge = dist * math.tan(math.radians(
+            (pattern.v_fov_deg if elevation_edge else pattern.h_fov_deg) / 2.0))
+        across = (edge - 1.5, edge + 1.5)
+        edge_region = (VoxelRegion((dist - 0.25, dist + 0.25), (-0.25, 0.25), across, 0.5)
+                       if elevation_edge else
+                       VoxelRegion((dist - 0.25, dist + 0.25), across, (-0.25, 0.25), 0.5))
+        for region in (near, edge_region):
+            ref = unculled_directivity(pattern, mesh, 50.0, region, yaw)
+            grid = directivity_analysis(pattern, mesh, 50.0, 1, region, yaw=yaw)
+            assert np.array_equal(grid.counts, ref)
+            # a batch smaller than one voxel's rays: a traversal per voxel
+            with mock.patch.object(lidar_sim, "_RAY_BATCH", 16):
+                grid = directivity_analysis(pattern, mesh, 50.0, 1, region, yaw=yaw)
+            assert np.array_equal(grid.counts, ref)
+
+        culled, full = Bvh(mesh), Bvh(mesh)
+        r = np.random.default_rng(seed)
+        for k, center in enumerate([(0.2, 0.0, 0.0), (dist, 0.0, 0.0),
+                                    (dist, edge - 0.5, 0.0) if not elevation_edge
+                                    else (dist, 0.0, edge - 0.5)]):
+            pose = Pose2D(float(r.uniform(-math.pi, math.pi)),
+                          tuple(np.asarray(center) - mesh.center()))
+            sim = simulate_frame(pattern, culled, pose, 50.0, start_ms=50.0 * k)
+            points, intensity, t_us, hit_count, rays_cast = unculled_frame(
+                pattern, full, pose, 50.0, 50.0 * k)
+            assert sim.frame.points.tobytes() == points.tobytes()
+            assert sim.frame.intensity.tobytes() == intensity.tobytes()
+            assert sim.frame.t_us.tobytes() == t_us.tobytes()
+            assert (sim.hit_count, sim.rays_cast) == (hit_count, rays_cast)
+            assert culled.triangle_tests == full.triangle_tests
 
 
 class TestDirectivity:
@@ -265,6 +389,21 @@ class TestDirectivity:
         region = VoxelRegion((-3.0, -2.0), (-0.5, 0.5), (-0.5, 0.5))
         grid = directivity_analysis(FAST, mesh, 50.0, 1, region)
         assert not grid.included().any()
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"voxel_size": 0.0}, "voxel_size"),
+        ({"voxel_size": -1.0}, "voxel_size"),
+        ({"voxel_size": math.nan}, "voxel_size"),
+        ({"voxel_size": math.inf}, "voxel_size"),
+        ({"x_range": (6.0, 5.0)}, "x_range"),
+        ({"y_range": (1.0, 1.0)}, "y_range"),
+        ({"z_range": (math.nan, 1.0)}, "z_range"),
+        ({"x_range": (5.0, math.inf)}, "x_range"),
+    ])
+    def test_region_validated_naming_the_field(self, kwargs, field):
+        args = {"x_range": (5.0, 6.0), "y_range": (0.0, 1.0), "z_range": (0.0, 1.0)}
+        with pytest.raises(ValueError, match=field):
+            VoxelRegion(**{**args, **kwargs})
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
