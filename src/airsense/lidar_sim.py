@@ -43,9 +43,10 @@ THRESHOLD_DENSE = 14
 
 MIN_CLUSTER_HITS = 10
 
-# rays traced per traversal in directivity_analysis; bounds its memory on
-# large regions while still sharing each traversal among many voxels
-_RAY_BATCH = 1 << 15
+# rays traced per traversal in directivity_analysis: enough to share each
+# traversal among many voxels, small enough to keep its temporaries small
+# (192 KB per (n, 3) float64 array); larger batches traced no faster
+_RAY_BATCH = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -285,7 +286,7 @@ def directivity_analysis(pattern: ScanPattern, mesh: TriangleMesh, window_ms: fl
     shift = centers[voxels] - offset if np.any(offset) else centers[voxels]
     rot_inv = Pose2D(yaw).rotation().T
     bvh = Bvh(mesh)
-    # the same rows transform_rays gives for each voxel's pose
+    # bit for bit the rows transform_rays gives for each voxel's pose
     dirs = gen_pattern(pattern, window_ms).directions @ rot_inv.T
     apexes = (np.zeros_like(shift) - shift) @ rot_inv.T
     batch, size = [], 0
