@@ -174,8 +174,9 @@ def simulate_frame(pattern: ScanPattern, target: TriangleMesh | Bvh, pose: Pose2
     bvh = target if isinstance(target, Bvh) else Bvh(target)
     rays = gen_pattern(pattern, window_ms, start_ms)
     local = transform_rays(rays, pose)
-    # every ray leaves the sensor origin, so only rays in the cone around the
-    # target's bounding sphere can reach it; the rest skip the traversal
+    # every ray leaves the sensor origin (apex, here in the rest frame), so
+    # only rays in the cone around the target's bounding sphere can reach it;
+    # the rest skip the traversal
     apex = -np.asarray(pose.translation, dtype=np.float64) @ pose.rotation()
     keep = _in_cone(bvh, apex, local.directions)
     hits = bvh.intersect(RayBundle(local.origins[keep], local.directions[keep],
