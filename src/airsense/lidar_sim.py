@@ -201,17 +201,19 @@ class VoxelRegion:
     voxel_size: float = 1.0
 
     def __post_init__(self):
-        for name in ("x_range", "y_range", "z_range"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError(f"{name} must be finite with lo < hi, got {(lo, hi)}")
         if not (math.isfinite(self.voxel_size) and self.voxel_size > 0):
             raise ValueError(f"voxel_size must be finite and positive, got {self.voxel_size}")
+        for name in ("x_range", "y_range", "z_range"):
+            lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)
+                    and (hi - lo) / self.voxel_size + 1e-9 >= 1):
+                raise ValueError(f"{name} must be finite and span at least one voxel of "
+                                 f"{self.voxel_size}, got {(lo, hi)}")
 
     def centers(self) -> np.ndarray:
         axes = []
         for lo, hi in (self.x_range, self.y_range, self.z_range):
-            n = max(1, int(math.floor((hi - lo) / self.voxel_size + 1e-9)))
+            n = int(math.floor((hi - lo) / self.voxel_size + 1e-9))
             axes.append(lo + (np.arange(n) + 0.5) * self.voxel_size)
         gx, gy, gz = np.meshgrid(*axes, indexing="ij")
         return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])

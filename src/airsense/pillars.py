@@ -1,22 +1,21 @@
-"""Pillar front-end: grid assignment, 9-feature point decoration, per-pillar
-max pooling, and scattering into a dense pseudo-image."""
+"""Pillar front-end: grid assignment into one columnar batch, 9-feature point
+decoration, per-pillar max pooling, and scattering into a dense pseudo-image."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pointio import ScanFrame
-from .spconv import ActiveMask
 
 __all__ = [
     "PillarGridSpec",
-    "Pillar",
+    "PillarBatch",
     "PillarAssignment",
     "PseudoImage",
     "assign_pillars",
-    "decorate",
     "pillar_encode",
     "random_pillar_weights",
     "DECORATED_DIMS",
@@ -38,12 +37,22 @@ class PillarGridSpec:
     max_pillars: int = 12_000
 
     def __post_init__(self):
-        if self.cell_size <= 0:
-            raise ValueError("cell size must be positive")
-        if self.max_points_per_pillar < 1 or self.max_pillars < 1:
-            raise ValueError("caps must be positive")
-        if self.x_range[1] <= self.x_range[0] or self.y_range[1] <= self.y_range[0]:
-            raise ValueError("empty grid range")
+        for name in ("x_range", "y_range", "z_range"):
+            lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"{name} must be finite, got {(lo, hi)}")
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            raise ValueError(f"cell_size must be finite and positive, got {self.cell_size}")
+        for name in ("max_points_per_pillar", "max_pillars"):
+            cap = getattr(self, name)
+            if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+                raise ValueError(f"{name} must be a positive integer, got {cap!r}")
+        if self.nx < 1 or self.ny < 1:
+            name = "x_range" if self.nx < 1 else "y_range"
+            raise ValueError(f"{name} must span at least one cell of {self.cell_size}, "
+                             f"got {getattr(self, name)}")
+        if self.z_range[1] < self.z_range[0]:
+            raise ValueError(f"z_range must have lo <= hi, got {self.z_range}")
 
     @property
     def nx(self) -> int:
@@ -53,28 +62,34 @@ class PillarGridSpec:
     def ny(self) -> int:
         return int(np.floor((self.y_range[1] - self.y_range[0]) / self.cell_size + 1e-9))
 
-    def cell_center(self, ix: int, iy: int) -> tuple[float, float]:
+    def cell_center(self, ix, iy):
+        """Center (x, y) of cell (ix, iy); scalars or arrays of indices."""
         return (self.x_range[0] + (ix + 0.5) * self.cell_size,
                 self.y_range[0] + (iy + 0.5) * self.cell_size)
 
 
-@dataclass
-class Pillar:
-    """All in-range returns whose (x, y) fall in one grid cell.
+@dataclass(frozen=True)
+class PillarBatch:
+    """All kept pillars of one frame as columns.
 
-    points is (n, 5): x, y, z, reflectance, t_us.
+    points is (N, 5): x, y, z, reflectance, t_us, sorted by flat cell key and
+    then by time. Pillar i owns rows starts[i] up to starts[i + 1] (the last
+    one up to N) and sits in cell (iy[i], ix[i]); pillars are in row-major
+    order and none is empty.
     """
 
-    ix: int
-    iy: int
-    center_x: float
-    center_y: float
     points: np.ndarray
+    starts: np.ndarray
+    iy: np.ndarray
+    ix: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.starts)
 
 
 @dataclass
 class PillarAssignment:
-    pillars: list[Pillar]
+    pillars: PillarBatch
     dropped_out_of_range: int = 0
     truncated_points: int = 0
     truncated_pillars: int = 0
@@ -90,59 +105,34 @@ def assign_pillars(frame: ScanFrame, spec: PillarGridSpec) -> PillarAssignment:
     """
     if frame is None:
         raise ValueError("frame must not be None")
-    n = len(frame)
-    if n == 0:
-        return PillarAssignment([])
-    pts = np.column_stack([frame.points, frame.intensity, frame.t_us.astype(np.float64)])
     order = np.argsort(frame.t_us, kind="stable")
-    pts = pts[order]
+    pts = np.column_stack([frame.points, frame.intensity,
+                           frame.t_us.astype(np.float64)])[order]
 
     ix = np.floor((pts[:, 0] - spec.x_range[0]) / spec.cell_size).astype(np.int64)
     iy = np.floor((pts[:, 1] - spec.y_range[0]) / spec.cell_size).astype(np.int64)
     in_range = ((ix >= 0) & (ix < spec.nx) & (iy >= 0) & (iy < spec.ny)
                 & (pts[:, 2] >= spec.z_range[0]) & (pts[:, 2] <= spec.z_range[1]))
-    dropped = int(n - in_range.sum())
-    pts, ix, iy = pts[in_range], ix[in_range], iy[in_range]
+    dropped = int(len(pts) - in_range.sum())
+    key = iy[in_range] * spec.nx + ix[in_range]
+    # stable on time-sorted rows: each cell's returns stay earliest first
+    order = np.argsort(key, kind="stable")
+    pts, key = pts[in_range][order], key[order]
 
-    key = iy * spec.nx + ix
-    buckets: dict[int, list[int]] = {}
-    for i, k in enumerate(key):
-        buckets.setdefault(int(k), []).append(i)
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    counts = np.diff(starts, append=len(key))
+    kept = np.minimum(counts, spec.max_points_per_pillar)
+    # stable on row-major cells: equally dense pillars keep row-major order
+    densest = np.sort(np.argsort(-kept, kind="stable")[: spec.max_pillars])
+    chosen = np.zeros(len(starts), dtype=bool)
+    chosen[densest] = True
+    rank = np.arange(len(key)) - np.repeat(starts, counts)
+    rows = np.repeat(chosen, counts) & (rank < spec.max_points_per_pillar)
 
-    truncated_points = 0
-    pillars = []
-    for k, idxs in buckets.items():
-        if len(idxs) > spec.max_points_per_pillar:
-            truncated_points += len(idxs) - spec.max_points_per_pillar
-            idxs = idxs[: spec.max_points_per_pillar]  # earliest timestamps win
-        cy, cx = divmod(k, spec.nx)
-        center = spec.cell_center(cx, cy)
-        pillars.append(Pillar(cx, cy, center[0], center[1], pts[idxs]))
-
-    truncated_pillars = 0
-    if len(pillars) > spec.max_pillars:
-        truncated_pillars = len(pillars) - spec.max_pillars
-        pillars.sort(key=lambda p: (-p.points.shape[0], p.iy, p.ix))
-        pillars = pillars[: spec.max_pillars]
-    pillars.sort(key=lambda p: (p.iy, p.ix))
-    return PillarAssignment(pillars, dropped, truncated_points, truncated_pillars)
-
-
-def decorate(pillar: Pillar) -> np.ndarray:
-    """Expand each return to the 9 per-point features: raw coordinates and
-    reflectance, offsets from the pillar's arithmetic mean, and horizontal
-    offsets from the cell center."""
-    if pillar.points.shape[0] == 0:
-        raise ValueError("cannot decorate an empty pillar")
-    xyz = pillar.points[:, 0:3]
-    mean = xyz.mean(axis=0)
-    out = np.empty((xyz.shape[0], DECORATED_DIMS), dtype=np.float64)
-    out[:, 0:3] = xyz
-    out[:, 3] = pillar.points[:, 3]
-    out[:, 4:7] = xyz - mean
-    out[:, 7] = xyz[:, 0] - pillar.center_x
-    out[:, 8] = xyz[:, 1] - pillar.center_y
-    return out
+    iy, ix = np.divmod(key[starts[densest]], spec.nx)
+    batch = PillarBatch(pts[rows], np.cumsum(kept[densest]) - kept[densest], iy, ix)
+    return PillarAssignment(batch, dropped, int((counts - kept).sum()),
+                            len(starts) - len(densest))
 
 
 @dataclass
@@ -160,15 +150,12 @@ class PseudoImage:
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.values.ndim != 3 or self.mask.shape != self.values.shape[:2]:
             raise ValueError("pseudo-image needs (ny, nx, F) values and matching mask")
-        if self.values[~self.mask].any():
+        if (self.values.any(axis=2) & ~self.mask).any():
             raise ValueError("non-occupied cells must be all-zero")
 
     @property
     def channels(self) -> int:
         return self.values.shape[2]
-
-    def occupancy(self) -> ActiveMask:
-        return ActiveMask(self.mask.copy())
 
 
 def random_pillar_weights(rng: np.random.Generator, out_channels: int = 64) -> np.ndarray:
@@ -176,25 +163,31 @@ def random_pillar_weights(rng: np.random.Generator, out_channels: int = 64) -> n
     return rng.normal(size=(DECORATED_DIMS, out_channels)) / np.sqrt(DECORATED_DIMS)
 
 
-def pillar_encode(pillars: list[Pillar], weights: np.ndarray, grid: PillarGridSpec,
-                  bias: np.ndarray | None = None, relu: bool = True) -> PseudoImage:
-    """Embed each decorated point with a linear map (+ ReLU), take the
-    channelwise maximum over the pillar, and scatter the pooled vector to the
-    pillar's cell."""
+def pillar_encode(pillars: PillarBatch, weights: np.ndarray,
+                  grid: PillarGridSpec) -> PseudoImage:
+    """Expand each return to the 9 per-point features (raw coordinates and
+    reflectance, offsets from its pillar's arithmetic mean, horizontal offsets
+    from its cell center), embed them with a linear map and ReLU, take the
+    channelwise maximum over each pillar, and scatter the pooled vectors to
+    the pillars' cells."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2 or weights.shape[0] != DECORATED_DIMS:
         raise ValueError(f"weights must map {DECORATED_DIMS} -> F, got shape {weights.shape}")
-    f = weights.shape[1]
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64).reshape(f)
-    values = np.zeros((grid.ny, grid.nx, f), dtype=np.float32)
+    pts, starts = pillars.points, pillars.starts
+    counts = np.diff(starts, append=len(pts))
+    xyz = pts[:, 0:3]
+    mean = np.add.reduceat(xyz, starts, axis=0) / counts[:, None]
+    cx, cy = grid.cell_center(pillars.ix, pillars.iy)
+    decorated = np.empty((len(pts), DECORATED_DIMS), dtype=np.float64)
+    decorated[:, 0:4] = pts[:, 0:4]
+    decorated[:, 4:7] = xyz - np.repeat(mean, counts, axis=0)
+    decorated[:, 7] = xyz[:, 0] - np.repeat(cx, counts)
+    decorated[:, 8] = xyz[:, 1] - np.repeat(cy, counts)
+    emb = decorated @ weights
+    np.maximum(emb, 0.0, out=emb)  # ReLU
+
+    values = np.zeros((grid.ny, grid.nx, weights.shape[1]), dtype=np.float32)
     mask = np.zeros((grid.ny, grid.nx), dtype=bool)
-    for pillar in pillars:
-        emb = decorate(pillar) @ weights
-        if bias is not None:
-            emb = emb + bias
-        if relu:
-            emb = np.maximum(emb, 0.0)
-        values[pillar.iy, pillar.ix] = emb.max(axis=0).astype(np.float32)
-        mask[pillar.iy, pillar.ix] = True
+    values[pillars.iy, pillars.ix] = np.maximum.reduceat(emb, starts, axis=0)
+    mask[pillars.iy, pillars.ix] = True
     return PseudoImage(values, mask)

@@ -27,6 +27,7 @@ __all__ = [
     "write_columnar",
     "read_las",
     "write_las",
+    "frame_records",
     "read_points",
     "window_frames",
     "write_tensor",
@@ -38,7 +39,11 @@ __all__ = [
 COLUMNAR_COORD_DECIMALS = 3  # 1 mm on-disk scale
 COLUMNAR_INTENSITY_DECIMALS = 6
 LAS_HEADER_SIZE = 227
-LAS_PRF3_RECORD_SIZE = 34
+# point record format 3, little-endian and unpadded
+_PRF3 = np.dtype([("xyz", "<i4", 3), ("intensity", "<u2"), ("return_bits", "u1"),
+                  ("classification", "u1"), ("scan_angle", "i1"), ("user_data", "u1"),
+                  ("point_source", "<u2"), ("gps_time", "<f8"), ("rgb", "<u2", 3)])
+LAS_PRF3_RECORD_SIZE = _PRF3.itemsize  # 34
 
 
 class PointFormatError(Exception):
@@ -144,21 +149,27 @@ def write_las(path, records: Iterable[PointRecord],
               scale: tuple[float, float, float] = (0.001, 0.001, 0.001),
               offset: tuple[float, float, float] = (0.0, 0.0, 0.0)):
     """Minimal LAS 1.2 PRF3 writer. Coordinates are quantized to the header
-    scale; GPS time stores seconds; intensity maps [0, 1] onto uint16."""
-    recs = list(records)
-    body = bytearray()
-    xs, ys, zs = [], [], []
-    for r in recs:
-        xi = round((r.x - offset[0]) / scale[0])
-        yi = round((r.y - offset[1]) / scale[1])
-        zi = round((r.z - offset[2]) / scale[2])
-        xs.append(xi * scale[0] + offset[0])
-        ys.append(yi * scale[1] + offset[1])
-        zs.append(zi * scale[2] + offset[2])
-        inten = max(0, min(65535, round(r.intensity * 65535)))
-        body += struct.pack("<iiiHBBbBH", xi, yi, zi, inten, 0x11, 0, 0, 0, 0)
-        body += struct.pack("<d", r.t_us * 1e-6)
-        body += struct.pack("<HHH", 0, 0, 0)
+    scale; GPS time stores seconds; intensity maps [0, 1] onto uint16.
+    Raises ValueError, writing nothing, for a non-finite intensity or a
+    coordinate that does not quantize to an int32."""
+    cols = np.array([(r.x, r.y, r.z, r.intensity, r.t_us) for r in records],
+                    dtype=np.float64).reshape(-1, 5)
+    q = np.rint((cols[:, 0:3] - np.asarray(offset)) / np.asarray(scale))
+    fits = ((q >= -2**31) & (q <= 2**31 - 1)).all(axis=1) & np.isfinite(cols[:, 3])
+    bad = np.flatnonzero(~fits)
+    if len(bad):
+        raise ValueError(f"record {bad[0]}: x, y, z, intensity {cols[bad[0], :4].tolist()} "
+                         f"must be finite, x, y, z within int32 at scale {scale}, "
+                         f"offset {offset}")
+    body = np.zeros(len(cols), dtype=_PRF3)
+    body["xyz"] = q
+    body["intensity"] = np.clip(np.rint(cols[:, 3] * 65535), 0, 65535)
+    body["return_bits"] = 0x11
+    body["gps_time"] = cols[:, 4] * 1e-6
+    # bounds of the stored values, from the integers as the reader sees them
+    stored = body["xyz"] * np.asarray(scale) + np.asarray(offset)
+    bounds = (np.column_stack([stored.max(axis=0), stored.min(axis=0)]).ravel()
+              if len(stored) else np.zeros(6))
 
     header = bytearray(LAS_HEADER_SIZE)
     header[0:4] = b"LASF"
@@ -170,17 +181,14 @@ def write_las(path, records: Iterable[PointRecord],
     struct.pack_into("<I", header, 96, LAS_HEADER_SIZE)
     header[104] = 3  # point record format
     struct.pack_into("<H", header, 105, LAS_PRF3_RECORD_SIZE)
-    struct.pack_into("<I", header, 107, len(recs))
-    struct.pack_into("<I", header, 111, len(recs))  # points by return[0]
+    struct.pack_into("<I", header, 107, len(body))
+    struct.pack_into("<I", header, 111, len(body))  # points by return[0]
     struct.pack_into("<ddd", header, 131, *scale)
     struct.pack_into("<ddd", header, 155, *offset)
-    bounds = []
-    for arr in (xs, ys, zs):
-        bounds += [max(arr) if arr else 0.0, min(arr) if arr else 0.0]
     struct.pack_into("<dddddd", header, 179, *bounds)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(body)
+        fh.write(body.tobytes())
 
 
 def read_las(path) -> Iterator[PointRecord]:

@@ -73,9 +73,6 @@ class MacCounter:
     def add(self, n: int):
         self.count += int(n)
 
-    def reset(self):
-        self.count = 0
-
 
 @dataclass
 class FeatureMap:
@@ -126,9 +123,6 @@ class ActiveMask:
     def q(self) -> int:
         return self.flags.shape[1]
 
-    def popcount(self) -> int:
-        return int(self.flags.sum())
-
 
 @dataclass
 class SparseFeatureMap:
@@ -166,16 +160,6 @@ class SparseFeatureMap:
     @property
     def channels(self) -> int:
         return self.feats.shape[1]
-
-    def to_dense(self) -> FeatureMap:
-        out = np.zeros((self.p, self.q, self.channels), dtype=np.float32)
-        out[self.coords[:, 0], self.coords[:, 1]] = self.feats
-        return FeatureMap(out)
-
-    def active_mask(self) -> ActiveMask:
-        flags = np.zeros((self.p, self.q), dtype=bool)
-        flags[self.coords[:, 0], self.coords[:, 1]] = True
-        return ActiveMask(flags)
 
 
 @dataclass

@@ -399,6 +399,7 @@ class TestDirectivity:
         ({"y_range": (1.0, 1.0)}, "y_range"),
         ({"z_range": (math.nan, 1.0)}, "z_range"),
         ({"x_range": (5.0, math.inf)}, "x_range"),
+        ({"x_range": (5.0, 5.2)}, "x_range"),
     ])
     def test_region_validated_naming_the_field(self, kwargs, field):
         args = {"x_range": (5.0, 6.0), "y_range": (0.0, 1.0), "z_range": (0.0, 1.0)}

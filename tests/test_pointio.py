@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -105,6 +107,24 @@ class TestLas:
         again = tmp_path / "rt2.las"
         write_las(again, back)
         assert [r for r in read_las(again)] == back
+
+    @pytest.mark.parametrize("field, value", [
+        ("x", math.nan), ("y", math.inf), ("z", -math.inf), ("intensity", math.nan),
+        ("x", 2147483.648), ("y", -2147483.649),
+    ])
+    def test_unrepresentable_record_rejected(self, tmp_path, rng, field, value):
+        records = sample_records(rng, 5)
+        records[3] = dataclasses.replace(records[3], **{field: value})
+        path = tmp_path / "bad.las"
+        with pytest.raises(ValueError, match="record 3"):
+            write_las(path, records)
+        assert not path.exists()
+
+    def test_int32_extremes_round_trip(self, tmp_path):
+        path = tmp_path / "edge.las"
+        write_las(path, [PointRecord(2147483.647, -2147483.648, 0.0, 0.5, 0)])
+        (rec,) = read_las(path)
+        assert (rec.x, rec.y) == (pytest.approx(2147483.647), pytest.approx(-2147483.648))
 
     def test_zero_point_file(self, tmp_path):
         path = tmp_path / "none.las"
