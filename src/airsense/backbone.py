@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .spconv import FeatureMap, KernelTensor, _Taps
+from .pillars import PseudoImage
+from .spconv import FeatureMap, KernelTensor, Sites, conv, reach
 
 __all__ = [
     "BackboneSpec",
@@ -23,6 +23,10 @@ __all__ = [
 ]
 
 ENGINES = ("dense", "sparse", "sparse+submanifold")
+
+
+def _positive_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
 
 
 @dataclass(frozen=True)
@@ -39,10 +43,16 @@ class BackboneSpec:
     relu: bool = False
 
     def __post_init__(self):
-        if len(self.block_convs) != 3:
-            raise ValueError("exactly three convolution blocks expected")
+        for name in ("block_convs", "block_channels", "block_strides", "up_strides"):
+            value = getattr(self, name)
+            if not (isinstance(value, (tuple, list)) and len(value) == 3
+                    and all(map(_positive_int, value))):
+                raise ValueError(f"{name} must be three integers >= 1, got {value!r}")
+        for name in ("up_channels", "kernel_size"):
+            if not _positive_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if self.kernel_size % 2 == 0:
-            raise ValueError("kernel size must be odd")
+            raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
 
     @property
     def num_layers(self) -> int:
@@ -115,40 +125,14 @@ class InstrumentationReport:
     def total_nanoseconds(self) -> int:
         return sum(l.nanoseconds for l in self.layers)
 
-    def to_text(self) -> str:
-        """Flat key-value block, one fact per line."""
-        lines = [f"engine = {self.engine}", f"layers = {len(self.layers)}"]
-        for l in self.layers:
-            pre = f"layer.{l.index:02d}"
-            lines.append(f"{pre}.kind = {l.kind}")
-            lines.append(f"{pre}.stride = {l.stride}")
-            lines.append(f"{pre}.macs = {l.macs}")
-            lines.append(f"{pre}.density = {l.density:.6f}")
-            lines.append(f"{pre}.nanoseconds = {l.nanoseconds}")
-        lines.append(f"total.macs = {self.total_macs}")
-        lines.append(f"total.nanoseconds = {self.total_nanoseconds}")
-        return "\n".join(lines) + "\n"
 
-
-class _Sites(NamedTuple):
-    """A map between layers: sorted flat keys of its active sites on a (p, q)
-    grid, their float32 features, and, on the dense engine when a bias is
-    set, the keys of the cells reachable from the occupied input."""
-
-    p: int
-    q: int
-    keys: np.ndarray
-    feats: np.ndarray
-    reach: np.ndarray | None
-
-
-def run_backbone(pseudo_image, spec: BackboneSpec, weights: BackboneWeights,
+def run_backbone(pseudo_image: PseudoImage, spec: BackboneSpec, weights: BackboneWeights,
                  engine: str = "dense") -> tuple[FeatureMap, InstrumentationReport]:
     """Forward pass of the [4, 6, 6] + 3-deconv graph on the chosen engine.
 
-    Every layer runs the same tap kernel over a list of active sites; the
-    engines differ only in that set. Dense keeps every cell, sparse the cells
-    the taps reach, and sparse+submanifold keeps the input set in every
+    Every layer is one `conv` over a list of active sites; the engines differ
+    only in the output sites they ask for. Dense keeps every cell, sparse the
+    cells the taps reach, and sparse+submanifold keeps the input set in every
     convolution except the first (strided) one of each block and the deconvs.
     A bias, then ReLU, applies on the active set only, and the dense engine
     masks its bias to the cells reachable from the occupied input, so the
@@ -160,10 +144,8 @@ def run_backbone(pseudo_image, spec: BackboneSpec, weights: BackboneWeights,
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    fm = FeatureMap(np.asarray(pseudo_image.values, dtype=np.float32))
-    flags = np.asarray(pseudo_image.mask, dtype=bool) if hasattr(pseudo_image, "mask") \
-        else np.abs(fm.values).max(axis=2) > 0
-    if flags.shape != (fm.p, fm.q):
+    fm = FeatureMap(pseudo_image.values)
+    if pseudo_image.mask.shape != (fm.p, fm.q):
         raise ValueError("occupancy mask does not match pseudo-image grid")
 
     plan = _layer_plan(spec, fm.channels)
@@ -171,21 +153,19 @@ def run_backbone(pseudo_image, spec: BackboneSpec, weights: BackboneWeights,
         raise ValueError(f"graph needs {len(plan)} kernels, got {len(weights.kernels)}")
 
     dense = engine == "dense"
-    occupied = np.flatnonzero(flags)
-    values = fm.values.reshape(fm.p * fm.q, fm.channels)
-    track_reach = dense and any(b is not None for b in weights.biases)
-    if dense:
-        cur = _Sites(fm.p, fm.q, np.arange(fm.p * fm.q), values,
-                     occupied if track_reach else None)
-    else:
-        cur = _Sites(fm.p, fm.q, occupied, values[occupied], None)
+    # each map travels with the keys of the cells reachable from the occupied
+    # input, tracked only where the dense engine needs them to mask its bias
+    live = None
+    if dense and any(b is not None for b in weights.biases):
+        live = np.flatnonzero(pseudo_image.mask)
+    cur = (Sites.from_dense(fm) if dense else Sites.from_dense(fm, pseudo_image.mask), live)
 
     stats: list[LayerStats] = []
-    block_outputs: list[_Sites] = []
-    upsampled: list[_Sites] = []
+    block_outputs: list[tuple[Sites, np.ndarray | None]] = []
+    upsampled: list[Sites] = []
     block_ends = np.cumsum(spec.block_convs)
     for idx, (kind, stride, c_in, c_out, is_first) in enumerate(plan):
-        src = block_outputs[len(upsampled)] if kind == "deconv" else cur
+        src, live = block_outputs[len(upsampled)] if kind == "deconv" else cur
         if src.feats.shape[1] != c_in:
             raise ValueError(f"layer {idx} expects {c_in} channels, got {src.feats.shape[1]}")
         kernel = weights.kernels[idx]
@@ -195,35 +175,32 @@ def run_backbone(pseudo_image, spec: BackboneSpec, weights: BackboneWeights,
         t0 = time.perf_counter_ns()
 
         transposed = kind == "deconv"
-        taps = _Taps(src.keys, src.p, src.q, kernel.k, stride, transposed)
         if dense:
-            keys = np.arange(taps.out_p * taps.out_q)
+            out = "all"
         elif engine == "sparse+submanifold" and kind == "conv" and not is_first:
-            keys = src.keys
+            out = "same"
         else:
-            keys = taps.touched()
-        feats, macs = taps.scatter(src.feats, kernel.weights, keys)
-        reach = None
-        if src.reach is not None:
-            reach = _Taps(src.reach, src.p, src.q, kernel.k, stride, transposed).touched()
+            out = "reach"
+        y, macs = conv(src, kernel, stride, transposed, out)
+        if live is not None:
+            live = reach(live, src.p, src.q, kernel.k, stride, transposed)
         bias = weights.biases[idx]
         if bias is not None:
             if dense:
-                feats[reach] += np.asarray(bias, dtype=np.float32)
+                y.feats[live] += np.asarray(bias, dtype=np.float32)
             else:
-                feats += np.asarray(bias, dtype=np.float32)
+                y.feats += np.asarray(bias, dtype=np.float32)
         if spec.relu:
-            np.maximum(feats, 0.0, out=feats)
-        out = _Sites(taps.out_p, taps.out_q, keys, feats, reach)
+            np.maximum(y.feats, 0.0, out=y.feats)
         t1 = time.perf_counter_ns()
         stats.append(LayerStats(idx, kind, stride, macs, density, t1 - t0))
 
         if kind == "conv":
-            cur = out
+            cur = (y, live)
             if idx + 1 in block_ends:
-                block_outputs.append(out)
+                block_outputs.append(cur)
         else:
-            upsampled.append(out)
+            upsampled.append(y)
 
     p, q = upsampled[0].p, upsampled[0].q
     if any(u.p < p or u.q < q for u in upsampled):

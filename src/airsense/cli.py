@@ -25,9 +25,7 @@ from .metrics import aggregate, classify
 from .pointio import (PointFormatError, ScanFrame, frame_records,
                       read_jsonl, read_points, read_tensor, window_frames,
                       write_columnar, write_jsonl, write_las)
-from .spconv import (ActiveMask, ConvSpec, FeatureMap, KernelTensor, MacCounter,
-                     compact_active_sites, scatter_conv, sparse_scatter_conv,
-                     submanifold_conv)
+from .spconv import FeatureMap, KernelTensor, Sites, conv
 from .tracker import TrackerConfig, replay
 
 BUILTIN_MESHES = {
@@ -143,17 +141,17 @@ def cmd_bench_conv(args) -> int:
         if values.ndim != 3:
             raise ValueError(f"feature fixture must be (p, q, C), got {values.shape}")
         fm = FeatureMap(values)
-        mask = ActiveMask(np.abs(values).max(axis=2) > 0)
+        mask = np.abs(values).max(axis=2) > 0
     else:
         p = q = args.size
         flat = rng.choice(p * q, size=args.sites, replace=False)
-        flags = np.zeros(p * q, dtype=bool)
-        flags[flat] = True
-        mask = ActiveMask(flags.reshape(p, q))
+        mask = np.zeros(p * q, dtype=bool)
+        mask[flat] = True
+        mask = mask.reshape(p, q)
         values = np.zeros((p, q, args.channels), dtype=np.float32)
-        values[mask.flags] = rng.normal(size=(args.sites, args.channels)).astype(np.float32)
+        values[mask] = rng.normal(size=(args.sites, args.channels)).astype(np.float32)
         fm = FeatureMap(values)
-    sfm = compact_active_sites(mask, fm)
+    sparse = Sites.from_dense(fm, mask)
     if args.kernel_file:
         kernel = KernelTensor(read_tensor(args.kernel_file).astype(np.float32))
         if kernel.in_channels != fm.channels:
@@ -163,21 +161,16 @@ def cmd_bench_conv(args) -> int:
         kernel = KernelTensor(rng.normal(size=(c, args.kernel, args.kernel, c))
                               .astype(np.float32) / (args.kernel * np.sqrt(c)))
 
-    lines = [f"fixture.size = {fm.p}x{fm.q}", f"fixture.sites = {sfm.num_sites}",
+    lines = [f"fixture.size = {fm.p}x{fm.q}", f"fixture.sites = {len(sparse.keys)}",
              f"fixture.channels = {fm.channels}", f"fixture.kernel = {kernel.k}"]
     results = {}
-    for name in ("dense", "sparse", "submanifold"):
-        counter = MacCounter()
+    for name, x, out in (("dense", Sites.from_dense(fm), "all"), ("sparse", sparse, "reach"),
+                         ("submanifold", sparse, "same")):
         t0 = time.perf_counter_ns()
-        if name == "dense":
-            out = scatter_conv(fm, kernel, ConvSpec(), counter=counter)
-        elif name == "sparse":
-            out = sparse_scatter_conv(sfm, kernel, ConvSpec(), counter=counter)
-        else:
-            out = submanifold_conv(sfm, kernel, counter=counter)
+        _, macs = conv(x, kernel, out=out)
         dt = time.perf_counter_ns() - t0
-        results[name] = (counter.count, dt)
-        lines.append(f"{name}.macs = {counter.count}")
+        results[name] = (macs, dt)
+        lines.append(f"{name}.macs = {macs}")
         lines.append(f"{name}.nanoseconds = {dt}")
     ratio = results["sparse"][0] / results["dense"][0]
     lines.append(f"mac.ratio = {ratio:.6f}")

@@ -1,17 +1,19 @@
-"""Scatter-based 2D convolution engines over dense and sparse feature maps.
+"""Scatter-based 2D convolution over lists of active sites.
 
-The core primitive pushes each input site's weighted contributions out to the
-output cells selected by the filter tap, instead of gathering a neighborhood
-per output cell. One private tap kernel does this for every engine; the
-engines differ only in their active set. Sites are sorted flat keys on a
-(p, q) grid, so work scales with the number of active sites rather than the
-grid area. No rule book, coordinate hash map or bounds mask is built anywhere:
-destinations follow from index arithmetic alone, into a buffer padded by
-k // 2 on every side that holds every destination. A tap's destination is a
-site's base key plus a constant offset (strided convolution first selects
-the sites that land on the output lattice), so a run of consecutive sites
-lands on one evenly spaced slice of the buffer: long runs are added by
-slice, the remaining sites by one indexed add per tap.
+A map is a `Sites` list: sorted flat keys on a (p, q) grid plus one feature
+row per key, so work scales with the number of active sites rather than the
+grid area. `conv` is the one convolution: it pushes each site's weighted
+contributions out to the output cells selected by the filter tap, instead of
+gathering a neighborhood per output cell. Dense, sparse and submanifold
+convolution differ only in which output sites `conv` keeps; `reach` returns
+the sparse choice on its own. No rule book, coordinate hash map or bounds
+mask is built anywhere: destinations follow from index arithmetic alone,
+into a buffer padded by k // 2 on every side that holds every destination.
+A tap's destination is a site's base key plus a constant offset (strided
+convolution first selects the sites that land on the output lattice), so a
+run of consecutive sites lands on one evenly spaced slice of the buffer:
+long runs are added by slice, the remaining sites by one indexed add per
+tap. `gather_conv` is the independent oracle.
 
 All feature values are stored as float32; accumulation happens in float64 and
 results are rounded back to float32 on the output sites only.
@@ -20,59 +22,10 @@ results are rounded back to float32 on the output sites only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-__all__ = [
-    "ConvMode",
-    "ConvSpec",
-    "FeatureMap",
-    "ActiveMask",
-    "SparseFeatureMap",
-    "KernelTensor",
-    "MacCounter",
-    "gather_conv",
-    "scatter_conv",
-    "compact_active_sites",
-    "sparse_scatter_conv",
-    "submanifold_conv",
-    "transposed_conv",
-    "scatter_reachable_mask",
-]
-
-
-class ConvMode(str, Enum):
-    STANDARD = "standard"
-    SUBMANIFOLD = "submanifold"
-    TRANSPOSED = "transposed"
-
-
-@dataclass(frozen=True)
-class ConvSpec:
-    """Stride and mode of a convolution; padding is implicitly same-centered."""
-
-    stride: int = 1
-    mode: ConvMode = ConvMode.STANDARD
-
-    def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if self.mode == ConvMode.SUBMANIFOLD and self.stride != 1:
-            raise ValueError("submanifold convolution requires stride 1")
-
-
-class MacCounter:
-    """Accumulates the number of multiply operations an engine performed."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n: int):
-        self.count += int(n)
-
+__all__ = ["FeatureMap", "KernelTensor", "Sites", "gather_conv", "conv", "reach"]
 
 @dataclass
 class FeatureMap:
@@ -102,64 +55,6 @@ class FeatureMap:
     def channels(self) -> int:
         return self.values.shape[2]
 
-
-@dataclass
-class ActiveMask:
-    """Boolean occupancy over a (p, q) grid."""
-
-    flags: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.flags, dtype=bool)
-        if f.ndim != 2:
-            raise ValueError(f"mask must be 2D, got shape {f.shape}")
-        self.flags = f
-
-    @property
-    def p(self) -> int:
-        return self.flags.shape[0]
-
-    @property
-    def q(self) -> int:
-        return self.flags.shape[1]
-
-
-@dataclass
-class SparseFeatureMap:
-    """Active sites of a (p, q, C) grid in row-major order.
-
-    coords is (l, 2) int64 holding unique (row, col) pairs sorted row-major;
-    feats is the matching (l, C) float32 feature block.
-    """
-
-    p: int
-    q: int
-    coords: np.ndarray
-    feats: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=np.int64).reshape(-1, 2)
-        f = np.asarray(self.feats, dtype=np.float32)
-        if f.ndim != 2 or f.shape[0] != c.shape[0]:
-            raise ValueError("feats must be (l, C) matching coords")
-        if c.shape[0]:
-            if c[:, 0].min() < 0 or c[:, 0].max() >= self.p:
-                raise ValueError("site row out of bounds")
-            if c[:, 1].min() < 0 or c[:, 1].max() >= self.q:
-                raise ValueError("site col out of bounds")
-            keys = c[:, 0] * self.q + c[:, 1]
-            if not (np.diff(keys) > 0).all():
-                raise ValueError("sites must be unique and row-major sorted")
-        self.coords = c
-        self.feats = f
-
-    @property
-    def num_sites(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.feats.shape[1]
 
 
 @dataclass
@@ -198,28 +93,82 @@ def _check_input(channels: int, kernel: KernelTensor):
         )
 
 
-def gather_conv(fm: FeatureMap, kernel: KernelTensor, spec: ConvSpec = ConvSpec()) -> FeatureMap:
+
+def _check_stride(stride: int):
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+
+
+def _check_keys(keys, p: int, q: int) -> np.ndarray:
+    if p < 1 or q < 1:
+        raise ValueError(f"grid dims must be >= 1, got {p} x {q}")
+    k = np.asarray(keys, dtype=np.int64).reshape(-1)
+    if len(k):
+        if not (np.diff(k) > 0).all():
+            raise ValueError("site keys must be unique and sorted")
+        if k[0] < 0 or k[-1] >= p * q:
+            raise ValueError(f"site key out of bounds for a {p} x {q} grid")
+    return k
+
+
+@dataclass
+class Sites:
+    """Active sites of a (p, q, C) map: unique flat keys r * q + c in
+    ascending (row-major) order, and the matching (l, C) float32 features.
+    Cells off the list are zero."""
+
+    p: int
+    q: int
+    keys: np.ndarray
+    feats: np.ndarray
+
+    def __post_init__(self):
+        self.keys = _check_keys(self.keys, self.p, self.q)
+        f = np.asarray(self.feats, dtype=np.float32)
+        if f.ndim != 2 or f.shape[0] != len(self.keys):
+            raise ValueError(f"feats must be (l, C) matching {len(self.keys)} keys, "
+                             f"got shape {f.shape}")
+        self.feats = f
+
+    @classmethod
+    def from_dense(cls, fm: FeatureMap, mask: np.ndarray | None = None) -> Sites:
+        """Every cell of fm, or only the cells set in a boolean (p, q) mask."""
+        values = fm.values.reshape(fm.p * fm.q, fm.channels)
+        if mask is None:
+            return cls(fm.p, fm.q, np.arange(fm.p * fm.q), values)
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (fm.p, fm.q):
+            raise ValueError(f"mask shape {mask.shape} does not match map {(fm.p, fm.q)}")
+        keys = np.flatnonzero(mask)
+        return cls(fm.p, fm.q, keys, values[keys])
+
+    def to_dense(self) -> FeatureMap:
+        out = np.zeros((self.p * self.q, self.feats.shape[1]), dtype=np.float32)
+        out[self.keys] = self.feats
+        return FeatureMap(out.reshape(self.p, self.q, -1))
+
+
+def gather_conv(fm: FeatureMap, kernel: KernelTensor, stride: int = 1) -> FeatureMap:
     """Reference gather convolution: each output cell sums its input window.
 
-    Kept deliberately independent from the scatter engines so it can serve as
-    their oracle. Same-centered zero padding; float64 accumulation.
+    Kept deliberately independent from the scatter engine so it can serve as
+    its oracle. Same-centered zero padding; float64 accumulation.
     """
-    if spec.mode != ConvMode.STANDARD:
-        raise ValueError("gather_conv only implements standard mode")
     _check_input(fm.channels, kernel)
+    _check_stride(stride)
     p, q, c = fm.values.shape
     k = kernel.k
     a = k // 2
-    s = spec.stride
     padded = np.zeros((p + 2 * a, q + 2 * a, c), dtype=np.float64)
     padded[a:a + p, a:a + q] = fm.values
     win = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(0, 1))
-    win = win[::s, ::s]  # (out_p, out_q, C, k, k)
+    win = win[::stride, ::stride]  # (out_p, out_q, C, k, k)
     out_p, out_q = win.shape[0], win.shape[1]
     cols = np.ascontiguousarray(win.transpose(0, 1, 3, 4, 2)).reshape(out_p * out_q, k * k * c)
     wmat = kernel.weights.astype(np.float64).reshape(kernel.out_channels, k * k * c)
     out = cols @ wmat.T
     return FeatureMap(out.reshape(out_p, out_q, kernel.out_channels).astype(np.float32))
+
 
 
 # Runs of at least this many consecutive sites are scattered by slice, the
@@ -342,97 +291,45 @@ class _Taps:
         return buf[(rows + a) * w + cols + a].astype(np.float32), macs
 
 
-def _site_keys(sfm: SparseFeatureMap) -> np.ndarray:
-    return sfm.coords[:, 0] * sfm.q + sfm.coords[:, 1]
+
+_OUT = ("reach", "same", "all")
 
 
-def scatter_conv(fm: FeatureMap, kernel: KernelTensor, spec: ConvSpec = ConvSpec(),
-                 counter: MacCounter | None = None) -> FeatureMap:
-    """Dense convolution in scatter form: every cell is an active site.
+def conv(x: Sites, kernel: KernelTensor, stride: int = 1, transposed: bool = False,
+         out: str = "reach") -> tuple[Sites, int]:
+    """Scatter convolution of the sites of x, same-centered zero padding.
 
-    Equals gather_conv up to floating point reassociation, and is
-    bit-reproducible.
+    The output grid is ceil(p / s) x ceil(q / s) at stride s, or (p * s,
+    q * s) when transposed: site (r, c) then scatters from (r * s, c * s),
+    as if upsampled by zero insertion. `out` picks the output sites:
+    "reach" the cells some tap reaches (sparse convolution; every other cell
+    is exactly zero), "same" the input sites (submanifold convolution, stride
+    1 only), "all" every cell (dense convolution). Returns the output sites
+    and the multiply count: l * k^2 * C * F for l input sites at stride 1,
+    contributions that land off the grid included.
     """
-    _check_input(fm.channels, kernel)
-    if spec.mode == ConvMode.SUBMANIFOLD:
-        raise ValueError("use submanifold_conv for submanifold mode")
-    taps = _Taps(np.arange(fm.p * fm.q), fm.p, fm.q, kernel.k, spec.stride,
-                 spec.mode == ConvMode.TRANSPOSED)
-    feats, macs = taps.scatter(fm.values.reshape(-1, fm.channels), kernel.weights,
-                               np.arange(taps.out_p * taps.out_q))
-    if counter is not None:
-        counter.add(macs)
-    return FeatureMap(feats.reshape(taps.out_p, taps.out_q, -1))
+    _check_input(x.feats.shape[1], kernel)
+    _check_stride(stride)
+    if out not in _OUT:
+        raise ValueError(f"out must be one of {_OUT}, got {out!r}")
+    if out == "same" and stride != 1:
+        raise ValueError("submanifold convolution requires stride 1")
+    taps = _Taps(x.keys, x.p, x.q, kernel.k, stride, transposed)
+    if out == "all":
+        keys = np.arange(taps.out_p * taps.out_q)
+    elif out == "same":
+        keys = x.keys
+    else:
+        keys = taps.touched()
+    feats, macs = taps.scatter(x.feats, kernel.weights, keys)
+    return Sites(taps.out_p, taps.out_q, keys, feats), macs
 
 
-def compact_active_sites(mask: ActiveMask, fm: FeatureMap) -> SparseFeatureMap:
-    """Compress the active sites of a dense map into row-major site order."""
-    if mask.flags.shape != fm.values.shape[:2]:
-        raise ValueError(
-            f"mask shape {mask.flags.shape} does not match map {fm.values.shape[:2]}"
-        )
-    keys = np.flatnonzero(mask.flags)
-    coords = np.stack(np.divmod(keys, fm.q), axis=1)
-    return SparseFeatureMap(fm.p, fm.q, coords, fm.values.reshape(-1, fm.channels)[keys])
-
-
-def sparse_scatter_conv(sfm: SparseFeatureMap, kernel: KernelTensor,
-                        spec: ConvSpec = ConvSpec(),
-                        counter: MacCounter | None = None) -> FeatureMap:
-    """Convolution over active sites only; output is returned densified.
-
-    Work is proportional to the site count: exactly l * k^2 * C * F multiplies
-    at stride 1, counted before contributions off the grid are dropped.
-    """
-    _check_input(sfm.channels, kernel)
-    if spec.mode == ConvMode.SUBMANIFOLD:
-        raise ValueError("use submanifold_conv for submanifold mode")
-    taps = _Taps(_site_keys(sfm), sfm.p, sfm.q, kernel.k, spec.stride,
-                 spec.mode == ConvMode.TRANSPOSED)
-    keys = taps.touched()
-    feats, macs = taps.scatter(sfm.feats, kernel.weights, keys)
-    if counter is not None:
-        counter.add(macs)
-    out = np.zeros((taps.out_p * taps.out_q, kernel.out_channels), dtype=np.float32)
-    out[keys] = feats
-    return FeatureMap(out.reshape(taps.out_p, taps.out_q, -1))
-
-
-def submanifold_conv(sfm: SparseFeatureMap, kernel: KernelTensor,
-                     counter: MacCounter | None = None) -> SparseFeatureMap:
-    """Stride-1 convolution that keeps the active set fixed.
-
-    Scatter from the active sites, then read the sums back at exactly the
-    input active set: values outside it are discarded, so the active set
-    never dilates.
-    """
-    _check_input(sfm.channels, kernel)
-    keys = _site_keys(sfm)
-    feats, macs = _Taps(keys, sfm.p, sfm.q, kernel.k).scatter(sfm.feats, kernel.weights, keys)
-    if counter is not None:
-        counter.add(macs)
-    return SparseFeatureMap(sfm.p, sfm.q, sfm.coords.copy(), feats)
-
-
-def transposed_conv(sfm: SparseFeatureMap, kernel: KernelTensor, stride: int,
-                    counter: MacCounter | None = None) -> FeatureMap:
-    """Transposed (upsampling) convolution from active sites.
-
-    Site (i, j) scatters to (i*s - m + a, j*s - n + a); equivalent to a
-    zero-insertion upsample to (p*s, q*s) followed by stride-1 scatter.
-    """
-    return sparse_scatter_conv(sfm, kernel, ConvSpec(stride=stride, mode=ConvMode.TRANSPOSED),
-                               counter=counter)
-
-
-def scatter_reachable_mask(mask: ActiveMask, k: int, stride: int = 1,
-                           transposed: bool = False) -> ActiveMask:
-    """Cells that can receive a contribution when the masked sites scatter.
-
-    This is the active set of a standard sparse convolution's output; cells
-    outside it are exactly zero.
-    """
-    taps = _Taps(np.flatnonzero(mask.flags), mask.p, mask.q, k, stride, transposed)
-    flags = np.zeros(taps.out_p * taps.out_q, dtype=bool)
-    flags[taps.touched()] = True
-    return ActiveMask(flags.reshape(taps.out_p, taps.out_q))
+def reach(keys: np.ndarray, p: int, q: int, k: int, stride: int = 1,
+          transposed: bool = False) -> np.ndarray:
+    """Sorted output keys a k x k scatter from the sorted site keys of a
+    (p, q) grid reaches: the output sites of conv(..., out="reach")."""
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"kernel side must be odd, got {k}")
+    _check_stride(stride)
+    return _Taps(_check_keys(keys, p, q), p, q, k, stride, transposed).touched()

@@ -22,10 +22,7 @@ from airsense.pillars import PseudoImage
 from airsense.pointio import (PointRecord, ScanFrame, read_columnar, read_las,
                               window_frames, write_columnar)
 from airsense.raytrace import Bvh, RayBundle
-from airsense.spconv import (ActiveMask, ConvSpec, FeatureMap, KernelTensor,
-                             MacCounter, compact_active_sites, gather_conv,
-                             scatter_conv, sparse_scatter_conv, submanifold_conv,
-                             transposed_conv)
+from airsense.spconv import FeatureMap, KernelTensor, Sites, conv, gather_conv
 from airsense.tracker import replay
 
 
@@ -51,7 +48,7 @@ def criterion(num, short_desc):
 def _random_sparse_map(r, p, q, c, density):
     mask = r.random((p, q)) < density
     values = r.normal(size=(p, q, c)).astype(np.float32) * mask[:, :, None]
-    return FeatureMap(values), ActiveMask(mask)
+    return FeatureMap(values), mask
 
 
 @criterion(1, "engine outputs vs dense gather oracle")
@@ -66,19 +63,19 @@ def test_criterion_01_engines_match_dense_gather_oracle():
         density = float(r.uniform(0.0, 1.0))
         fm, mask = _random_sparse_map(r, p, q, c, density)
         kernel = KernelTensor(r.normal(size=(f, k, k, c)).astype(np.float32))
-        sfm = compact_active_sites(mask, fm)
+        sites = Sites.from_dense(fm, mask)
 
-        ref = gather_conv(fm, kernel, ConvSpec(stride=stride))
-        got_dense = scatter_conv(fm, kernel, ConvSpec(stride=stride))
-        np.testing.assert_allclose(got_dense.values, ref.values, atol=1e-5)
-        got_sparse = sparse_scatter_conv(sfm, kernel, ConvSpec(stride=stride))
-        np.testing.assert_allclose(got_sparse.values, ref.values, atol=1e-5)
+        ref = gather_conv(fm, kernel, stride)
+        got_dense, _ = conv(Sites.from_dense(fm), kernel, stride, out="all")
+        np.testing.assert_allclose(got_dense.to_dense().values, ref.values, atol=1e-5)
+        got_sparse, _ = conv(sites, kernel, stride)
+        np.testing.assert_allclose(got_sparse.to_dense().values, ref.values, atol=1e-5)
 
-        got_t = transposed_conv(sfm, kernel, stride=stride)
+        got_t, _ = conv(sites, kernel, stride, transposed=True)
         upsampled = np.zeros((p * stride, q * stride, c), dtype=np.float32)
         upsampled[::stride, ::stride] = fm.values
-        ref_t = gather_conv(FeatureMap(upsampled), kernel, ConvSpec(stride=1))
-        np.testing.assert_allclose(got_t.values, ref_t.values, atol=1e-5)
+        ref_t = gather_conv(FeatureMap(upsampled), kernel)
+        np.testing.assert_allclose(got_t.to_dense().values, ref_t.values, atol=1e-5)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"1000 cases took {elapsed:.1f}s, budget is 60s"
     _verdict(1, f"1000 randomized cases, three engines vs gather oracle at 1e-5 "
@@ -93,13 +90,13 @@ def test_criterion_02_submanifold_closure():
         c, f = int(r.integers(1, 7)), int(r.integers(1, 7))
         k = int(r.choice([1, 3, 5]))
         fm, mask = _random_sparse_map(r, p, q, c, float(r.uniform(0.0, 0.8)))
-        sfm = compact_active_sites(mask, fm)
+        sites = Sites.from_dense(fm, mask)
         kernel = KernelTensor(r.normal(size=(f, k, k, c)).astype(np.float32))
-        out = submanifold_conv(sfm, kernel)
-        assert np.array_equal(out.coords, sfm.coords)  # set equality, exact
+        out, _ = conv(sites, kernel, out="same")
+        assert np.array_equal(out.keys, sites.keys)  # set equality, exact
         ref = gather_conv(fm, kernel)  # masked input is already zero elsewhere
         got_at_sites = out.feats
-        ref_at_sites = ref.values[sfm.coords[:, 0], sfm.coords[:, 1]]
+        ref_at_sites = ref.values.reshape(p * q, f)[sites.keys]
         np.testing.assert_allclose(got_at_sites, ref_at_sites, atol=1e-5)
     _verdict(2, "500 cases: active set preserved exactly, values match masked "
                 "dense oracle at 1e-5")
@@ -113,11 +110,10 @@ def test_criterion_03_mac_law_and_fixture_speed():
         c, f = int(r.integers(1, 7)), int(r.integers(1, 7))
         k = int(r.choice([1, 3, 5]))
         fm, mask = _random_sparse_map(r, p, q, c, float(r.uniform(0.0, 1.0)))
-        sfm = compact_active_sites(mask, fm)
+        sites = Sites.from_dense(fm, mask)
         kernel = KernelTensor(r.normal(size=(f, k, k, c)).astype(np.float32))
-        counter = MacCounter()
-        sparse_scatter_conv(sfm, kernel, ConvSpec(stride=1), counter=counter)
-        assert counter.count == sfm.num_sites * k * k * c * f  # exact
+        _, macs = conv(sites, kernel, 1)
+        assert macs == len(sites.keys) * k * k * c * f  # exact
 
     # stand-in for the hardware speedup claim: on the published fixture
     # geometry the sparse engine must beat the dense engine on this machine
@@ -127,24 +123,25 @@ def test_criterion_03_mac_law_and_fixture_speed():
     flat = r.choice(p * q, size=sites, replace=False)
     mask = np.zeros(p * q, dtype=bool)
     mask[flat] = True
-    mask = ActiveMask(mask.reshape(p, q))
+    mask = mask.reshape(p, q)
     values = np.zeros((p, q, c), dtype=np.float32)
-    values[mask.flags] = r.normal(size=(sites, c)).astype(np.float32)
+    values[mask] = r.normal(size=(sites, c)).astype(np.float32)
     fm = FeatureMap(values)
-    sfm = compact_active_sites(mask, fm)
+    sparse_in = Sites.from_dense(fm, mask)
     kernel = KernelTensor((r.normal(size=(f, 3, 3, c)) / 24.0).astype(np.float32))
 
-    cd, cs = MacCounter(), MacCounter()
-    sparse_scatter_conv(sfm, kernel, counter=MacCounter())  # warm up
+    conv(sparse_in, kernel)[0].to_dense()  # warm up
     t0 = time.perf_counter()
-    dense_out = scatter_conv(fm, kernel, counter=cd)
+    dense_out, dense_macs = conv(Sites.from_dense(fm), kernel, out="all")
+    dense_out = dense_out.to_dense()
     t_dense = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sparse_out = sparse_scatter_conv(sfm, kernel, counter=cs)
+    sparse_out, sparse_macs = conv(sparse_in, kernel)
+    sparse_out = sparse_out.to_dense()
     t_sparse = time.perf_counter() - t0
 
     assert t_sparse < t_dense, f"sparse {t_sparse:.3f}s vs dense {t_dense:.3f}s"
-    ratio = cs.count / cd.count
+    ratio = sparse_macs / dense_macs
     assert abs(ratio - 0.0202) <= 0.0001
     np.testing.assert_allclose(sparse_out.values, dense_out.values, atol=1e-5)
     _verdict(3, f"MAC law exact on 100 cases; fixture sparse {t_sparse:.2f}s < "

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,9 @@ from airsense.backbone import (
     make_backbone_weights,
     run_backbone,
 )
-from airsense.config import default_config
+from airsense.config import ConfigError, default_config, load_config
 from airsense.pillars import PseudoImage
-from airsense.spconv import ConvSpec, FeatureMap, KernelTensor, gather_conv
+from oracles import reach_oracle
 
 
 SMALL = BackboneSpec(block_channels=(8, 16, 32), up_channels=16)
@@ -35,18 +37,27 @@ def with_biases(weights, rng):
                             for kt in weights.kernels])
 
 
-def reachable(mask, k, stride, transposed=False):
-    """Cells a k x k scatter from the masked cells reaches, by the gather oracle."""
-    m = mask.astype(np.float32)[:, :, None]
-    if transposed:
-        up = np.zeros((m.shape[0] * stride, m.shape[1] * stride, 1), dtype=np.float32)
-        up[::stride, ::stride] = m
-        m, stride = up, 1
-    ones = KernelTensor(np.ones((1, k, k, 1), dtype=np.float32))
-    return gather_conv(FeatureMap(m), ones, ConvSpec(stride=stride)).values[:, :, 0] > 0
-
-
 class TestGraphShape:
+    @pytest.mark.parametrize("section", [
+        {"block_strides": [0, 2, 2]},
+        {"block_channels": [8, 16]},
+        {"block_convs": [4, 6, 6, 1]},
+        {"up_strides": [1, 2.5, 4]},
+        {"block_channels": [8, True, 32]},
+        {"kernel_size": -1},
+        {"kernel_size": 4},
+        {"up_channels": 0},
+        {"up_channels": "128"},
+    ])
+    def test_bad_spec_rejected_at_the_boundary(self, tmp_path, section):
+        (name, value), = section.items()
+        with pytest.raises(ValueError, match=name):
+            BackboneSpec(**{name: tuple(value) if isinstance(value, list) else value})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"backbone": section}))
+        with pytest.raises(ConfigError, match=name):
+            load_config(path)
+
     def test_layer_count_is_sixteen_convs_plus_three_deconvs(self, rng):
         weights = make_backbone_weights(SMALL, 4, rng)
         pi = full_pseudo_image(rng, 16, 16, 4)
@@ -169,18 +180,6 @@ class TestInstrumentation:
         densities = [l.density for l in report.layers if l.kind == "conv"][:4]
         assert densities == sorted(densities)
 
-    def test_report_text_block(self, rng):
-        weights = make_backbone_weights(SMALL, 4, rng)
-        pi = full_pseudo_image(rng, 8, 8, 4)
-        _, report = run_backbone(pi, SMALL, weights, engine="dense")
-        text = report.to_text()
-        assert "engine = dense" in text
-        assert "layer.00.macs = " in text
-        assert "layer.18.nanoseconds = " in text
-        assert "total.macs = " in text
-        for line in text.strip().splitlines():
-            assert " = " in line
-
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), engine=st.sampled_from(ENGINES))
     def test_density_equals_a_numpy_recount(self, seed, engine):
@@ -195,7 +194,7 @@ class TestInstrumentation:
             for i in range(n_convs):
                 want.append(int(cur.sum()) / cur.size)
                 if engine == "sparse" or i == 0:
-                    cur = reachable(cur, SMALL.kernel_size, SMALL.block_strides[b] if i == 0 else 1)
+                    cur = reach_oracle(cur, SMALL.kernel_size, SMALL.block_strides[b] if i == 0 else 1)
             blocks.append(cur)
         want += [int(m.sum()) / m.size for m in blocks]
         assert [l.density for l in report.layers] == want

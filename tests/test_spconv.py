@@ -3,23 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airsense.spconv import (
-    ActiveMask,
-    ConvMode,
-    ConvSpec,
-    FeatureMap,
-    KernelTensor,
-    MacCounter,
-    SparseFeatureMap,
-    _LONG_RUN,
-    compact_active_sites,
-    gather_conv,
-    scatter_conv,
-    scatter_reachable_mask,
-    sparse_scatter_conv,
-    submanifold_conv,
-    transposed_conv,
-)
+from airsense.spconv import FeatureMap, KernelTensor, Sites, _LONG_RUN, conv, gather_conv, reach
+from oracles import reach_oracle
 
 
 def naive_gather(values, weights, stride=1):
@@ -49,7 +34,13 @@ def random_case(rng, p, q, c, f, k, density=1.0):
     mask = rng.random((p, q)) < density
     values = values * mask[:, :, None]
     kernel = KernelTensor(rng.normal(size=(f, k, k, c)).astype(np.float32))
-    return FeatureMap(values), ActiveMask(mask), kernel
+    return FeatureMap(values), mask, kernel
+
+
+def dense_conv(fm, kernel, stride=1):
+    """The dense engine: every cell is an input and an output site."""
+    out, macs = conv(Sites.from_dense(fm), kernel, stride, out="all")
+    return out.to_dense(), macs
 
 
 class TestValidation:
@@ -63,18 +54,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             gather_conv(fm, kt)
         with pytest.raises(ValueError):
-            scatter_conv(fm, kt)
+            dense_conv(fm, kt)
 
-    def test_submanifold_spec_requires_stride_one(self):
+    def test_submanifold_spec_requires_stride_one(self, rng):
+        fm, mask, kt = random_case(rng, 6, 6, 2, 2, 3, density=0.5)
         with pytest.raises(ValueError):
-            ConvSpec(stride=2, mode=ConvMode.SUBMANIFOLD)
+            conv(Sites.from_dense(fm, mask), kt, stride=2, out="same")
+        with pytest.raises(ValueError):
+            conv(Sites.from_dense(fm, mask), kt, out="submanifold")
 
     def test_sparse_sites_must_be_sorted_unique(self):
         with pytest.raises(ValueError):
-            SparseFeatureMap(4, 4, np.array([[1, 1], [0, 0]]),
-                             np.zeros((2, 1), dtype=np.float32))
+            Sites(4, 4, np.array([5, 0]), np.zeros((2, 1), dtype=np.float32))
         with pytest.raises(ValueError):
-            SparseFeatureMap(4, 4, np.array([[0, 5]]), np.zeros((1, 1), dtype=np.float32))
+            Sites(4, 4, np.array([3, 3]), np.zeros((2, 1), dtype=np.float32))
+        with pytest.raises(ValueError):
+            Sites(4, 4, np.array([3]), np.zeros((2, 1), dtype=np.float32))
+        with pytest.raises(ValueError):
+            reach(np.array([5, 0]), 4, 4, 3)
 
 
 class TestGatherReference:
@@ -104,7 +101,7 @@ class TestGatherReference:
         for stride in (1, 2):
             fm, _, kt = random_case(rng, 7, 6, 3, 2, 3)
             ref = naive_gather(fm.values, kt.weights, stride)
-            got = gather_conv(fm, kt, ConvSpec(stride=stride)).values
+            got = gather_conv(fm, kt, stride).values
             assert got.shape == ref.shape
             np.testing.assert_allclose(got, ref, atol=1e-5)
 
@@ -113,7 +110,7 @@ class TestScatterConv:
     def test_identity_kernel(self, rng):
         fm = FeatureMap(rng.normal(size=(4, 9, 1)).astype(np.float32))
         kt = KernelTensor(np.ones((1, 1, 1, 1), dtype=np.float32))
-        assert np.array_equal(scatter_conv(fm, kt).values, fm.values)
+        assert np.array_equal(dense_conv(fm, kt)[0].values, fm.values)
 
     def test_tap_lands_one_up_left_of_source(self):
         # source at (2,2), tap (m,n)=(2,2), k=3: contribution lands at
@@ -122,7 +119,7 @@ class TestScatterConv:
         values[2, 2, 0] = 3.0
         weights = np.zeros((1, 3, 3, 1), dtype=np.float32)
         weights[0, 2, 2, 0] = 2.0
-        out = scatter_conv(FeatureMap(values), KernelTensor(weights)).values[:, :, 0]
+        out = dense_conv(FeatureMap(values), KernelTensor(weights))[0].values[:, :, 0]
         assert out[1, 1] == 6.0
         assert np.count_nonzero(out) == 1
         assert np.ravel_multi_index((1, 1), (5, 5)) == 6  # y_7 one-based
@@ -135,8 +132,8 @@ class TestScatterConv:
         p, q = int(r.integers(1, 17)), int(r.integers(1, 17))
         c, f = int(r.integers(1, 5)), int(r.integers(1, 5))
         fm, _, kt = random_case(r, p, q, c, f, k)
-        ref = gather_conv(fm, kt, ConvSpec(stride=stride))
-        got = scatter_conv(fm, kt, ConvSpec(stride=stride))
+        ref = gather_conv(fm, kt, stride)
+        got, _ = dense_conv(fm, kt, stride)
         np.testing.assert_allclose(got.values, ref.values, atol=1e-5)
 
     @settings(max_examples=50, deadline=None)
@@ -147,83 +144,84 @@ class TestScatterConv:
         y, _, _ = random_case(r, 8, 8, 2, 3, 3)
         a, b = 0.75, -1.5
         combo = FeatureMap(a * x.values + b * y.values)
-        lhs = scatter_conv(combo, kt).values
-        rhs = a * scatter_conv(x, kt).values + b * scatter_conv(y, kt).values
+        lhs = dense_conv(combo, kt)[0].values
+        rhs = a * dense_conv(x, kt)[0].values + b * dense_conv(y, kt)[0].values
         np.testing.assert_allclose(lhs, rhs, atol=1e-5)
 
     def test_sequential_bit_reproducible(self, rng):
         fm, _, kt = random_case(rng, 16, 16, 4, 4, 3)
-        a = scatter_conv(fm, kt, ConvSpec(stride=1))
-        b = scatter_conv(fm, kt, ConvSpec(stride=1))
+        a, _ = dense_conv(fm, kt)
+        b, _ = dense_conv(fm, kt)
         assert np.array_equal(a.values, b.values)
 
 
 class TestCompaction:
     def test_tiny_mask(self):
         fm = FeatureMap(np.arange(8, dtype=np.float32).reshape(2, 2, 2))
-        sfm = compact_active_sites(ActiveMask(np.array([[0, 1], [1, 0]], bool)), fm)
-        assert sfm.coords.tolist() == [[0, 1], [1, 0]]
-        assert np.array_equal(sfm.feats[0], fm.values[0, 1])
+        sites = Sites.from_dense(fm, np.array([[0, 1], [1, 0]], bool))
+        assert sites.keys.tolist() == [1, 2]
+        assert np.array_equal(sites.feats[0], fm.values[0, 1])
 
     def test_empty_mask(self):
         fm = FeatureMap(np.ones((3, 3, 1), dtype=np.float32))
-        sfm = compact_active_sites(ActiveMask(np.zeros((3, 3), bool)), fm)
-        assert sfm.num_sites == 0
+        sites = Sites.from_dense(fm, np.zeros((3, 3), bool))
+        assert len(sites.keys) == 0
 
     def test_dimension_mismatch(self):
         fm = FeatureMap(np.ones((3, 3, 1), dtype=np.float32))
         with pytest.raises(ValueError):
-            compact_active_sites(ActiveMask(np.zeros((4, 3), bool)), fm)
+            Sites.from_dense(fm, np.zeros((4, 3), bool))
 
     def test_matches_naive_scan(self, rng):
         fm, mask, _ = random_case(rng, 16, 16, 2, 1, 1, density=0.4)
-        sfm = compact_active_sites(mask, fm)
-        expected = [(r, c) for r in range(16) for c in range(16) if mask.flags[r, c]]
-        assert sfm.coords.tolist() == [list(t) for t in expected]
-        assert sfm.num_sites == mask.flags.sum()
-        for (r, c), feat in zip(expected, sfm.feats):
+        sites = Sites.from_dense(fm, mask)
+        expected = [(r, c) for r in range(16) for c in range(16) if mask[r, c]]
+        assert sites.keys.tolist() == [r * 16 + c for r, c in expected]
+        assert len(sites.keys) == mask.sum()
+        for (r, c), feat in zip(expected, sites.feats):
             assert np.array_equal(feat, fm.values[r, c])
+        assert np.array_equal(sites.to_dense().values, fm.values)  # masked input
 
 
 class TestSparseScatter:
     def test_empty_sites_zero_output_zero_macs(self):
-        sfm = SparseFeatureMap(5, 5, np.zeros((0, 2)), np.zeros((0, 3), np.float32))
+        sites = Sites(5, 5, np.zeros(0), np.zeros((0, 3), np.float32))
         kt = KernelTensor(np.ones((2, 3, 3, 3), dtype=np.float32))
-        counter = MacCounter()
-        out = sparse_scatter_conv(sfm, kt, counter=counter)
-        assert not out.values.any()
-        assert counter.count == 0
+        out, macs = conv(sites, kt)
+        assert not out.to_dense().values.any()
+        assert macs == 0
 
     def test_single_site_nine_multiplies(self):
-        sfm = SparseFeatureMap(8, 8, np.array([[4, 4]]), np.ones((1, 1), np.float32))
+        sites = Sites(8, 8, np.array([4 * 8 + 4]), np.ones((1, 1), np.float32))
         kt = KernelTensor(np.ones((1, 3, 3, 1), dtype=np.float32))
-        counter = MacCounter()
-        sparse_scatter_conv(sfm, kt, counter=counter)
-        assert counter.count == 9
+        _, macs = conv(sites, kt)
+        assert macs == 9
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10_000), density=st.floats(0.0, 1.0))
     def test_mac_law(self, seed, density):
         r = np.random.default_rng(seed)
         fm, mask, kt = random_case(r, 12, 10, 3, 2, 3, density)
-        sfm = compact_active_sites(mask, fm)
-        counter = MacCounter()
-        sparse_scatter_conv(sfm, kt, counter=counter)
-        assert counter.count == sfm.num_sites * 9 * 3 * 2
+        sites = Sites.from_dense(fm, mask)
+        _, macs = conv(sites, kt)
+        assert macs == len(sites.keys) * 9 * 3 * 2
 
     def test_sparse_consistency_exact(self, rng):
         # sparse path on compacted sites == dense scatter on the masked map,
         # value-exact in sequential mode
         fm, mask, kt = random_case(rng, 20, 17, 4, 5, 3, density=0.35)
-        sfm = compact_active_sites(mask, fm)
+        sites = Sites.from_dense(fm, mask)
         for stride in (1, 2):
-            sparse = sparse_scatter_conv(sfm, kt, ConvSpec(stride=stride))
-            dense = scatter_conv(fm, kt, ConvSpec(stride=stride))
+            sparse = conv(sites, kt, stride)[0].to_dense()
+            dense, _ = dense_conv(fm, kt, stride)
             assert np.array_equal(sparse.values, dense.values)
 
     def test_site_out_of_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            SparseFeatureMap(4, 4, np.array([[4, 0]]), np.zeros((1, 1), np.float32))
+        for key in (16, -1):
+            with pytest.raises(ValueError):
+                Sites(4, 4, np.array([key]), np.zeros((1, 1), np.float32))
+            with pytest.raises(ValueError):
+                reach(np.array([key]), 4, 4, 3)
 
     def test_fixture_scale_oracle_and_mac_ratio(self, rng):
         # benchmark-geometry fixture at low channel count: sparse output still
@@ -234,32 +232,30 @@ class TestSparseScatter:
         flat = rng.choice(p * q, size=sites, replace=False)
         mask = np.zeros(p * q, dtype=bool)
         mask[flat] = True
-        mask = ActiveMask(mask.reshape(p, q))
+        mask = mask.reshape(p, q)
         values = np.zeros((p, q, c), dtype=np.float32)
-        values[mask.flags] = rng.normal(size=(sites, c)).astype(np.float32)
+        values[mask] = rng.normal(size=(sites, c)).astype(np.float32)
         fm = FeatureMap(values)
-        sfm = compact_active_sites(mask, fm)
         kt = KernelTensor(rng.normal(size=(f, 3, 3, c)).astype(np.float32))
-        cs, cd = MacCounter(), MacCounter()
-        sparse = sparse_scatter_conv(sfm, kt, counter=cs)
-        scatter_conv(fm, kt, counter=cd)
+        sparse, sparse_macs = conv(Sites.from_dense(fm, mask), kt)
+        _, dense_macs = dense_conv(fm, kt)
         ref = gather_conv(fm, kt)
-        np.testing.assert_allclose(sparse.values, ref.values, atol=1e-5)
-        assert cs.count / cd.count == pytest.approx(5124 / (504 * 504), abs=1e-12)
+        np.testing.assert_allclose(sparse.to_dense().values, ref.values, atol=1e-5)
+        assert sparse_macs / dense_macs == pytest.approx(5124 / (504 * 504), abs=1e-12)
 
 
 class TestSubmanifold:
     def test_active_set_preserved(self, rng):
         fm, mask, kt = random_case(rng, 12, 12, 3, 4, 3, density=0.3)
-        sfm = compact_active_sites(mask, fm)
-        out = submanifold_conv(sfm, kt)
-        assert np.array_equal(out.coords, sfm.coords)
+        sites = Sites.from_dense(fm, mask)
+        out, _ = conv(sites, kt, out="same")
+        assert np.array_equal(out.keys, sites.keys)
 
     def test_single_site_center_weight(self, rng):
         feats = rng.normal(size=(1, 3)).astype(np.float32)
-        sfm = SparseFeatureMap(9, 9, np.array([[4, 5]]), feats)
+        sites = Sites(9, 9, np.array([4 * 9 + 5]), feats)
         kt = KernelTensor(rng.normal(size=(2, 5, 5, 3)).astype(np.float32))
-        out = submanifold_conv(sfm, kt)
+        out, _ = conv(sites, kt, out="same")
         center = kt.weights[:, 2, 2, :].astype(np.float64) @ feats[0].astype(np.float64)
         np.testing.assert_allclose(out.feats[0], center, atol=1e-6)
 
@@ -268,29 +264,29 @@ class TestSubmanifold:
     def test_masked_dense_oracle(self, seed):
         r = np.random.default_rng(seed)
         fm, mask, kt = random_case(r, 12, 12, 2, 3, 3, density=float(r.uniform(0.05, 0.6)))
-        sfm = compact_active_sites(mask, fm)
-        out = submanifold_conv(sfm, kt)
+        out, _ = conv(Sites.from_dense(fm, mask), kt, out="same")
         ref = gather_conv(fm, kt)  # input is already masked
-        for (row, col), feat in zip(out.coords, out.feats):
-            np.testing.assert_allclose(feat, ref.values[row, col], atol=1e-5)
+        for key, feat in zip(out.keys, out.feats):
+            np.testing.assert_allclose(feat, ref.values.reshape(-1, ref.channels)[key], atol=1e-5)
 
-    def test_stride_rejected_by_spec(self):
+    def test_stride_rejected_by_spec(self, rng):
+        fm, mask, kt = random_case(rng, 6, 6, 2, 2, 3, density=0.5)
         with pytest.raises(ValueError):
-            ConvSpec(stride=2, mode=ConvMode.SUBMANIFOLD)
+            conv(Sites.from_dense(fm, mask), kt, stride=2, transposed=True, out="same")
 
 
 class TestTransposed:
     def test_stride_one_equals_standard(self, rng):
         fm, mask, kt = random_case(rng, 9, 9, 2, 2, 3, density=0.4)
-        sfm = compact_active_sites(mask, fm)
-        a = transposed_conv(sfm, kt, stride=1)
-        b = sparse_scatter_conv(sfm, kt, ConvSpec(stride=1))
-        assert np.array_equal(a.values, b.values)
+        sites = Sites.from_dense(fm, mask)
+        a, _ = conv(sites, kt, 1, transposed=True)
+        b, _ = conv(sites, kt, 1)
+        assert np.array_equal(a.to_dense().values, b.to_dense().values)
 
     def test_single_site_stride_two_index(self):
-        sfm = SparseFeatureMap(4, 4, np.array([[1, 1]]), np.array([[1.0]], np.float32))
+        sites = Sites(4, 4, np.array([1 * 4 + 1]), np.array([[1.0]], np.float32))
         kt = KernelTensor(np.ones((1, 1, 1, 1), dtype=np.float32))
-        out = transposed_conv(sfm, kt, stride=2)
+        out = conv(sites, kt, 2, transposed=True)[0].to_dense()
         assert out.values.shape == (8, 8, 1)
         assert out.values[2, 2, 0] == 1.0
         assert np.count_nonzero(out.values) == 1
@@ -301,11 +297,10 @@ class TestTransposed:
         r = np.random.default_rng(seed)
         p, q = int(r.integers(2, 9)), int(r.integers(2, 9))
         fm, mask, kt = random_case(r, p, q, 2, 2, 3, density=0.5)
-        sfm = compact_active_sites(mask, fm)
-        got = transposed_conv(sfm, kt, stride=stride)
+        got = conv(Sites.from_dense(fm, mask), kt, stride, transposed=True)[0].to_dense()
         upsampled = np.zeros((p * stride, q * stride, 2), dtype=np.float32)
         upsampled[::stride, ::stride] = fm.values
-        ref = gather_conv(FeatureMap(upsampled), kt, ConvSpec(stride=1))
+        ref = gather_conv(FeatureMap(upsampled), kt)
         np.testing.assert_allclose(got.values, ref.values, atol=1e-5)
 
 
@@ -313,12 +308,13 @@ class TestReachableMask:
     def test_matches_nonzero_support(self, rng):
         # reachable set must cover every nonzero output cell
         fm, mask, kt = random_case(rng, 14, 14, 2, 2, 3, density=0.2)
-        sfm = compact_active_sites(mask, fm)
+        sites = Sites.from_dense(fm, mask)
         for stride in (1, 2):
-            out = sparse_scatter_conv(sfm, kt, ConvSpec(stride=stride))
-            reach = scatter_reachable_mask(mask, 3, stride)
+            out = conv(sites, kt, stride)[0].to_dense()
+            touched = np.zeros(out.p * out.q, dtype=bool)
+            touched[reach(sites.keys, 14, 14, 3, stride)] = True
             nonzero = np.abs(out.values).max(axis=2) > 0
-            assert not (nonzero & ~reach.flags).any()
+            assert not (nonzero & ~touched.reshape(out.p, out.q)).any()
 
 
 def runs_and_singles(r, p, q):
@@ -335,49 +331,40 @@ def runs_and_singles(r, p, q):
     return mask
 
 
-def reach_oracle(mask, k, stride, transposed):
-    """Cells reachable from the mask, by gathering with an all-ones kernel."""
-    m = mask.astype(np.float32)[:, :, None]
-    if transposed:
-        up = np.zeros((m.shape[0] * stride, m.shape[1] * stride, 1), dtype=np.float32)
-        up[::stride, ::stride] = m
-        m, stride = up, 1
-    ones = KernelTensor(np.ones((1, k, k, 1), dtype=np.float32))
-    return gather_conv(FeatureMap(m), ones, ConvSpec(stride=stride)).values[:, :, 0] > 0
-
-
 class TestTapKernel:
     """Runs of consecutive sites take the kernel's slice adds, the rest its
     indexed adds; both must match the gather oracles at every stride."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 10_000), k=st.sampled_from([1, 3, 5]),
-           conv=st.sampled_from([(False, 1), (False, 2), (True, 1), (True, 2), (True, 4)]))
-    def test_runs_and_singles_match_oracles(self, seed, k, conv):
-        transposed, stride = conv
+           mode=st.sampled_from([(False, 1), (False, 2), (True, 1), (True, 2), (True, 4)]))
+    def test_runs_and_singles_match_oracles(self, seed, k, mode):
+        transposed, stride = mode
         r = np.random.default_rng(seed)
         p, q = 2 * int(r.integers(3, 12)) + 1, 2 * int(r.integers(_LONG_RUN, 2 * _LONG_RUN)) + 1
         c, f = int(r.integers(1, 5)), int(r.integers(1, 5))
         mask = runs_and_singles(r, p, q)
         fm = FeatureMap(r.normal(size=(p, q, c)).astype(np.float32) * mask[:, :, None])
-        sfm = compact_active_sites(ActiveMask(mask), fm)
+        sites = Sites.from_dense(fm, mask)
         kt = KernelTensor(r.normal(size=(f, k, k, c)).astype(np.float32))
+        out, _ = conv(sites, kt, stride, transposed)
+        got = out.to_dense().values
         if transposed:
-            got = transposed_conv(sfm, kt, stride).values
             upsampled = np.zeros((p * stride, q * stride, c), dtype=np.float32)
             upsampled[::stride, ::stride] = fm.values
             ref = gather_conv(FeatureMap(upsampled), kt).values
         else:
-            got = sparse_scatter_conv(sfm, kt, ConvSpec(stride=stride)).values
-            ref = gather_conv(fm, kt, ConvSpec(stride=stride)).values
-            np.testing.assert_allclose(scatter_conv(fm, kt, ConvSpec(stride=stride)).values,
-                                       ref, atol=1e-5)
+            ref = gather_conv(fm, kt, stride).values
+            np.testing.assert_allclose(dense_conv(fm, kt, stride)[0].values, ref, atol=1e-5)
         np.testing.assert_allclose(got, ref, atol=1e-5)
         if stride == 1 and not transposed:
-            sub = submanifold_conv(sfm, kt)
+            sub, _ = conv(sites, kt, out="same")
             np.testing.assert_allclose(sub.feats, ref[mask], atol=1e-5)
-        touched = scatter_reachable_mask(ActiveMask(mask), k, stride, transposed).flags
+        touched = np.zeros(out.p * out.q, dtype=bool)
+        touched[reach(sites.keys, p, q, k, stride, transposed)] = True
+        touched = touched.reshape(out.p, out.q)
         assert np.array_equal(touched, reach_oracle(mask, k, stride, transposed))
+        assert np.array_equal(out.keys, np.flatnonzero(touched))
         assert not got[~touched].any()
 
 
@@ -387,17 +374,17 @@ class TestRelativeSpeed:
         p = q = 256
         c = f = 32
         density = 0.05
-        mask = ActiveMask(rng.random((p, q)) < density)
-        values = rng.normal(size=(p, q, c)).astype(np.float32) * mask.flags[:, :, None]
+        mask = rng.random((p, q)) < density
+        values = rng.normal(size=(p, q, c)).astype(np.float32) * mask[:, :, None]
         fm = FeatureMap(values)
-        sfm = compact_active_sites(mask, fm)
+        sites = Sites.from_dense(fm, mask)
         kt = KernelTensor(rng.normal(size=(f, 3, 3, c)).astype(np.float32))
-        scatter_conv(fm, kt)  # warm both paths
-        sparse_scatter_conv(sfm, kt)
+        dense_conv(fm, kt)  # warm both paths
+        conv(sites, kt)[0].to_dense()
         t0 = time.perf_counter()
-        scatter_conv(fm, kt)
+        dense_conv(fm, kt)
         t_dense = time.perf_counter() - t0
         t0 = time.perf_counter()
-        sparse_scatter_conv(sfm, kt)
+        conv(sites, kt)[0].to_dense()
         t_sparse = time.perf_counter() - t0
         assert t_sparse < t_dense
