@@ -15,16 +15,15 @@ import time
 
 import numpy as np
 
-from .augment import AugPlan, build_datasets
+from .augment import AugPlan, build_datasets, synth_insert
 from .boxes import Box3D
 from .config import Config, ConfigError, default_config, load_config
 from .lidar_sim import (Pose2D, ScanPattern, VoxelRegion, directivity_analysis,
                         simulate_frame)
 from .mesh import MeshError, box_mesh, icosphere, load_mesh, quadcopter_mesh
 from .metrics import aggregate, classify
-from .pointio import (PointFormatError, ScanFrame, frame_records,
-                      read_jsonl, read_points, read_tensor, window_frames,
-                      write_columnar, write_jsonl, write_las)
+from .pointio import (PointFormatError, ScanFrame, read_jsonl, read_points, read_tensor,
+                      window_frames, write_columnar, write_jsonl, write_las)
 from .spconv import FeatureMap, KernelTensor, Sites, conv
 from .tracker import TrackerConfig, replay
 
@@ -55,18 +54,18 @@ def cmd_simulate(args) -> int:
     mesh = _resolve_mesh(args.mesh)
     pattern = dataclasses.replace(cfg.scan, seed=args.seed)
     pose = Pose2D(args.yaw, (args.at[0], args.at[1], args.at[2]))
-    records = []
+    frames = []
     for k in range(args.frames):
         start = k * args.window
         sim = simulate_frame(pattern, mesh, pose, args.window, start_ms=start)
         status = "accepted" if sim.accepted else "thin"
         print(f"frame {k}: {sim.hit_count} hits from {sim.rays_cast} rays ({status})")
-        records.extend(frame_records(sim.frame))
+        frames.append(sim.frame)
     if args.out.endswith(".las"):
-        write_las(args.out, records)
+        write_las(args.out, frames)
     else:
-        write_columnar(args.out, records)
-    print(f"wrote {len(records)} points to {args.out}")
+        write_columnar(args.out, frames)
+    print(f"wrote {sum(len(f) for f in frames)} points to {args.out}")
     return 0
 
 
@@ -100,7 +99,7 @@ def cmd_augment(args) -> int:
                          "boxes": [b.to_dict() for b in lf.boxes],
                          "labels": lf.labels,
                          "points": len(lf.frame)})
-            write_columnar(f"{args.out}/{name}_{i:05d}.xyz", frame_records(lf.frame))
+            write_columnar(f"{args.out}/{name}_{i:05d}.xyz", [lf.frame])
         write_jsonl(f"{args.out}/{name}_labels.jsonl", rows)
     write_jsonl(f"{args.out}/manifest.jsonl", pair.manifest)
     print(f"wrote {len(pair.data_sim)} paired frames to {args.out}")
@@ -110,8 +109,6 @@ def cmd_augment(args) -> int:
 def _synthesize_real_frames(plan: AugPlan, pattern: ScanPattern, mesh, rng):
     """Stand-in for recorded flights: each background is clutter plus one
     simulated target with its label box."""
-    from .augment import synth_insert
-
     frames = []
     k = 0
     while len(frames) < plan.background_pool:

@@ -5,6 +5,7 @@ rejected so typos fail loudly."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .anchors import MatchThresholds
@@ -98,9 +99,11 @@ def load_config(path) -> Config:
             setattr(cfg, section, _build(cls, raw[section], section))
     for name in known_scalar:
         if name in raw:
-            if not isinstance(raw[name], (int, float)):
-                raise ConfigError(f"{name}: expected a number")
+            if not isinstance(raw[name], (int, float)) or not math.isfinite(raw[name]):
+                raise ConfigError(f"{name}: expected a finite number, got {raw[name]!r}")
             setattr(cfg, name, float(raw[name]))
+    if not cfg.window_ms > 0:
+        raise ConfigError(f"window_ms: expected a positive number, got {cfg.window_ms}")
     return cfg
 
 

@@ -3,12 +3,16 @@
 Two point formats are supported: a columnar text format with one
 `x y z intensity t_us` record per line, and a subset of the LAS 1.2 binary
 format restricted to point record format 3 (X, Y, Z as scaled int32,
-intensity as uint16, GPS time as float64 seconds).
+intensity as uint16, GPS time as float64 seconds). Readers stream a file as
+time-ordered `ScanFrame` blocks of at most `_BLOCK` returns, and
+`window_frames` cuts such a stream into frames.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -16,7 +20,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 __all__ = [
-    "PointRecord",
     "ScanFrame",
     "PointFormatError",
     "BadMagic",
@@ -27,7 +30,6 @@ __all__ = [
     "write_columnar",
     "read_las",
     "write_las",
-    "frame_records",
     "read_points",
     "window_frames",
     "write_tensor",
@@ -66,18 +68,6 @@ class NonMonotonicTimestamps(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PointRecord:
-    """One LiDAR return: sensor-frame meters, reflectance in [0, 1], time in
-    integer microseconds."""
-
-    x: float
-    y: float
-    z: float
-    intensity: float
-    t_us: int
-
-
 @dataclass
 class ScanFrame:
     """Returns falling in one half-open time window [t_start, t_start + window)."""
@@ -114,58 +104,86 @@ class ScanFrame:
 
 
 # ---------------------------------------------------------------------------
+# point streams: time-ordered ScanFrame blocks of at most _BLOCK returns
+
+_BLOCK = 1 << 16
+
+
+def _block(points, intensity, t_us) -> ScanFrame:
+    """A read block: its returns, in file order, covering [t_min, t_max + 1)."""
+    t_min, t_max = int(t_us.min()), int(t_us.max())
+    return ScanFrame(points, intensity, t_us, t_min, t_max - t_min + 1)
+
+
+# ---------------------------------------------------------------------------
 # columnar text format
 
-def write_columnar(path, records: Iterable[PointRecord]):
+def write_columnar(path, frames: Iterable[ScanFrame]):
     """Write points in the canonical text layout; writing the output of
     read_columnar reproduces the file byte for byte."""
     cd, idd = COLUMNAR_COORD_DECIMALS, COLUMNAR_INTENSITY_DECIMALS
     with open(path, "w") as fh:
-        for r in records:
-            fh.write(f"{r.x:.{cd}f} {r.y:.{cd}f} {r.z:.{cd}f} "
-                     f"{r.intensity:.{idd}f} {int(r.t_us)}\n")
+        for f in frames:
+            for (x, y, z), i, t in zip(f.points.tolist(), f.intensity.tolist(),
+                                       f.t_us.tolist()):
+                fh.write(f"{x:.{cd}f} {y:.{cd}f} {z:.{cd}f} {i:.{idd}f} {t}\n")
 
 
-def read_columnar(path) -> Iterator[PointRecord]:
+def read_columnar(path) -> Iterator[ScanFrame]:
+    """Stream blocks of at most _BLOCK returns, one per non-blank line."""
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise TruncatedFile(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
-            try:
-                yield PointRecord(float(parts[0]), float(parts[1]), float(parts[2]),
-                                  float(parts[3]), int(parts[4]))
-            except ValueError as exc:
-                raise TruncatedFile(f"{path}:{lineno}: {exc}") from exc
+        lines = enumerate(fh, 1)
+        while True:
+            rows, times = [], []
+            for lineno, line in lines:
+                parts = line.split()
+                if not parts:
+                    continue
+                if len(parts) != 5:
+                    raise TruncatedFile(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
+                try:
+                    rows.append([float(p) for p in parts[:4]])
+                    times.append(int(parts[4]))
+                    if not -2**63 <= times[-1] < 2**63:
+                        raise ValueError(f"time {times[-1]} us beyond int64")
+                except ValueError as exc:
+                    raise TruncatedFile(f"{path}:{lineno}: {exc}") from exc
+                if len(rows) == _BLOCK:
+                    break
+            if not rows:
+                return
+            cols = np.array(rows, dtype=np.float64)
+            yield _block(cols[:, :3], cols[:, 3], np.array(times, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
 # LAS 1.2 / point record format 3 subset
 
-def write_las(path, records: Iterable[PointRecord],
+def write_las(path, frames: Iterable[ScanFrame],
               scale: tuple[float, float, float] = (0.001, 0.001, 0.001),
               offset: tuple[float, float, float] = (0.0, 0.0, 0.0)):
-    """Minimal LAS 1.2 PRF3 writer. Coordinates are quantized to the header
-    scale; GPS time stores seconds; intensity maps [0, 1] onto uint16.
-    Raises ValueError, writing nothing, for a non-finite intensity or a
-    coordinate that does not quantize to an int32."""
-    cols = np.array([(r.x, r.y, r.z, r.intensity, r.t_us) for r in records],
-                    dtype=np.float64).reshape(-1, 5)
-    q = np.rint((cols[:, 0:3] - np.asarray(offset)) / np.asarray(scale))
-    fits = ((q >= -2**31) & (q <= 2**31 - 1)).all(axis=1) & np.isfinite(cols[:, 3])
+    """Minimal LAS 1.2 PRF3 writer of the frames' returns, in order.
+    Coordinates are quantized to the header scale; GPS time stores seconds;
+    intensity maps [0, 1] onto uint16. Raises ValueError, writing nothing,
+    for a non-finite intensity or a coordinate that does not quantize to an
+    int32."""
+    frames = list(frames) or [ScanFrame.empty()]
+    xyz = np.concatenate([f.points for f in frames])
+    intensity = np.concatenate([f.intensity for f in frames])
+    t_us = np.concatenate([f.t_us for f in frames])
+    q = np.rint((xyz - np.asarray(offset)) / np.asarray(scale))
+    fits = ((q >= -2**31) & (q <= 2**31 - 1)).all(axis=1) & np.isfinite(intensity)
     bad = np.flatnonzero(~fits)
     if len(bad):
-        raise ValueError(f"record {bad[0]}: x, y, z, intensity {cols[bad[0], :4].tolist()} "
-                         f"must be finite, x, y, z within int32 at scale {scale}, "
-                         f"offset {offset}")
-    body = np.zeros(len(cols), dtype=_PRF3)
+        i = bad[0]
+        raise ValueError(f"record {i}: x, y, z, intensity "
+                         f"{[*xyz[i].tolist(), float(intensity[i])]} must be finite, "
+                         f"x, y, z within int32 at scale {scale}, offset {offset}")
+    body = np.zeros(len(xyz), dtype=_PRF3)
     body["xyz"] = q
-    body["intensity"] = np.clip(np.rint(cols[:, 3] * 65535), 0, 65535)
+    body["intensity"] = np.clip(np.rint(intensity * 65535), 0, 65535)
     body["return_bits"] = 0x11
-    body["gps_time"] = cols[:, 4] * 1e-6
+    body["gps_time"] = t_us.astype(np.float64) * 1e-6
     # bounds of the stored values, from the integers as the reader sees them
     stored = body["xyz"] * np.asarray(scale) + np.asarray(offset)
     bounds = (np.column_stack([stored.max(axis=0), stored.min(axis=0)]).ravel()
@@ -191,9 +209,12 @@ def write_las(path, records: Iterable[PointRecord],
         fh.write(body.tobytes())
 
 
-def read_las(path) -> Iterator[PointRecord]:
-    """Stream PRF3 records, applying the header scale and offset. GPS time is
-    rounded back to the nearest microsecond."""
+def read_las(path) -> Iterator[ScanFrame]:
+    """Stream blocks of at most _BLOCK PRF3 records, applying the header
+    scale and offset. GPS time is rounded to the nearest microsecond, half
+    to even. Raises TruncatedFile before the first block when the header's
+    records overrun the file, and PointFormatError for a GPS time that is
+    not a finite int64 count of microseconds."""
     with open(path, "rb") as fh:
         header = fh.read(LAS_HEADER_SIZE)
         if len(header) < LAS_HEADER_SIZE:
@@ -211,20 +232,35 @@ def read_las(path) -> Iterator[PointRecord]:
             raise UnsupportedFormat(f"{path}: record length {rec_len} < {LAS_PRF3_RECORD_SIZE}")
         count = struct.unpack_from("<I", header, 107)[0]
         data_offset = struct.unpack_from("<I", header, 96)[0]
-        sx, sy, sz = struct.unpack_from("<ddd", header, 131)
-        ox, oy, oz = struct.unpack_from("<ddd", header, 155)
+        scale = np.array(struct.unpack_from("<ddd", header, 131))
+        offset = np.array(struct.unpack_from("<ddd", header, 155))
+        size = os.fstat(fh.fileno()).st_size
+        if count and data_offset + count * rec_len > size:
+            first = max(0, (size - data_offset) // rec_len)
+            raise TruncatedFile(f"{path}: record {first} truncated")
+        # PRF3's fields at their offsets, in records of the header's length
+        names = _PRF3.names
+        dtype = np.dtype({"names": names, "itemsize": rec_len,
+                          "formats": [_PRF3.fields[n][0] for n in names],
+                          "offsets": [_PRF3.fields[n][1] for n in names]})
         fh.seek(data_offset)
-        for i in range(count):
-            rec = fh.read(rec_len)
-            if len(rec) < rec_len:
-                raise TruncatedFile(f"{path}: record {i} truncated")
-            xi, yi, zi, inten = struct.unpack_from("<iiiH", rec, 0)
-            gps = struct.unpack_from("<d", rec, 20)[0]
-            yield PointRecord(xi * sx + ox, yi * sy + oy, zi * sz + oz,
-                              inten / 65535.0, round(gps * 1e6))
+        for start in range(0, count, _BLOCK):
+            n = min(_BLOCK, count - start)
+            buf = fh.read(n * rec_len)
+            if len(buf) < n * rec_len:
+                raise TruncatedFile(f"{path}: record {start + len(buf) // rec_len} truncated")
+            rec = np.frombuffer(buf, dtype=dtype)
+            us = np.rint(rec["gps_time"] * 1e6)
+            bad = np.flatnonzero(~((us >= -2.0**63) & (us < 2.0**63)))
+            if len(bad):
+                raise PointFormatError(
+                    f"{path}: record {start + bad[0]}: GPS time {rec['gps_time'][bad[0]]} s "
+                    f"is not a finite int64 count of microseconds")
+            yield _block(rec["xyz"] * scale + offset, rec["intensity"] / 65535.0,
+                         us.astype(np.int64))
 
 
-def read_points(path) -> Iterator[PointRecord]:
+def read_points(path) -> Iterator[ScanFrame]:
     """Dispatch on content: LAS signature or columnar text."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -236,49 +272,56 @@ def read_points(path) -> Iterator[PointRecord]:
 # ---------------------------------------------------------------------------
 # frame windowing
 
-def window_frames(records: Iterable[PointRecord], window_ms: float = 100.0) -> Iterator[ScanFrame]:
-    """Partition a time-ordered stream into half-open windows anchored at the
-    first timestamp. Empty windows are skipped; every point lands in exactly
-    one frame."""
-    window_us = int(round(window_ms * 1000))
-    if window_us <= 0:
-        raise ValueError("window must be positive")
-    t0 = None
-    last_t = None
-    cur_index = None
-    buf_p, buf_i, buf_t = [], [], []
+def window_frames(blocks: Iterable[ScanFrame], window_ms: float = 100.0) -> Iterator[ScanFrame]:
+    """Partition a time-ordered stream of blocks into half-open windows
+    anchored at the first timestamp. Empty windows are skipped; every point
+    lands in exactly one frame, a slice of its block unless the window spans
+    blocks."""
+    window_us = round(window_ms * 1000) if math.isfinite(window_ms) else 0
+    if not 0 < window_us < 2**63:
+        raise ValueError(f"window_ms must be finite and positive, within int64 "
+                         f"microseconds, got {window_ms}")
+    t0 = last = None
+    held, held_index = [], None   # the open window's pieces, oldest first
 
-    def flush():
-        return ScanFrame(np.array(buf_p, dtype=np.float64).reshape(-1, 3),
-                         np.array(buf_i, dtype=np.float64),
-                         np.array(buf_t, dtype=np.int64),
-                         t0 + cur_index * window_us, window_us)
+    def frame(pieces, index):
+        cols = (c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*pieces))
+        return ScanFrame(*cols, t0 + index * window_us, window_us)
 
-    for r in records:
-        if last_t is not None and r.t_us < last_t:
-            raise NonMonotonicTimestamps(
-                f"timestamp {r.t_us} after {last_t}; stream must be time ordered")
-        last_t = r.t_us
+    for block in blocks:
+        t = block.t_us
+        if not len(t):
+            continue
         if t0 is None:
-            t0 = r.t_us
-        idx = (r.t_us - t0) // window_us
-        if cur_index is None:
-            cur_index = idx
-        if idx != cur_index:
-            yield flush()
-            buf_p, buf_i, buf_t = [], [], []
-            cur_index = idx
-        buf_p.append((r.x, r.y, r.z))
-        buf_i.append(r.intensity)
-        buf_t.append(r.t_us)
-    if buf_p:
-        yield flush()
+            t0 = last = int(t[0])
+        seq = np.concatenate(([last], t))   # the edge with the last block too
+        back = np.flatnonzero(seq[1:] < seq[:-1])
+        if len(back):
+            i = back[0]
+            raise NonMonotonicTimestamps(
+                f"timestamp {seq[i + 1]} after {seq[i]}; stream must be time ordered")
+        last = int(t[-1])
+        # differences from t0 of a sorted int64 stream are exact as uint64
+        index = (t.astype(np.uint64) - np.uint64(t0 % 2**64)) // np.uint64(window_us)
+        cuts = np.flatnonzero(index[1:] != index[:-1]) + 1
+        bounds = [0, *cuts.tolist(), len(t)]
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            piece = (block.points[a:b], block.intensity[a:b], t[a:b])
+            k = int(index[a])
+            if held and k != held_index:
+                yield frame(held, held_index)
+                held = []
+            held.append(piece)
+            held_index = k
+    if held:
+        yield frame(held, held_index)
 
 
-def frame_records(frame: ScanFrame) -> Iterator[PointRecord]:
-    for i in range(len(frame)):
-        yield PointRecord(frame.points[i, 0], frame.points[i, 1], frame.points[i, 2],
-                          frame.intensity[i], int(frame.t_us[i]))
+def frame_records(frame: ScanFrame) -> Iterator[ScanFrame]:
+    """The frame as a one-block point stream. It stays only because the
+    benchmark harness (bench/workloads.py) imports it; the next change to
+    the benchmark deletes it."""
+    return iter((frame,))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from airsense.lidar_sim import (Pose2D, ScanPattern, VoxelRegion,
 from airsense.mesh import TriangleMesh, icosphere, quadcopter_mesh
 from airsense.metrics import aggregate, classify, iou3d
 from airsense.pillars import PseudoImage
-from airsense.pointio import (PointRecord, ScanFrame, read_columnar, read_las,
-                              window_frames, write_columnar)
+from airsense.pointio import (ScanFrame, read_columnar, read_las, window_frames,
+                              write_columnar)
 from airsense.raytrace import Bvh, RayBundle
 from airsense.spconv import FeatureMap, KernelTensor, Sites, conv, gather_conv
 from airsense.tracker import replay
@@ -389,12 +389,11 @@ def test_criterion_12_residual_and_focal_unit_checks():
 def test_criterion_13_io_round_trips(tmp_path):
     # columnar: byte identical after one canonical write
     r = np.random.default_rng(1313)
-    records = [PointRecord(float(r.uniform(-50, 50)), float(r.uniform(-50, 50)),
-                           float(r.uniform(-20, 20)), float(r.uniform(0, 1)),
-                           int(i * 1500)) for i in range(200)]
+    cols = r.uniform([-50, -50, -20, 0], [50, 50, 20, 1], size=(200, 4))
+    frame = ScanFrame(cols[:, :3], cols[:, 3], np.arange(200) * 1500, 0, 200 * 1500)
     path_a = tmp_path / "a.xyz"
     path_b = tmp_path / "b.xyz"
-    write_columnar(path_a, records)
+    write_columnar(path_a, [frame])
     write_columnar(path_b, read_columnar(path_a))
     assert path_a.read_bytes() == path_b.read_bytes()
 
@@ -415,17 +414,19 @@ def test_criterion_13_io_round_trips(tmp_path):
         body += struct.pack("<iiiHBBbBH", xi, yi, zi, inten, 0x11, 0, 0, 0, 0)
         body += struct.pack("<d", gps) + struct.pack("<HHH", 0, 0, 0)
     las.write_bytes(bytes(header) + body)
-    recs = list(read_las(las))
-    assert recs[0].x == pytest.approx(12.5, abs=1e-12)   # 10 + 250*0.01
-    assert recs[0].y == pytest.approx(19.0, abs=1e-12)   # 20 - 100*0.01
-    assert recs[0].z == pytest.approx(30.5, abs=1e-12)   # 30 + 50*0.01
-    assert recs[0].intensity == 1.0
-    assert recs[0].t_us == 125_000
-    assert recs[1].t_us == 2_500_000
+    (blk,) = read_las(las)
+    assert blk.points[0, 0] == pytest.approx(12.5, abs=1e-12)   # 10 + 250*0.01
+    assert blk.points[0, 1] == pytest.approx(19.0, abs=1e-12)   # 20 - 100*0.01
+    assert blk.points[0, 2] == pytest.approx(30.5, abs=1e-12)   # 30 + 50*0.01
+    assert blk.intensity[0] == 1.0
+    assert blk.t_us[0] == 125_000
+    assert blk.t_us[1] == 2_500_000
 
     # windowing partitions the stream exactly
     t = np.sort(r.integers(0, 800_000, 400)).astype(int)
-    stream = [PointRecord(float(i), 0, 0, 0, int(ti)) for i, ti in enumerate(t)]
+    points = np.zeros((400, 3))
+    points[:, 0] = np.arange(400)
+    stream = [ScanFrame(points, np.zeros(400), t, int(t[0]), int(t[-1] - t[0]) + 1)]
     frames = list(window_frames(stream, 100.0))
     assert sum(len(f) for f in frames) == 400
     ids = sorted(p for f in frames for p in f.points[:, 0].tolist())

@@ -1,11 +1,13 @@
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
 
 from airsense.cli import main
 from airsense.config import ConfigError, default_config, load_config
-from airsense.pointio import read_jsonl, read_points, write_jsonl
+from airsense.pointio import read_jsonl, read_points, window_frames, write_jsonl
 
 
 def run(args):
@@ -50,6 +52,13 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scan": {"points_per_sec": 10}}))
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_sensor_elevation_rejected(self, tmp_path, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"sensor_elevation": value}))   # json writes Infinity, NaN
+        with pytest.raises(ConfigError, match="sensor_elevation"):
             load_config(path)
 
     def test_invalid_value_rejected(self, tmp_path):
@@ -169,22 +178,21 @@ class TestTrackCommand:
     @staticmethod
     def flyby(tmp_path):
         """Two constant-velocity targets 20 - 0.4k m apart in 100 ms frame k."""
-        from airsense.pointio import PointRecord, write_columnar
-        records, det_rows = [], []
+        from airsense.pointio import ScanFrame, write_columnar
+        frames, det_rows = [], []
         for k in range(40):
             t0 = k * 100_000
             a = (10.0, 10.0 - 0.2 * k, 0.0)
             b = (10.0, -10.0 + 0.2 * k, 0.0)
+            points = [(c[0] + dx, c[1], c[2]) for c in (a, b) for dx in (-0.2, 0.0, 0.2)]
+            frames.append(ScanFrame(points, [0.5] * 6, [t0 + 50_000] * 6, t0, 100_000))
             for c in (a, b):
-                for dx in (-0.2, 0.0, 0.2):
-                    records.append(PointRecord(c[0] + dx, c[1], c[2], 0.5,
-                                               t0 + 50_000))
                 det_rows.append({"frame": k, "box": {"x": c[0], "y": c[1], "z": c[2],
                                                      "l": 1.6, "w": 1.6, "h": 1.0,
                                                      "yaw": 0}})
         pts = tmp_path / "pts.xyz"
         dets = tmp_path / "dets.jsonl"
-        write_columnar(pts, records)
+        write_columnar(pts, frames)
         write_jsonl(dets, det_rows)
         return pts, dets
 
@@ -215,6 +223,37 @@ class TestTrackCommand:
         alerts = read_jsonl(out_a)
         assert min(a["frame"] for a in alerts) == 6
         assert all(a["distance"] < 18.0 for a in alerts)
+
+    @pytest.mark.parametrize("window", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_window_fails_with_a_typed_error(self, tmp_path, capsys, window):
+        with pytest.raises(ValueError, match="window_ms"):
+            list(window_frames([], window))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window_ms": window}))
+        with pytest.raises(ConfigError, match="window_ms"):
+            load_config(cfg)
+        pts, dets = self.flyby(tmp_path)
+        outs = ["--out-tracks", tmp_path / "t.jsonl", "--out-alerts", tmp_path / "a.jsonl"]
+        for args in (["track", "--window", window], ["--config", cfg, "track"]):
+            capsys.readouterr()
+            assert run(args + ["--frames", pts, "--detections", dets] + outs) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "window_ms" in err
+
+    @pytest.mark.parametrize("gps", [math.nan, math.inf])
+    def test_bad_gps_time_fails_with_a_typed_error(self, tmp_path, capsys, gps):
+        from airsense.pointio import ScanFrame, write_las
+        pts, dets = tmp_path / "pts.las", tmp_path / "dets.jsonl"
+        write_las(pts, [ScanFrame(np.zeros((4, 3)), np.zeros(4), np.arange(4), 0, 4)])
+        data = bytearray(pts.read_bytes())
+        struct.pack_into("<d", data, 227 + 2 * 34 + 20, gps)
+        pts.write_bytes(bytes(data))
+        write_jsonl(dets, [])
+        assert run(["track", "--frames", pts, "--detections", dets,
+                    "--out-tracks", tmp_path / "t.jsonl",
+                    "--out-alerts", tmp_path / "a.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: PointFormatError") and "record 2: GPS time" in err
 
 
 class TestAugmentCommand:
