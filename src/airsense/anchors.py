@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import Box3D, wrap_angle
-from .metrics import iou3d, iou_bev
+from .metrics import iou3d
 from .pillars import PillarGridSpec
 
 __all__ = [
@@ -187,28 +187,26 @@ class TargetAssignment:
         return {"positive": pos, "negative": neg, "ignored": ign}
 
 
-def _window(offset: float, radius: float, cell: float, n: int) -> range:
+def _window(offset: float, radius: float, cell: float, n: int) -> np.ndarray:
     """Indices of the cells, clipped to [0, n), whose centers may lie within
     `radius` of a point `offset` meters from the grid's low edge. floor and
     ceil widen the bounds by up to one cell, so rounding never drops a cell;
     the caller applies the exact distance test."""
     lo = math.floor((offset - radius) / cell - 0.5)
     hi = math.ceil((offset + radius) / cell - 0.5)
-    return range(max(lo, 0), min(hi + 1, n))
+    return np.arange(max(lo, 0), min(hi + 1, n))
 
 
-def _z_overlap(layer: AnchorLayer, gt: Box3D) -> float:
-    """Vertical overlap of a layer's anchors with a box, computed as iou3d
-    computes it, so a 0.0 here is a 0.0 IoU there."""
-    z, h = layer.z_center, layer.size[2]
-    z_lo = max(z - h / 2.0, gt.z - gt.h / 2.0)
-    z_hi = min(z + h / 2.0, gt.z + gt.h / 2.0)
-    return max(0.0, z_hi - z_lo)
+def _z_overlap(z: np.ndarray, h: np.ndarray, gt: Box3D) -> np.ndarray:
+    """Mask of the anchor layers centered at z with heights h that overlap a
+    box vertically, tested as iou3d tests it, so a layer outside the mask
+    has IoU exactly 0.0 with the box."""
+    return (np.minimum(z + h / 2.0, gt.z + gt.h / 2.0)
+            - np.maximum(z - h / 2.0, gt.z - gt.h / 2.0)) > 0.0
 
 
 def assign_targets(gts: list[Box3D], grid: AnchorGrid,
-                   thr: MatchThresholds = MatchThresholds(),
-                   use_bev: bool = False) -> TargetAssignment:
+                   thr: MatchThresholds = MatchThresholds()) -> TargetAssignment:
     """Label every anchor from its best overlap with the ground truth.
 
     Overlap >= pos_iou makes the anchor positive with its layer's class,
@@ -219,44 +217,48 @@ def assign_targets(gts: list[Box3D], grid: AnchorGrid,
 
     Overlap is evaluated only where it can be non-zero. Two footprints whose
     centers lie farther apart than the sum of their half-diagonals cannot
-    intersect, so each box visits only the cells of its window, the cells
-    whose centers lie within that reach plus one cell of its own center. In
-    3D, it also skips the layers whose vertical overlap with it is exactly
-    zero, where iou3d returns exactly 0.0. Every skipped anchor thus has
-    overlap 0.0 with the box, which moves neither a label nor a best match.
-    Each box visits its candidates in ascending (iy, ix, layer) order and
-    replaces its best anchor only on a strictly greater overlap, so ties
-    resolve to the first anchor in row-major order. The result equals an
-    exhaustive evaluation of every anchor against every box, bit for bit.
+    intersect, so each box scores only the cells of its window, the cells
+    whose centers lie within that reach plus one cell of its own center,
+    times the layers that overlap it vertically. Every skipped anchor has
+    iou3d exactly 0.0 with the box, which moves neither a label nor a best
+    match. The window is scored by one iou3d call in ascending (iy, ix,
+    layer) order, and the best anchor is the first maximum in that order,
+    so ties resolve to the first anchor in row-major order. The result
+    equals an exhaustive evaluation of every anchor against every box, bit
+    for bit.
     """
-    overlap = iou_bev if use_bev else iou3d
     spec = grid.grid
     ny, nx, nl = spec.ny, spec.nx, grid.num_layers
     cell = spec.cell_size
     # an anchor that no box reaches has best overlap 0.0
     labels = np.full((ny, nx, nl), IGNORED if 0.0 >= thr.neg_iou else NEGATIVE,
                      dtype=np.int16)
+    layer_z = np.array([layer.z_center for layer in grid.layers])
+    layer_size = np.array([layer.size for layer in grid.layers], dtype=np.float64)
+    class_ids = np.array([grid.class_of_layer(il) for il in range(nl)], dtype=np.int16)
 
     forced = []
     for gt in gts:
         reach = (math.hypot(gt.l, gt.w) + math.hypot(*ANCHOR_SIZE[:2])) / 2.0
-        layers = [il for il in range(nl)
-                  if use_bev or _z_overlap(grid.layers[il], gt) != 0.0]
-        best_iou, best_anchor = 0.0, None
-        for iy in _window(gt.y - spec.y_range[0], reach + cell, cell, ny):
-            for ix in _window(gt.x - spec.x_range[0], reach + cell, cell, nx):
-                cx, cy = spec.cell_center(ix, iy)
-                if math.hypot(gt.x - cx, gt.y - cy) > reach + cell:
-                    continue
-                for il in layers:
-                    v = overlap(grid.anchor_box(iy, ix, il), gt)
-                    if v > best_iou:
-                        best_iou, best_anchor = v, (iy, ix, il)
-                    if v >= thr.pos_iou:
-                        labels[iy, ix, il] = grid.class_of_layer(il)
-                    elif v >= thr.neg_iou and labels[iy, ix, il] == NEGATIVE:
-                        labels[iy, ix, il] = IGNORED
-        if best_anchor is None:
+        iy, ix = np.meshgrid(_window(gt.y - spec.y_range[0], reach + cell, cell, ny),
+                             _window(gt.x - spec.x_range[0], reach + cell, cell, nx),
+                             indexing="ij")
+        cx, cy = spec.cell_center(ix.ravel(), iy.ravel())
+        cells = np.flatnonzero(np.hypot(gt.x - cx, gt.y - cy) <= reach + cell)
+        layers = np.flatnonzero(_z_overlap(layer_z, layer_size[:, 2], gt))
+        cells, il = np.repeat(cells, len(layers)), np.tile(layers, len(cells))
+        anchors = np.column_stack([cx[cells], cy[cells], layer_z[il], layer_size[il],
+                                   np.zeros(len(il))])
+        v = iou3d(anchors, [gt])[:, 0]
+        iy, ix = iy.ravel()[cells], ix.ravel()[cells]
+        current = labels[iy, ix, il]
+        labels[iy, ix, il] = np.where(
+            v >= thr.pos_iou, class_ids[il],
+            np.where((v >= thr.neg_iou) & (current == NEGATIVE), IGNORED, current))
+        if len(v) and v.max() > 0.0:
+            k = int(np.argmax(v))
+            best_anchor = (int(iy[k]), int(ix[k]), int(il[k]))
+        else:
             # no anchor overlaps this target at all; force the nearest one
             # (distance decomposes per axis, so pick each index directly)
             ix = int(np.clip(math.floor((gt.x - spec.x_range[0]) / cell), 0, nx - 1))
@@ -269,17 +271,18 @@ def assign_targets(gts: list[Box3D], grid: AnchorGrid,
     return TargetAssignment(labels, forced)
 
 
-def nms(boxes: list[Box3D], scores, iou_thr: float = 0.5,
-        use_bev: bool = False) -> list[int]:
+def nms(boxes: list[Box3D], scores, iou_thr: float = 0.5) -> list[int]:
     """Greedy score-descending suppression. Returns kept indices; score ties
-    fall back to the lower index."""
+    fall back to the lower index. Each kept box scores every candidate in one
+    iou3d call, so memory grows with the number of boxes only."""
     scores = np.asarray(scores, dtype=np.float64).reshape(len(boxes))
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    overlap = iou_bev if use_bev else iou3d
     order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
+    suppressed = np.zeros(len(boxes), dtype=bool)
     kept: list[int] = []
     for i in order:
-        if all(overlap(boxes[i], boxes[j]) <= iou_thr for j in kept):
+        if not suppressed[i]:
             kept.append(i)
+            suppressed |= iou3d(boxes, [boxes[i]])[:, 0] > iou_thr
     return kept

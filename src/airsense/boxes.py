@@ -47,21 +47,9 @@ class Box3D:
     def center(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
-    @property
-    def volume(self) -> float:
-        return self.l * self.w * self.h
-
     def translated(self, delta) -> "Box3D":
         d = np.asarray(delta, dtype=np.float64)
         return replace(self, x=self.x + d[0], y=self.y + d[1], z=self.z + d[2])
-
-    def bev_corners(self) -> np.ndarray:
-        """Footprint corners (4, 2) in counterclockwise order."""
-        hl, hw = self.l / 2.0, self.w / 2.0
-        local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.array([self.x, self.y])
 
     def to_dict(self) -> dict:
         return {"x": self.x, "y": self.y, "z": self.z,

@@ -25,7 +25,7 @@ from .metrics import aggregate, classify
 from .pointio import (PointFormatError, ScanFrame, read_jsonl, read_points, read_tensor,
                       window_frames, write_columnar, write_jsonl, write_las)
 from .spconv import FeatureMap, KernelTensor, Sites, conv
-from .tracker import TrackerConfig, replay
+from .tracker import replay
 
 BUILTIN_MESHES = {
     "builtin:drone": quadcopter_mesh,
@@ -218,8 +218,7 @@ def cmd_track(args) -> int:
     frames = list(window_frames(read_points(args.frames), window))
     dets = _boxes_by_frame(read_jsonl(args.detections))
     det_lists = [dets.get(k, []) for k in range(len(frames))]
-    tc = TrackerConfig(gate_m=cfg.tracker.gate_m, separation_m=separation,
-                       max_skips=cfg.tracker.max_skips)
+    tc = dataclasses.replace(cfg.tracker, separation_m=separation)
     track_log, alert_log, summary = replay(frames, det_lists, tc)
     write_jsonl(args.out_tracks, track_log)
     write_jsonl(args.out_alerts, alert_log)

@@ -5,7 +5,7 @@ rejected so typos fail loudly."""
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field, fields
 
 from .anchors import MatchThresholds
@@ -66,7 +66,7 @@ def _build(cls, data: dict, path: str):
             kwargs[name] = value
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -99,9 +99,12 @@ def load_config(path) -> Config:
             setattr(cfg, section, _build(cls, raw[section], section))
     for name in known_scalar:
         if name in raw:
-            if not isinstance(raw[name], (int, float)) or not math.isfinite(raw[name]):
-                raise ConfigError(f"{name}: expected a finite number, got {raw[name]!r}")
-            setattr(cfg, name, float(raw[name]))
+            value = raw[name]
+            # finite as a float: not NaN, not infinite, not an int beyond float range
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
+                raise ConfigError(f"{name}: expected a finite number, got {value!r}")
+            setattr(cfg, name, float(value))
     if not cfg.window_ms > 0:
         raise ConfigError(f"window_ms: expected a positive number, got {cfg.window_ms}")
     return cfg

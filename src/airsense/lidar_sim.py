@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boxes import rot_z
 from .mesh import TriangleMesh
 from .pointio import ScanFrame
 from .raytrace import Bvh, RayBundle
@@ -116,8 +117,7 @@ class Pose2D:
             raise ValueError(f"translation must be three finite values, got {self.translation}")
 
     def rotation(self) -> np.ndarray:
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        return rot_z(self.yaw)
 
 
 def transform_rays(bundle: RayBundle, pose: Pose2D) -> RayBundle:

@@ -1,9 +1,11 @@
 """Oracles that more than one test module checks against."""
 
+import math
 import struct
 
 import numpy as np
 
+from airsense.boxes import Box3D
 from airsense.pointio import (LAS_HEADER_SIZE, LAS_PRF3_RECORD_SIZE, BadMagic,
                               NonMonotonicTimestamps, ScanFrame, TruncatedFile,
                               UnsupportedFormat)
@@ -83,3 +85,121 @@ def window_records(records, window_ms=100.0):
         buf_t.append(t)
     if buf_p:
         yield flush()
+
+
+# The scalar yawed-box overlap: one Sutherland-Hodgman clip over Python
+# lists per pair. The batched iou3d/iou_bev must agree with it bit for bit.
+
+def bev_corners(box: Box3D) -> np.ndarray:
+    """Footprint corners (4, 2) in counterclockwise order."""
+    hl, hw = box.l / 2.0, box.w / 2.0
+    local = np.array([[hl, hw], [-hl, hw], [-hl, -hw], [hl, -hw]])
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    rot = np.array([[c, -s], [s, c]])
+    return local @ rot.T + np.array([box.x, box.y])
+
+
+def polygon_area(poly: np.ndarray) -> float:
+    """Shoelace area of a counterclockwise polygon (n, 2)."""
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def clip_polygon(subject: np.ndarray, clip: np.ndarray) -> np.ndarray:
+    """Sutherland-Hodgman clip of a convex subject polygon against a convex
+    counterclockwise clip polygon. Returns the (possibly empty) intersection."""
+    output = [tuple(p) for p in subject]
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            break
+        a = clip[i]
+        b = clip[(i + 1) % n]
+        edge = (b[0] - a[0], b[1] - a[1])
+        inputs = output
+        output = []
+
+        def inside(p):
+            return edge[0] * (p[1] - a[1]) - edge[1] * (p[0] - a[0]) >= -1e-12
+
+        for j, cur in enumerate(inputs):
+            prev = inputs[j - 1]
+            cur_in, prev_in = inside(cur), inside(prev)
+            if cur_in:
+                if not prev_in:
+                    output.append(_edge_intersect(prev, cur, a, b))
+                output.append(cur)
+            elif prev_in:
+                output.append(_edge_intersect(prev, cur, a, b))
+    return np.array(output).reshape(-1, 2)
+
+
+def _edge_intersect(p, q, a, b):
+    dpq = (q[0] - p[0], q[1] - p[1])
+    dab = (b[0] - a[0], b[1] - a[1])
+    denom = dpq[0] * dab[1] - dpq[1] * dab[0]
+    if abs(denom) < 1e-15:
+        return q
+    t = ((a[0] - p[0]) * dab[1] - (a[1] - p[1]) * dab[0]) / denom
+    return (p[0] + t * dpq[0], p[1] + t * dpq[1])
+
+
+def _bev_intersection_area(a: Box3D, b: Box3D) -> float:
+    return polygon_area(clip_polygon(bev_corners(a), bev_corners(b)))
+
+
+def iou_bev_pair(a: Box3D, b: Box3D) -> float:
+    inter = _bev_intersection_area(a, b)
+    union = a.l * a.w + b.l * b.w - inter
+    return inter / union if union > 0 else 0.0
+
+
+def iou3d_pair(a: Box3D, b: Box3D) -> float:
+    """Intersection volume over union volume of two yawed boxes."""
+    return iou3d_from_area(a, b, _bev_intersection_area(a, b))
+
+
+def iou3d_from_area(a: Box3D, b: Box3D, area: float) -> float:
+    """iou3d_pair's float steps given a's footprint clipped to b's, so boxes
+    that share a footprint can share one clip."""
+    z_lo = max(a.z - a.h / 2.0, b.z - b.h / 2.0)
+    z_hi = min(a.z + a.h / 2.0, b.z + b.h / 2.0)
+    dz = max(0.0, z_hi - z_lo)
+    if dz == 0.0:
+        return 0.0
+    inter = area * dz
+    union = a.l * a.w * a.h + b.l * b.w * b.h - inter
+    return inter / union if union > 0 else 0.0
+
+
+def classify_pairs(dets, gts, iou_thr=0.30, use_bev=False):
+    """Greedy best-overlap matching, one scalar IoU per pair."""
+    overlap = iou_bev_pair if use_bev else iou3d_pair
+    pairs = []
+    for di, d in enumerate(dets):
+        for gi, g in enumerate(gts):
+            v = overlap(d, g)
+            if v >= iou_thr:
+                pairs.append((v, di, gi))
+    pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
+    used_d, used_g = set(), set()
+    tp = 0
+    for v, di, gi in pairs:
+        if di in used_d or gi in used_g:
+            continue
+        used_d.add(di)
+        used_g.add(gi)
+        tp += 1
+    return tp, len(dets) - tp, len(gts) - tp
+
+
+def nms_pairs(boxes, scores, iou_thr=0.5):
+    """Greedy score-descending suppression, one scalar IoU per pair."""
+    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
+    kept = []
+    for i in order:
+        if all(iou3d_pair(boxes[i], boxes[j]) <= iou_thr for j in kept):
+            kept.append(i)
+    return kept

@@ -322,7 +322,7 @@ def test_criterion_10_metric_identities():
         assert tp + fn == len(gts)
         assert tp + fp == len(dets)
 
-    v = iou3d(Box3D(0, 0, 0, 1, 1, 1), Box3D(0.5, 0, 0, 1, 1, 1))
+    v = iou3d([Box3D(0, 0, 0, 1, 1, 1)], [Box3D(0.5, 0, 0, 1, 1, 1)])[0, 0]
     assert abs(v - 1.0 / 3.0) <= 1e-9
     _verdict(10, "F1(0.96, 0.80) truncates to 0.872; conservation on 200 "
                  "frames; offset unit cubes at 1/3")

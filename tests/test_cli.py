@@ -61,6 +61,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sensor_elevation"):
             load_config(path)
 
+    @pytest.mark.parametrize("doc", [
+        {"window_ms": True},
+        {"window_ms": 10 ** 400},
+        {"sensor_elevation": False},
+        {"sensor_elevation": -10 ** 400},
+        {"grid": {"cell_size": 10 ** 400}},
+    ])
+    def test_bool_and_huge_int_rejected_naming_the_field(self, tmp_path, capsys, doc):
+        (name, _), = doc.items()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=name):
+            load_config(path)
+        capsys.readouterr()
+        assert run(["--config", path, "detect-eval", "--detections", tmp_path / "d.jsonl",
+                    "--truth", tmp_path / "t.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError") and name in err
+
     def test_invalid_value_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"match": {"pos_iou": 0.2, "neg_iou": 0.35}}))

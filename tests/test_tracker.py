@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from airsense.boxes import Box3D, points_in_box
+from airsense.config import ConfigError, load_config
 from airsense.pointio import ScanFrame
 from airsense.tracker import (
     SEPARATION_THRESHOLD_M,
@@ -215,3 +217,29 @@ class TestReplay:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             replay([frame_at(0, [[1, 1, 1]])], [])
+
+
+class TestTrackerConfig:
+    @pytest.mark.parametrize("section", [
+        {"gate_m": 0.0},
+        {"gate_m": -2.0},
+        {"gate_m": math.inf},
+        {"gate_m": math.nan},
+        {"gate_m": True},
+        {"separation_m": 0},
+        {"separation_m": "15"},
+        {"separation_m": 10 ** 400},
+        {"separation_m": False},
+        {"max_skips": -1},
+        {"max_skips": 1.5},
+        {"max_skips": True},
+        {"max_skips": "3"},
+    ])
+    def test_bad_spec_rejected_at_the_boundary(self, tmp_path, section):
+        (name, _), = section.items()
+        with pytest.raises(ValueError, match=name):
+            TrackerConfig(**section)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"tracker": section}))   # json writes Infinity, NaN
+        with pytest.raises(ConfigError, match=name):
+            load_config(path)
