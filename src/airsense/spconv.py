@@ -15,8 +15,11 @@ run of consecutive sites lands on one evenly spaced slice of the buffer:
 long runs are added by slice, the remaining sites by one indexed add per
 tap. `gather_conv` is the independent oracle.
 
-All feature values are stored as float32; accumulation happens in float64 and
-results are rounded back to float32 on the output sites only.
+Precision: feature values and weights are stored as float32. Each tap's
+products, with their sum over the C input channels, come from one float32
+GEMM; the taps' products are summed in float64, in tap order; the sums are
+rounded to float32 on the output sites only. `gather_conv` accumulates in
+float64 throughout.
 """
 
 from __future__ import annotations
@@ -221,30 +224,34 @@ class _Taps:
         self.width = w = self.out_q + 2 * a
         self.size = (self.out_p + 2 * a) * w
         rows, cols = np.divmod(keys, q)
-        # self.taps holds per tap: the sites it takes in scatter order (None:
-        # all sites, in self.order), the offset of its destinations, its long
-        # runs and the destinations of its other sites
+        # self.order lists the sites in scatter order; self.taps holds per tap
+        # the slice [lo, hi) of that order it takes, the offset of its
+        # destinations, its long runs (numbered within the slice) and the
+        # destinations of its other sites
         if stride > 1 and not transposed:
             # tap (m, n) takes the sites with r = m - a and c = n - a modulo
             # the stride; the taps of one such class send them to the same
-            # cells up to a constant offset
-            self.order, self.step, self.taps = None, 1, []
-            classes = {}
+            # cells up to a constant offset, so each class is one slice
+            self.step, self.taps = 1, []
+            classes, orders, lo = {}, [], 0
             for m, n in np.ndindex(k, k):
                 i, j = (m - a) % stride, (n - a) % stride
                 if (i, j) not in classes:
                     sel = np.flatnonzero((rows % stride == i) & (cols % stride == j))
                     order, runs, short = _runs(
                         (rows[sel] - i) // stride * w + (cols[sel] - j) // stride, 1)
-                    classes[i, j] = (sel[order], runs, short)
-                sel, runs, short = classes[i, j]
+                    orders.append(sel[order])
+                    classes[i, j] = (lo, lo + len(sel), runs, short)
+                    lo += len(sel)
+                lo_c, hi_c, runs, short = classes[i, j]
                 off = ((i - m + a) // stride + a) * w + (j - n + a) // stride + a
-                self.taps.append((sel, off, runs, short))
+                self.taps.append((lo_c, hi_c, off, runs, short))
+            self.order = np.concatenate(orders)
         else:
             # a tap's destination is the base key plus a constant offset
             self.order, runs, short = _runs(rows * (stride * w) + cols * stride, stride)
             self.step = stride
-            self.taps = [(None, (2 * a - m) * w + 2 * a - n, runs, short)
+            self.taps = [(0, len(keys), (2 * a - m) * w + 2 * a - n, runs, short)
                          for m in range(k) for n in range(k)]
 
     def touched(self) -> np.ndarray:
@@ -252,7 +259,7 @@ class _Taps:
         set of a standard sparse convolution's output."""
         hit = np.zeros(self.size, dtype=bool)
         s = self.step
-        for _, off, runs, short in self.taps:
+        for _, _, off, runs, short in self.taps:
             for i0, i1, d in runs:
                 hit[d + off:d + off + (i1 - i0) * s:s] = True
             hit[short + off] = True
@@ -261,24 +268,20 @@ class _Taps:
 
     def scatter(self, feats: np.ndarray, weights: np.ndarray,
                 at: np.ndarray) -> tuple[np.ndarray, int]:
-        """Accumulate every tap's contributions in float64, in tap order, and
-        read the sums back at the sorted output-grid keys `at`, rounded to
-        float32. Returns the (len(at), F) block and the multiply count, which
-        includes contributions that land in the padding."""
+        """Run each tap's GEMM in float32, so that its products and their sum
+        over the C input channels are float32, and add the products into a
+        float64 buffer in tap order: the sums across taps are float64. Read
+        them back at the sorted output-grid keys `at`, rounded to float32.
+        Returns the (len(at), F) block and the multiply count, which includes
+        contributions that land in the padding."""
         f, k, _, c = weights.shape
-        kernel64 = weights.astype(np.float64)
+        kernel = weights.transpose(1, 2, 3, 0)  # (k, k, C, F) view
         buf = np.zeros((self.size, f), dtype=np.float64)
-        if self.order is None:
-            feats64 = feats.astype(np.float64)
-        else:
-            feats64 = feats[self.order].astype(np.float64)
-            shared = np.empty((len(feats64), f))  # every tap's products, in turn
+        x = feats[self.order]  # every site once, each stride class one slice
+        shared = np.empty((len(x), f), dtype=np.float32)  # each tap's products, in turn
         macs, s = 0, self.step
-        for (m, n), (sel, off, runs, short) in zip(np.ndindex(k, k), self.taps):
-            if sel is None:
-                prod = np.matmul(feats64, kernel64[:, m, n, :].T, out=shared)
-            else:
-                prod = feats64[sel] @ kernel64[:, m, n, :].T
+        for (m, n), (lo, hi, off, runs, short) in zip(np.ndindex(k, k), self.taps):
+            prod = np.matmul(x[lo:hi], kernel[m, n], out=shared[:hi - lo])
             macs += len(prod) * c * f
             for i0, i1, d in runs:
                 buf[d + off:d + off + (i1 - i0) * s:s] += prod[i0:i1]
