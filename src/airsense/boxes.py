@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,8 +38,11 @@ class Box3D:
 
     def __post_init__(self):
         for name in ("x", "y", "z", "l", "w", "h", "yaw"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"box {name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"box {name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"box {name} must be finite, got {value}")
         if self.l <= 0 or self.w <= 0 or self.h <= 0:
             raise ValueError(f"box sides must be positive, got {(self.l, self.w, self.h)}")
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))

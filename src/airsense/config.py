@@ -46,6 +46,16 @@ _TUPLE_FIELDS = {"x_range", "y_range", "z_range", "translation", "block_convs",
                  "block_channels", "block_strides", "up_strides", "size"}
 
 
+def _check_number(value, where: str):
+    """A number finite as a float: not a boolean, NaN, infinite or an int
+    beyond float range."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        shown = ("an integer beyond float range" if isinstance(value, int)
+                 and not isinstance(value, bool) else repr(value))
+        raise ConfigError(f"{where}: expected a finite number, got {shown}")
+
+
 def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -55,15 +65,19 @@ def _build(cls, data: dict, path: str):
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for name, value in data.items():
-        ftype = allowed[name].type
+        where = f"{path}.{name}"
         if name == "region":
-            kwargs[name] = _build(VoxelRegion, value, f"{path}.{name}")
-        elif isinstance(value, dict):
-            raise ConfigError(f"{path}.{name}: nested object not expected here")
-        elif name in _TUPLE_FIELDS and isinstance(value, list):
-            kwargs[name] = tuple(value)
-        else:
-            kwargs[name] = value
+            kwargs[name] = _build(VoxelRegion, value, where)
+            continue
+        if isinstance(value, dict):
+            raise ConfigError(f"{where}: nested object not expected here")
+        if name in _TUPLE_FIELDS and isinstance(value, list):
+            value = tuple(value)
+        if allowed[name].type != "bool":
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, (int, float)):
+                    _check_number(v, where)
+        kwargs[name] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -99,12 +113,8 @@ def load_config(path) -> Config:
             setattr(cfg, section, _build(cls, raw[section], section))
     for name in known_scalar:
         if name in raw:
-            value = raw[name]
-            # finite as a float: not NaN, not infinite, not an int beyond float range
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not abs(value) <= sys.float_info.max):
-                raise ConfigError(f"{name}: expected a finite number, got {value!r}")
-            setattr(cfg, name, float(value))
+            _check_number(raw[name], name)
+            setattr(cfg, name, float(raw[name]))
     if not cfg.window_ms > 0:
         raise ConfigError(f"window_ms: expected a positive number, got {cfg.window_ms}")
     return cfg

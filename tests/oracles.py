@@ -24,6 +24,35 @@ def reach_oracle(mask, k, stride=1, transposed=False):
     return gather_conv(FeatureMap(m), ones, stride).values[:, :, 0] > 0
 
 
+def backbone_oracle(pseudo_image, spec, weights, submanifold=False):
+    """The backbone graph as a chain of float64 gather convolutions: each
+    block convolution is `gather_conv` on the whole grid, each deconvolution
+    zero insertion plus `gather_conv`; the upsampled maps are cropped to the
+    first one's size and concatenated, as `run_backbone` does. With
+    `submanifold`, every block convolution but the first of its block keeps
+    only the cells its block's first convolution reaches, as the
+    sparse+submanifold engine does. No biases."""
+    k = spec.kernel_size
+    kernels = iter(weights.kernels)
+    fm, mask, blocks = FeatureMap(pseudo_image.values), pseudo_image.mask, []
+    for n_convs, stride in zip(spec.block_convs, spec.block_strides):
+        for i in range(n_convs):
+            values = gather_conv(fm, next(kernels), stride if i == 0 else 1).values
+            if i == 0:
+                mask = reach_oracle(mask, k, stride)
+            elif submanifold:
+                values = values * mask[:, :, None]
+            fm = FeatureMap(np.maximum(values, 0.0) if spec.relu else values)
+        blocks.append(fm)
+    ups = []
+    for fm, stride in zip(blocks, spec.up_strides):
+        up = np.zeros((fm.p * stride, fm.q * stride, fm.channels), dtype=np.float32)
+        up[::stride, ::stride] = fm.values
+        ups.append(gather_conv(FeatureMap(up), next(kernels)).values)
+    p, q = ups[0].shape[:2]
+    return np.concatenate([u[:p, :q] for u in ups], axis=2)
+
+
 def read_las_records(path):
     """The record-by-record LAS reader: one `struct` unpack per PRF3 record,
     yielding (x, y, z, intensity, t_us) tuples."""

@@ -14,7 +14,7 @@ from airsense.backbone import (
 )
 from airsense.config import ConfigError, default_config, load_config
 from airsense.pillars import PseudoImage
-from oracles import reach_oracle
+from oracles import backbone_oracle, reach_oracle
 
 
 SMALL = BackboneSpec(block_channels=(8, 16, 32), up_channels=16)
@@ -161,6 +161,24 @@ class TestEngineAgreement:
         outs = [run_backbone(pi, SMALL, weights, engine=e)[0].values for e in ENGINES]
         assert all(o.shape == (250, 220, 3 * SMALL.up_channels) for o in outs)
         np.testing.assert_allclose(outs[0], outs[1], atol=1e-4)
+
+
+class TestChainOracle:
+    """The default graph (C = 256 in block 3, no ReLU, so magnitudes are
+    unclamped layer to layer) against float64 gather convolutions chained
+    layer by layer: the worst case for float32 tap products."""
+
+    @pytest.mark.parametrize("density", [0.05, 1.0])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_default_graph_matches_the_gather_chain(self, engine, density):
+        r = np.random.default_rng(11)
+        spec = BackboneSpec()
+        pi = sparse_pseudo_image(r, 64, 48, 64, density)
+        weights = make_backbone_weights(spec, 64, r)
+        got, _ = run_backbone(pi, spec, weights, engine)
+        want = backbone_oracle(pi, spec, weights, engine == "sparse+submanifold")
+        assert got.values.shape == want.shape == (32, 24, 3 * spec.up_channels)
+        np.testing.assert_allclose(got.values, want, atol=1e-4)
 
 
 class TestInstrumentation:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -67,18 +68,33 @@ class TestConfig:
         {"sensor_elevation": False},
         {"sensor_elevation": -10 ** 400},
         {"grid": {"cell_size": 10 ** 400}},
+        {"grid": {"cell_size": True}},
+        {"eval": {"iou_threshold": True}},
+        {"grid": {"x_range": [0.0, False]}},
+        {"augment": {"region": {"voxel_size": True}}},
+        {"scan": {"seed": -10 ** 400}},
     ])
     def test_bool_and_huge_int_rejected_naming_the_field(self, tmp_path, capsys, doc):
-        (name, _), = doc.items()
+        # the dotted path of the one leaf, e.g. "grid.cell_size"
+        name, value = next(iter(doc.items()))
+        while isinstance(value, dict):
+            key, value = next(iter(value.items()))
+            name += f".{key}"
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match=name):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)}: expected a finite number"):
             load_config(path)
         capsys.readouterr()
         assert run(["--config", path, "detect-eval", "--detections", tmp_path / "d.jsonl",
                     "--truth", tmp_path / "t.jsonl"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError") and name in err
+
+    def test_boolean_fields_still_take_booleans(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"eval": {"use_bev": True}, "backbone": {"relu": True}}))
+        cfg = load_config(path)
+        assert cfg.eval.use_bev is True and cfg.backbone.relu is True
 
     def test_invalid_value_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -191,6 +207,17 @@ class TestDetectEvalCommand:
         assert (report["tp"], report["fp"], report["fn"]) == (1, 1, 1)
         assert report["precision"] == pytest.approx(0.5)
         assert report["recall"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("field, bad", [("x", "1"), ("l", True), ("yaw", None)])
+    def test_mistyped_box_field_exits_with_an_error_line(self, tmp_path, capsys, field, bad):
+        row = {"frame": 0, "box": {"x": 0, "y": 0, "z": 0, "l": 1, "w": 1, "h": 1, "yaw": 0}}
+        row["box"][field] = bad
+        d, g = tmp_path / "d.jsonl", tmp_path / "g.jsonl"
+        write_jsonl(d, [row])
+        write_jsonl(g, [])
+        assert run(["detect-eval", "--detections", d, "--truth", g]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and f"box {field} must be a real" in err
 
 
 class TestTrackCommand:

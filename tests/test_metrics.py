@@ -93,6 +93,19 @@ class TestIou3d:
                     Box3D(**fields)
 
 
+    @pytest.mark.parametrize("bad", ["1", True, np.bool_(False), None, 1 + 0j])
+    def test_non_real_box_field_rejected_naming_the_field(self, bad):
+        for name in ("x", "y", "z", "l", "w", "h", "yaw"):
+            fields = dict(x=0.0, y=0.0, z=0.0, l=1.0, w=1.0, h=1.0, yaw=0.0)
+            fields[name] = bad
+            with pytest.raises(ValueError, match=f"box {name} must be a real number"):
+                Box3D(**fields)
+
+    def test_numpy_and_integer_fields_accepted(self):
+        b = Box3D(np.float32(1.5), np.int64(2), 0, 1, np.float64(1.0), 1, np.float32(0.5))
+        assert (b.x, b.y, b.w) == (1.5, 2, 1.0)
+
+
 class TestPolygonClip:
     def test_full_containment(self):
         # the 1 x 1 footprint clips to itself: overlap 1 over union 16

@@ -304,6 +304,32 @@ class TestTransposed:
         np.testing.assert_allclose(got.values, ref.values, atol=1e-5)
 
 
+class TestWideLayer:
+    """C = F = 256, the widest layer of the default backbone, with weights at
+    its 1 / sqrt(k^2 C) scale: float32 tap products summed over 256 channels
+    stay within the oracle tolerance."""
+
+    @pytest.mark.parametrize("stride, transposed, out", [
+        (1, False, "reach"), (1, False, "same"), (1, False, "all"),
+        (2, False, "reach"), (2, False, "all"), (2, True, "reach"), (2, True, "all")])
+    def test_matches_gather_oracle(self, stride, transposed, out):
+        r = np.random.default_rng(256)
+        p, q, c = 20, 17, 256
+        fm, mask, _ = random_case(r, p, q, c, 1, 3, density=0.3)
+        kt = KernelTensor((r.normal(size=(c, 3, 3, c)) / np.sqrt(9 * c)).astype(np.float32))
+        got, _ = conv(Sites.from_dense(fm, mask), kt, stride, transposed, out)
+        if transposed:
+            upsampled = np.zeros((p * stride, q * stride, c), dtype=np.float32)
+            upsampled[::stride, ::stride] = fm.values
+            ref = gather_conv(FeatureMap(upsampled), kt)
+        else:
+            ref = gather_conv(fm, kt, stride)
+        if out == "same":
+            np.testing.assert_allclose(got.feats, ref.values[mask], atol=1e-5)
+        else:
+            np.testing.assert_allclose(got.to_dense().values, ref.values, atol=1e-5)
+
+
 class TestReachableMask:
     def test_matches_nonzero_support(self, rng):
         # reachable set must cover every nonzero output cell
