@@ -2,9 +2,18 @@
 
 The BVH is built once per mesh by median-splitting triangle centroids and is
 never rebuilt: posed queries are handled upstream by transforming the rays
-into the mesh rest frame. Traversal is batched, carrying the whole ray set
-down the tree and narrowing it at every node, which keeps the inner loops in
-vectorized code.
+into the mesh rest frame. Each leaf keeps its triangle ids in ascending
+order with their v0 and edges, computed once per BVH.
+
+Traversal is batched: the rays' origins, directions and inverse directions
+go down the tree as one (9, n) block of columns. Every node runs the slab
+test one axis at a time, narrows the columns to the rays that reach its box
+and hands them to its children; every leaf runs the Moller-Trumbore test on
+components, rays against its triangles. The results are bit for bit those of
+gathering each node's rays by index and reducing over the length-3 axis (the
+index-array traversal the tests keep as an oracle): min and max are exact,
+the dot products add in the same order, and nodes are visited in the same
+order, so pruning and triangle_tests agree too.
 """
 
 from __future__ import annotations
@@ -69,28 +78,34 @@ def moller_trumbore(origins, directions, v0, v1, v2):
     Returns (valid, t, u, v). Boundary hits (u or v at 0 or 1) count as hits
     so shared edges of a watertight mesh never leak.
     """
-    e1 = v1 - v0
-    e2 = v2 - v0
-    pvec = _cross(directions, e2)
-    det = np.sum(e1 * pvec, axis=-1)
+    o, d, a, b, c = (np.moveaxis(np.asarray(x, dtype=np.float64), -1, 0)
+                     for x in (origins, directions, v0, v1, v2))
+    return _moller_trumbore(o, d, a, b - a, c - a)
+
+
+def _moller_trumbore(o, d, v0, e1, e2):
+    """The Moller-Trumbore test on components: each argument is an x, y, z
+    sequence of mutually broadcasting arrays, e1 and e2 the triangles' edges
+    from v0. The dot products add left to right, which gives the bits of
+    np.sum over a length-3 axis except for the sign of an exact zero sum; no
+    comparison below and no hit (t > _T_MIN) depends on that sign."""
+    px, py, pz = _cross(d, e2)
+    det = e1[0] * px + e1[1] * py + e1[2] * pz
     valid = np.abs(det) > _EPS_DET
     inv_det = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
-    tvec = origins - v0
-    u = np.sum(tvec * pvec, axis=-1) * inv_det
-    qvec = _cross(tvec, e1)
-    v = np.sum(directions * qvec, axis=-1) * inv_det
-    t = np.sum(e2 * qvec, axis=-1) * inv_det
+    tvec = (o[0] - v0[0], o[1] - v0[1], o[2] - v0[2])
+    u = (tvec[0] * px + tvec[1] * py + tvec[2] * pz) * inv_det
+    qx, qy, qz = _cross(tvec, e1)
+    v = (d[0] * qx + d[1] * qy + d[2] * qz) * inv_det
+    t = (e2[0] * qx + e2[1] * qy + e2[2] * qz) * inv_det
     valid &= (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0) & (t > _T_MIN)
     return valid, t, u, v
 
 
 def _cross(a, b):
-    """Cross product over the last axis, broadcasting the rest. Each component
-    is the same product difference that np.cross forms, so the bits agree;
-    np.cross spends most of a small call on axis bookkeeping and copies."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+    """Cross product of x, y, z component sequences. Each component is the
+    same product difference that np.cross forms, so the bits agree."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 @dataclass
@@ -101,20 +116,25 @@ class _Node:
     right: int = -1
     start: int = 0
     count: int = 0
+    # leaves: triangle ids in ascending order, then v0, e1 and e2 of those
+    # triangles as (3, count, 1) columns
+    leaf: tuple = ()
 
 
 class Bvh:
-    """Median-split hierarchy over triangle centroids, max 4 triangles per
-    leaf. Triangle test counts are tracked to make traversal pruning
-    observable in tests."""
+    """Median-split hierarchy over triangle centroids, at most leaf_size
+    triangles per leaf. Triangle test counts are tracked to make traversal
+    pruning observable in tests."""
 
     def __init__(self, mesh: TriangleMesh, leaf_size: int = 4):
+        if (isinstance(leaf_size, bool) or not isinstance(leaf_size, (int, np.integer))
+                or leaf_size < 1):
+            raise ValueError(f"leaf_size must be a positive integer, got {leaf_size!r}")
         if mesh.num_triangles == 0:
             raise ValueError("cannot build a hierarchy over an empty mesh")
         self.mesh = mesh
-        self.leaf_size = leaf_size
+        self.leaf_size = int(leaf_size)
         a, b, c = mesh.triangles()
-        self._v0, self._v1, self._v2 = a, b, c
         self._tri_lo = np.minimum(np.minimum(a, b), c)
         self._tri_hi = np.maximum(np.maximum(a, b), c)
         centroids = (a + b + c) / 3.0
@@ -122,6 +142,12 @@ class Bvh:
         self.nodes: list[_Node] = []
         self.triangle_tests = 0
         self._build(centroids)
+        for node in self.nodes:
+            if node.count > 0:
+                ids = np.sort(self.order[node.start:node.start + node.count])
+                v0 = a[ids]
+                node.leaf = (ids,) + tuple(x.T[:, :, None].copy()
+                                           for x in (v0, b[ids] - v0, c[ids] - v0))
 
     def _build(self, centroids):
         # iterative construction; each stack entry carries its slot index
@@ -158,44 +184,48 @@ class Bvh:
         # clamp tiny components instead of letting 1/0 produce inf: keeps the
         # slab arithmetic finite (0 * inf would poison the interval with NaN)
         denom = np.where(np.abs(dirs) < 1e-12, np.copysign(1e-12, dirs), dirs)
-        inv = 1.0 / denom
+        # rows 0-2 origin, 3-5 direction, 6-8 inverse direction; every node
+        # hands its children the columns of the rays that reach its box
+        cols = np.concatenate((origins.T, dirs.T, (1.0 / denom).T))
 
-        stack = [(0, np.arange(n))]
+        stack = [(0, np.arange(n), cols)]
         while stack:
-            node_id, rays = stack.pop()
+            node_id, rays, cols = stack.pop()
             node = self.nodes[node_id]
-            t0 = (node.lo[None, :] - origins[rays]) * inv[rays]
-            t1 = (node.hi[None, :] - origins[rays]) * inv[rays]
-            tn = np.minimum(t0, t1).max(axis=1)
-            tf = np.maximum(t0, t1).min(axis=1)
+            o, inv = cols[0:3], cols[6:9]
+            t0 = (node.lo[:, None] - o) * inv
+            t1 = (node.hi[:, None] - o) * inv
+            near = np.minimum(t0, t1)
+            far = np.maximum(t0, t1)
+            tn = np.maximum(np.maximum(near[0], near[1]), near[2])
+            tf = np.minimum(np.minimum(far[0], far[1]), far[2])
             alive = (tf >= np.maximum(tn, 0.0)) & (tn <= best_t[rays])
-            rays = rays[alive]
-            if rays.size == 0:
-                continue
+            if not alive.all():
+                keep = np.flatnonzero(alive)
+                if keep.size == 0:
+                    continue
+                rays = rays[keep]
+                cols = cols.take(keep, axis=1)
             if node.count > 0:
-                tri_ids = self.order[node.start:node.start + node.count]
+                tri_ids, v0, e1, e2 = node.leaf
                 self.triangle_tests += rays.size * tri_ids.size
-                o = origins[rays][:, None, :]
-                d = dirs[rays][:, None, :]
-                valid, t, _, _ = moller_trumbore(
-                    o, d, self._v0[tri_ids][None], self._v1[tri_ids][None], self._v2[tri_ids][None])
+                valid, t, _, _ = _moller_trumbore(cols[0:3, None], cols[3:6, None], v0, e1, e2)
+                # (triangles, rays); nearest hit, ties to the lowest triangle id
                 t = np.where(valid, t, np.inf)
-                # nearest hit; ties go to the lowest original triangle id
-                tri_rank = np.argsort(tri_ids, kind="stable")
-                t_ranked = t[:, tri_rank]
-                k = np.argmin(t_ranked, axis=1)
-                tmin = t_ranked[np.arange(rays.size), k]
-                better = tmin < best_t[rays]
-                tie = (tmin == best_t[rays]) & (tmin < np.inf) \
-                    & (tri_ids[tri_rank][k] < best_tri[rays])
-                upd = better | tie
+                tmin = t.min(axis=0)
+                first = np.full(rays.size, tri_ids[-1])
+                for j in range(tri_ids.size - 2, -1, -1):
+                    first = np.where(t[j] == tmin, tri_ids[j], first)
+                best = best_t[rays]
+                upd = (tmin < best) | ((tmin == best) & (tmin < np.inf)
+                                       & (first < best_tri[rays]))
                 if upd.any():
                     sel = rays[upd]
                     best_t[sel] = tmin[upd]
-                    best_tri[sel] = tri_ids[tri_rank][k[upd]]
+                    best_tri[sel] = first[upd]
             else:
-                stack.append((node.left, rays))
-                stack.append((node.right, rays))
+                stack.append((node.left, rays, cols))
+                stack.append((node.right, rays, cols))
 
         hit = np.isfinite(best_t)
         points = np.full((n, 3), np.nan)

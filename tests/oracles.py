@@ -9,6 +9,7 @@ from airsense.boxes import Box3D
 from airsense.pointio import (LAS_HEADER_SIZE, LAS_PRF3_RECORD_SIZE, BadMagic,
                               NonMonotonicTimestamps, ScanFrame, TruncatedFile,
                               UnsupportedFormat)
+from airsense.raytrace import HitBatch
 from airsense.spconv import FeatureMap, KernelTensor, gather_conv
 
 
@@ -114,6 +115,81 @@ def window_records(records, window_ms=100.0):
         buf_t.append(t)
     if buf_p:
         yield flush()
+
+
+def cross_product_mt(origins, directions, v0, v1, v2):
+    """moller_trumbore as written with np.cross, its dot products as np.sum
+    over the length-3 axis."""
+    e1 = v1 - v0
+    e2 = v2 - v0
+    pvec = np.cross(directions, e2)
+    det = np.sum(e1 * pvec, axis=-1)
+    valid = np.abs(det) > 1e-12
+    inv_det = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
+    tvec = origins - v0
+    u = np.sum(tvec * pvec, axis=-1) * inv_det
+    qvec = np.cross(tvec, e1)
+    v = np.sum(directions * qvec, axis=-1) * inv_det
+    t = np.sum(e2 * qvec, axis=-1) * inv_det
+    valid &= (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0) & (t > 1e-9)
+    return valid, t, u, v
+
+
+def index_array_intersect(bvh, bundle):
+    """Bvh.intersect as index-array traversal over bvh's nodes: every node
+    gathers its rays' origins and inverse directions by index and reduces the
+    slab test over the length-3 axis, every leaf tests its triangles in
+    hierarchy order and sorts their ids to send ties to the lowest. Returns
+    the HitBatch and the number of ray-triangle tests, leaving
+    bvh.triangle_tests alone."""
+    v0, v1, v2 = bvh.mesh.triangles()
+    n = len(bundle)
+    tests = 0
+    best_t = np.full(n, np.inf)
+    best_tri = np.full(n, -1, dtype=np.int64)
+    origins = bundle.origins
+    dirs = bundle.directions
+    denom = np.where(np.abs(dirs) < 1e-12, np.copysign(1e-12, dirs), dirs)
+    inv = 1.0 / denom
+    stack = [(0, np.arange(n))]
+    while stack:
+        node_id, rays = stack.pop()
+        node = bvh.nodes[node_id]
+        t0 = (node.lo[None, :] - origins[rays]) * inv[rays]
+        t1 = (node.hi[None, :] - origins[rays]) * inv[rays]
+        tn = np.minimum(t0, t1).max(axis=1)
+        tf = np.maximum(t0, t1).min(axis=1)
+        alive = (tf >= np.maximum(tn, 0.0)) & (tn <= best_t[rays])
+        rays = rays[alive]
+        if rays.size == 0:
+            continue
+        if node.count > 0:
+            tri_ids = bvh.order[node.start:node.start + node.count]
+            tests += rays.size * tri_ids.size
+            valid, t, _, _ = cross_product_mt(
+                origins[rays][:, None, :], dirs[rays][:, None, :],
+                v0[tri_ids][None], v1[tri_ids][None], v2[tri_ids][None])
+            t = np.where(valid, t, np.inf)
+            tri_rank = np.argsort(tri_ids, kind="stable")
+            t_ranked = t[:, tri_rank]
+            k = np.argmin(t_ranked, axis=1)
+            tmin = t_ranked[np.arange(rays.size), k]
+            better = tmin < best_t[rays]
+            tie = (tmin == best_t[rays]) & (tmin < np.inf) \
+                & (tri_ids[tri_rank][k] < best_tri[rays])
+            upd = better | tie
+            sel = rays[upd]
+            best_t[sel] = tmin[upd]
+            best_tri[sel] = tri_ids[tri_rank][k[upd]]
+        else:
+            stack.append((node.left, rays))
+            stack.append((node.right, rays))
+    hit = np.isfinite(best_t)
+    points = np.full((n, 3), np.nan)
+    cosang = np.zeros(n)
+    points[hit] = origins[hit] + best_t[hit, None] * dirs[hit]
+    cosang[hit] = np.abs(np.sum(dirs[hit] * bvh.mesh.normals[best_tri[hit]], axis=1))
+    return HitBatch(hit, best_t, points, best_tri, np.clip(cosang, 0.0, 1.0)), tests
 
 
 # The scalar yawed-box overlap: one Sutherland-Hodgman clip over Python

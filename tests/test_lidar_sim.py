@@ -24,6 +24,7 @@ from airsense.lidar_sim import (
 )
 from airsense.mesh import TriangleMesh, box_mesh, icosphere, quadcopter_mesh
 from airsense.raytrace import Bvh, RayBundle, moller_trumbore
+from oracles import cross_product_mt, index_array_intersect
 
 FAST = ScanPattern(points_per_second=24_000, seed=7)
 
@@ -73,23 +74,6 @@ def unculled_directivity(pattern, mesh, window_ms, region, yaw):
         pose = Pose2D(yaw, tuple(centers[i] - offset if np.any(offset) else centers[i]))
         counts[i] = bvh.intersect(transform_rays(rays, pose)).count
     return counts
-
-
-def cross_product_mt(origins, directions, v0, v1, v2):
-    """moller_trumbore as written with np.cross."""
-    e1 = v1 - v0
-    e2 = v2 - v0
-    pvec = np.cross(directions, e2)
-    det = np.sum(e1 * pvec, axis=-1)
-    valid = np.abs(det) > 1e-12
-    inv_det = np.where(valid, 1.0 / np.where(valid, det, 1.0), 0.0)
-    tvec = origins - v0
-    u = np.sum(tvec * pvec, axis=-1) * inv_det
-    qvec = np.cross(tvec, e1)
-    v = np.sum(directions * qvec, axis=-1) * inv_det
-    t = np.sum(e2 * qvec, axis=-1) * inv_det
-    valid &= (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (u + v <= 1.0) & (t > 1e-9)
-    return valid, t, u, v
 
 
 class TestPattern:
@@ -219,6 +203,18 @@ class TestIntersect:
         ref_pts = origins[ref_hit] + bt[ref_hit, None] * dirs[ref_hit]
         assert np.abs(hits.points[hits.hit] - ref_pts).max() <= 1e-7
 
+    @pytest.mark.parametrize("leaf_size", [0, -1, 2.5, True, "4", None])
+    def test_leaf_size_must_be_a_positive_integer(self, leaf_size):
+        # checked before the build, which never ends below one triangle a leaf
+        with mock.patch.object(Bvh, "_build", side_effect=AssertionError("built")):
+            with pytest.raises(ValueError, match="leaf_size must be a positive integer"):
+                Bvh(icosphere(0.5, 0), leaf_size)
+
+    def test_numpy_integer_leaf_size_accepted(self):
+        bvh = Bvh(icosphere(0.5, 1), np.int64(2))
+        assert bvh.leaf_size == 2
+        assert max(node.count for node in bvh.nodes) == 2
+
     def test_bundle_requires_unit_directions(self):
         with pytest.raises(ValueError, match="unit length"):
             RayBundle(np.zeros((1, 3)), np.array([[1.0, 1.0, 0.0]]), np.array([0]))
@@ -245,6 +241,87 @@ class TestIntersect:
         for got, ref in zip(moller_trumbore(o, d, v0, v1, v2),
                             cross_product_mt(o, d, v0, v1, v2)):
             assert np.array_equal(got, ref)
+
+
+ORACLE_MESHES = {
+    "ico0": icosphere(0.9, 0, center=(0.3, -0.2, 0.1)),
+    "ico1": icosphere(0.7, 1),
+    "ico2": icosphere(0.8, 2, center=(2.0, 0.5, -0.4)),
+    "quad": quadcopter_mesh(),
+}
+
+
+def oracle_rays(r, bvh, kind, n):
+    """Rays of one kind around bvh's root box: from outside, aimed at the
+    box; from inside it; axis-parallel, which meet the 1e-12 clamp of the
+    inverse direction; or aimed through the mesh's vertices and edge
+    midpoints, half of them axis-parallel, where neighbouring triangles tie
+    on t."""
+    lo, hi = bvh.nodes[0].lo, bvh.nodes[0].hi
+    center, ext = (lo + hi) / 2.0, hi - lo
+    reach = float(np.linalg.norm(ext))
+    rows = np.arange(n)
+    if kind == "outside":
+        away = r.normal(size=(n, 3))
+        origins = center + away / np.linalg.norm(away, axis=1, keepdims=True) \
+            * reach * r.uniform(0.8, 4.0, (n, 1))
+        dirs = center + r.uniform(-0.7, 0.7, (n, 3)) * ext - origins
+    elif kind == "inside":
+        origins = r.uniform(lo, hi, (n, 3))
+        dirs = r.normal(size=(n, 3))
+    elif kind == "axis":
+        axis, sign = r.integers(0, 3, n), r.choice([-1.0, 1.0], n)
+        origins = r.uniform(lo - 0.2 * ext, hi + 0.2 * ext, (n, 3))
+        origins[rows, axis] = np.where(sign > 0, lo[axis], hi[axis]) - sign * reach
+        dirs = np.zeros((n, 3))
+        dirs[rows, axis] = sign
+        # a third get a second nonzero component: one zero instead of two
+        tilt = rows[: n // 3]
+        dirs[tilt, (axis[tilt] + 1) % 3] = r.uniform(-1.0, 1.0, tilt.size)
+    else:
+        v0, v1, v2 = bvh.mesh.triangles()
+        marks = np.concatenate([bvh.mesh.vertices, (v0 + v1) / 2, (v1 + v2) / 2,
+                                (v2 + v0) / 2])
+        aim = marks[r.integers(0, len(marks), n)]
+        axis, sign = r.integers(0, 3, n), r.choice([-1.0, 1.0], n)
+        dirs = r.normal(size=(n, 3))
+        dirs[: n // 2] = 0.0
+        dirs[rows[: n // 2], axis[: n // 2]] = sign[: n // 2]
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        origins = aim - dirs * reach * r.uniform(1.0, 3.0, (n, 1))
+    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    return RayBundle(origins, dirs, np.zeros(n, dtype=np.int64))
+
+
+class TestTraversalOracle:
+    """The column traversal against the index-array traversal it replaced:
+    the same bits in every HitBatch field and the same triangle tests."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), leaf_size=st.integers(1, 6),
+           mesh=st.sampled_from(sorted(ORACLE_MESHES)),
+           kind=st.sampled_from(["outside", "inside", "axis", "marks"]))
+    def test_matches_index_array_traversal(self, seed, leaf_size, mesh, kind):
+        bvh = Bvh(ORACLE_MESHES[mesh], leaf_size)
+        bundle = oracle_rays(np.random.default_rng(seed), bvh, kind, 400)
+        ref, tests = index_array_intersect(bvh, bundle)
+        got = bvh.intersect(bundle)
+        for field in ("hit", "t", "points", "triangle", "cos_incidence"):
+            assert getattr(got, field).tobytes() == getattr(ref, field).tobytes(), field
+        assert bvh.triangle_tests == tests
+
+    @pytest.mark.parametrize("mesh", ["quad", "ico1"])
+    def test_marks_reach_tied_hits(self, mesh):
+        """The vertex and edge rays hit where two triangles give the same t,
+        so the test above reaches the lowest-id tie rule."""
+        bvh = Bvh(ORACLE_MESHES[mesh])
+        bundle = oracle_rays(np.random.default_rng(3), bvh, "marks", 400)
+        valid, t, _, _ = cross_product_mt(bundle.origins[:, None], bundle.directions[:, None],
+                                          *(v[None] for v in bvh.mesh.triangles()))
+        t = np.where(valid, t, np.inf)
+        got = bvh.intersect(bundle)
+        tied = got.hit & ((t == got.t[:, None]).sum(axis=1) > 1)
+        assert tied.sum() >= 20
 
 
 class TestLambertian:
