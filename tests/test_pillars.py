@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from airsense.pillars import (
     DECORATED_DIMS,
     PillarGridSpec,
+    _segment_max,
     assign_pillars,
     pillar_encode,
 )
@@ -319,6 +320,34 @@ class TestEncode:
         res = assign_pillars(make_frame([[3.0, 0.0, 0.0]]), GRID)
         with pytest.raises(ValueError):
             pillar_encode(res.pillars, np.zeros((5, 4)), GRID)
+
+
+class TestSegmentMax:
+    """The rank-by-rank pooling against np.maximum.reduceat."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), segments=st.integers(1, 60),
+           longest=st.integers(1, 12), channels=st.integers(1, 9))
+    def test_matches_reduceat(self, seed, segments, longest, channels):
+        r = np.random.default_rng(seed)
+        # single-row segments mixed with longer ones: the later ranks run
+        # over fewer segments
+        counts = np.where(r.random(segments) < 0.4, 1, r.integers(1, longest + 1, segments))
+        starts = np.cumsum(counts) - counts
+        rows = r.normal(size=(int(counts.sum()), channels))
+        rows[r.random(rows.shape) < 0.2] = 0.0
+        assert np.array_equal(_segment_max(rows, starts, counts),
+                              np.maximum.reduceat(rows, starts, axis=0))
+
+    def test_no_segments(self):
+        pooled = _segment_max(np.zeros((0, 5)), np.zeros(0, dtype=np.int64),
+                              np.zeros(0, dtype=np.int64))
+        assert pooled.shape == (0, 5)
+
+    def test_long_segment_after_short_ones(self):
+        rows = np.array([[5.0], [1.0], [2.0], [9.0], [3.0]])
+        starts, counts = np.array([0, 1]), np.array([1, 4])
+        assert _segment_max(rows, starts, counts).ravel().tolist() == [5.0, 9.0]
 
 
 class TestProperties:
