@@ -1,0 +1,141 @@
+"""Run the benchmark in alternating before/after pairs over two revisions.
+
+    python scripts/bench_pairs.py --parent REV --change REV --name NAME \
+        --what "what changed" offline@7:10 sky@7:3 [--seconds 25]
+
+Each revision is exported with `git archive` into a fresh directory and
+`bench/run.py` runs unchanged from each copy, one process per run. A
+`W@S:N` argument asks for N pairs of workload W at seed S; the pairs
+alternate which side runs first. The script writes BENCH_<NAME>.json at the
+root of the repository after every pair: the machine, and per workload every
+run's end-to-end metrics with the median and quartiles of each side, the
+median change and the number of pairs the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def export(rev: str, dest: str):
+    """The committed tree of rev, extracted into dest."""
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def bench(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One run of the tree's bench/run.py: its result and its info line."""
+    out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                          "--seed", str(seed), "--seconds", str(seconds)],
+                         cwd=tree, check=True, capture_output=True, text=True).stdout
+    info, result = out.strip().splitlines()[-2:]
+    return json.loads(result), json.loads(info)["info"]
+
+
+def summarize(runs: dict[str, list[dict]]) -> dict:
+    """Per-workload record in the schema of the committed BENCH_*.json files."""
+    out = {
+        "pairs": min(len(runs[s]) for s in SIDES),
+        "runs_correct": all(r["correct"] for s in SIDES for r in runs[s]),
+        "failed_operations": {s: sum(r["failed"] for r in runs[s]) for s in SIDES},
+        "attempted_operations": {s: [r["attempted"] for r in runs[s]] for s in SIDES},
+    }
+    for metric in runs["parent"][0]["metrics"]:
+        values = {s: np.array([r["metrics"][metric]["value"] for r in runs[s]]) for s in SIDES}
+        n = out["pairs"]
+        entry = {}
+        for s in SIDES:
+            q1, med, q3 = np.percentile(values[s], [25, 50, 75])
+            entry[s] = {"median": round(float(med), 4), "q1": round(float(q1), 4),
+                        "q3": round(float(q3), 4),
+                        "runs": [round(float(v), 4) for v in values[s]]}
+        entry["change_wins"] = int((values["change"][:n] < values["parent"][:n]).sum())
+        parent_median = entry["parent"]["median"]
+        entry["median_change_pct"] = (
+            round(100.0 * (entry["change"]["median"] / parent_median - 1.0), 2)
+            if parent_median else None)
+        entry["parent_iqr"] = round(entry["parent"]["q3"] - entry["parent"]["q1"], 4)
+        out[metric] = entry
+    return out
+
+
+def parse_plan(items: list[str]) -> list[tuple[str, int, int]]:
+    plan = []
+    for item in items:
+        try:
+            head, pairs = item.split(":")
+            workload, seed = head.split("@")
+            plan.append((workload, int(seed), int(pairs)))
+        except ValueError:
+            raise SystemExit(f"error: expected W@SEED:PAIRS, got {item!r}")
+    return plan
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="revision measured before")
+    parser.add_argument("--change", default="HEAD", help="revision measured after")
+    parser.add_argument("--name", required=True, help="writes BENCH_<name>.json")
+    parser.add_argument("--what", required=True, help="what the change does, for the record")
+    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("plan", nargs="+", help="W@SEED:PAIRS, e.g. offline@7:10")
+    args = parser.parse_args(argv)
+    plan = parse_plan(args.plan)
+    revs = {s: git("rev-parse", "--verify", f"{r}^{{commit}}").decode().strip()
+            for s, r in zip(SIDES, (args.parent, args.change))}
+    path = os.path.join(ROOT, f"BENCH_{args.name}.json")
+    record = {
+        "what": args.what,
+        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g}, "
+                   "one process per run, in git archive copies of each revision; pairs "
+                   "alternate which side runs first",
+        "parent_rev": revs["parent"],
+        "change_rev": revs["change"],
+        "machine": None,
+        "statistics": "median and quartiles (numpy.percentile, linear) over the runs of one "
+                      "side; change_wins counts pairs where the change reads lower, ties "
+                      "count for neither",
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {s: os.path.join(tmp, s) for s in SIDES}
+        for s in SIDES:
+            export(revs[s], trees[s])
+        for workload, seed, pairs in plan:
+            runs = {s: [] for s in SIDES}
+            for i in range(pairs):
+                for s in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    result, info = bench(trees[s], workload, seed, args.seconds)
+                    runs[s].append(result)
+                    if record["machine"] is None:
+                        prov = info["provenance"]
+                        record["machine"] = {k: prov[k] for k in
+                                             ("python", "numpy", "blas", "blas_threads", "nproc")}
+                record["workloads"][f"{workload}@{seed}"] = summarize(runs)
+                with open(path, "w") as fh:
+                    json.dump(record, fh, indent=1)
+                    fh.write("\n")
+                print(f"{workload}@{seed} pair {i + 1}/{pairs}: "
+                      + ", ".join(f"{s} {runs[s][-1]['metrics']['op_norm_ms']['value']:.2f}"
+                                  for s in SIDES), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
