@@ -1,25 +1,24 @@
-"""Scatter-based 2D convolution over lists of active sites.
+"""Gather-GEMM 2D convolution over lists of active sites.
 
 A map is a `Sites` list: sorted flat keys on a (p, q) grid plus one feature
 row per key, so work scales with the number of active sites rather than the
-grid area. `conv` is the one convolution: it pushes each site's weighted
-contributions out to the output cells selected by the filter tap, instead of
-gathering a neighborhood per output cell. Dense, sparse and submanifold
-convolution differ only in which output sites `conv` keeps; `reach` returns
-the sparse choice on its own. No rule book, coordinate hash map or bounds
-mask is built anywhere: destinations follow from index arithmetic alone,
-into a buffer padded by k // 2 on every side that holds every destination.
-A tap's destination is a site's base key plus a constant offset (strided
-convolution first selects the sites that land on the output lattice), so a
-run of consecutive sites lands on one evenly spaced slice of the buffer:
-long runs are added by slice, the remaining sites by one indexed add per
-tap. `gather_conv` is the independent oracle.
+grid area. `conv` is the one convolution. It builds an index grid of the
+input padded by k // 2 on every side, whose cells off the list point at one
+appended zero row, so no rule book, coordinate hash map or bounds mask is
+built: each output site reads the feature row under every filter tap by
+index arithmetic alone, and the rows it gathers feed one GEMM per kernel
+row (TorchSparse's gather-GEMM, Tang et al. 2022). A transposed convolution
+splits its output into sub-pixel phases, each multiplying only the taps
+that land on input sites (Shi et al. 2016). Dense, sparse and submanifold
+convolution differ only in which output sites `conv` computes; `reach`
+returns the sparse choice on its own. `gather_conv` is the independent
+float64 oracle.
 
-Precision: feature values and weights are stored as float32. Each tap's
-products, with their sum over the C input channels, come from one float32
-GEMM; the taps' products are summed in float64, in tap order; the sums are
-rounded to float32 on the output sites only. `gather_conv` accumulates in
-float64 throughout.
+Precision: feature values and weights are stored as float32. A kernel row's
+products, with their sum over its k taps and the C input channels, come
+from one float32 GEMM; the k kernel rows are summed in float64, in row
+order; the sums are rounded to float32 once per output site. `gather_conv`
+accumulates in float64 throughout.
 """
 
 from __future__ import annotations
@@ -154,8 +153,8 @@ class Sites:
 def gather_conv(fm: FeatureMap, kernel: KernelTensor, stride: int = 1) -> FeatureMap:
     """Reference gather convolution: each output cell sums its input window.
 
-    Kept deliberately independent from the scatter engine so it can serve as
-    its oracle. Same-centered zero padding; float64 accumulation.
+    Kept deliberately independent from `conv` so it can serve as its
+    oracle. Same-centered zero padding; float64 accumulation.
     """
     _check_input(fm.channels, kernel)
     _check_stride(stride)
@@ -173,126 +172,73 @@ def gather_conv(fm: FeatureMap, kernel: KernelTensor, stride: int = 1) -> Featur
     return FeatureMap(out.reshape(out_p, out_q, kernel.out_channels).astype(np.float32))
 
 
-
-# Runs of at least this many consecutive sites are scattered by slice, the
-# remaining sites by one indexed add per tap. On a 504 x 440 frame at 2 %
-# occupancy, cutoffs from 4 to 64 ran within 3 % of each other.
-_LONG_RUN = 16
+# Output rows per GEMM are chosen so that a gathered block holds about this
+# many float32 values; 2^18 and 2^22 ran slower on a sky frame.
+_CHUNK = 1 << 20
 
 
-def _runs(dest: np.ndarray, step: int):
-    """Split sorted destination keys into maximal runs spaced `step` apart.
-
-    Returns (order, runs, short): order lists the entries of long runs first,
-    then the rest, each in their own order; runs holds (start, stop, first
-    destination) of each long run at its place in that order; short holds
-    the destinations of the rest.
-    """
-    bounds = np.flatnonzero(np.diff(dest) != step) + 1
-    bounds = np.concatenate(([0], bounds, [len(dest)]))
-    lengths = np.diff(bounds)
-    is_long = lengths >= _LONG_RUN
-    in_long = np.repeat(is_long, lengths)
-    stops = np.cumsum(lengths[is_long])
-    runs = list(zip((stops - lengths[is_long]).tolist(), stops.tolist(),
-                    dest[bounds[:-1][is_long]].tolist()))
-    order = np.concatenate((np.flatnonzero(in_long), np.flatnonzero(~in_long)))
-    return order, runs, dest[~in_long]
+def _out_shape(p: int, q: int, stride: int, transposed: bool) -> tuple[int, int]:
+    if transposed:
+        return p * stride, q * stride
+    return -(-p // stride), -(-q // stride)
 
 
-class _Taps:
-    """Where each filter tap of a k x k kernel sends a list of active sites.
+def _reach(keys: np.ndarray, p: int, q: int, k: int, stride: int,
+           transposed: bool) -> np.ndarray:
+    """Sorted output keys some tap reaches from the sites `keys`. Occupancy is
+    dilated by the stride (transposed) and padded by k // 2; output cell
+    (r, c) reads padded cell (r * s + m, c * s + n) under tap (m, n), with
+    s = 1 on the dilated grid."""
+    a = k // 2
+    out_p, out_q = _out_shape(p, q, stride, transposed)
+    d, s = (stride, 1) if transposed else (1, stride)
+    occ = np.zeros((p * d + 2 * a, q * d + 2 * a), dtype=bool)
+    rows, cols = np.divmod(keys, q)
+    occ[rows * d + a, cols * d + a] = True
+    hit = np.zeros((out_p, out_q), dtype=bool)
+    for m, n in np.ndindex(k, k):
+        hit |= occ[m:m + out_p * s:s, n:n + out_q * s:s]
+    return np.flatnonzero(hit)
 
-    keys are the sites' sorted flat keys r * q + c on a (p, q) grid.
-    Destinations are flat keys on the output grid padded by a = k // 2 on
-    every side; the padding holds every destination, so none needs a bounds
-    check. Tap (m, n) sends site (r, c) to output cell ((r - m + a) / s,
-    (c - n + a) / s) of a standard convolution with stride s, when s divides
-    both, and to (r * s - m + a, c * s - n + a) of a transposed one. Each
-    tap's sites split into runs whose destinations are evenly spaced, added
-    by slice, and the rest, added by index.
-    """
 
-    def __init__(self, keys: np.ndarray, p: int, q: int, k: int, stride: int = 1,
-                 transposed: bool = False):
-        a = k // 2
-        if transposed:
-            self.out_p, self.out_q = p * stride, q * stride
-        else:
-            self.out_p, self.out_q = -(-p // stride), -(-q // stride)
-        self.a = a
-        self.width = w = self.out_q + 2 * a
-        self.size = (self.out_p + 2 * a) * w
-        rows, cols = np.divmod(keys, q)
-        # self.order lists the sites in scatter order; self.taps holds per tap
-        # the slice [lo, hi) of that order it takes, the offset of its
-        # destinations, its long runs (numbered within the slice) and the
-        # destinations of its other sites
-        if stride > 1 and not transposed:
-            # tap (m, n) takes the sites with r = m - a and c = n - a modulo
-            # the stride; the taps of one such class send them to the same
-            # cells up to a constant offset, so each class is one slice
-            self.step, self.taps = 1, []
-            classes, orders, lo = {}, [], 0
-            for m, n in np.ndindex(k, k):
-                i, j = (m - a) % stride, (n - a) % stride
-                if (i, j) not in classes:
-                    sel = np.flatnonzero((rows % stride == i) & (cols % stride == j))
-                    order, runs, short = _runs(
-                        (rows[sel] - i) // stride * w + (cols[sel] - j) // stride, 1)
-                    orders.append(sel[order])
-                    classes[i, j] = (lo, lo + len(sel), runs, short)
-                    lo += len(sel)
-                lo_c, hi_c, runs, short = classes[i, j]
-                off = ((i - m + a) // stride + a) * w + (j - n + a) // stride + a
-                self.taps.append((lo_c, hi_c, off, runs, short))
-            self.order = np.concatenate(orders)
-        else:
-            # a tap's destination is the base key plus a constant offset
-            self.order, runs, short = _runs(rows * (stride * w) + cols * stride, stride)
-            self.step = stride
-            self.taps = [(0, len(keys), (2 * a - m) * w + 2 * a - n, runs, short)
-                         for m in range(k) for n in range(k)]
+def _gemms(table: np.ndarray, feats: np.ndarray, base: np.ndarray, taps_m, taps_n,
+           weights: np.ndarray) -> np.ndarray:
+    """Output rows of one phase. Output row i reads the feature row
+    table[base[i] + dm + dn] under tap (m, n), for (dm, m) in taps_m and
+    (dn, n) in taps_n. Per kernel row m, one float32 GEMM sums its taps over
+    n and the C input channels; the kernel rows are summed in float64, in
+    order, and rounded to float32 once. A phase without taps is zero."""
+    f, c = weights.shape[0], weights.shape[3]
+    if not taps_m or not taps_n:
+        return np.zeros((len(base), f), dtype=np.float32)
+    out = np.empty((len(base), f), dtype=np.float32)
+    dn = np.array([d for d, _ in taps_n])
+    ns = [n for _, n in taps_n]
+    rows = [(dm, np.ascontiguousarray(weights[:, m, ns].reshape(f, -1).T)) for dm, m in taps_m]
+    step = max(1, _CHUNK // (len(ns) * c))
+    for lo in range(0, len(base), step):
+        b = base[lo:lo + step, None] + dn
+        acc = None
+        for dm, w in rows:
+            prod = feats[table[b + dm]].reshape(len(b), -1) @ w
+            if acc is None:
+                acc = prod.astype(np.float64)
+            else:
+                acc += prod
+        out[lo:lo + len(b)] = acc
+    return out
 
-    def touched(self) -> np.ndarray:
-        """Sorted output-grid keys of the cells some tap reaches: the active
-        set of a standard sparse convolution's output."""
-        hit = np.zeros(self.size, dtype=bool)
-        s = self.step
-        for _, _, off, runs, short in self.taps:
-            for i0, i1, d in runs:
-                hit[d + off:d + off + (i1 - i0) * s:s] = True
-            hit[short + off] = True
-        a = self.a
-        return np.flatnonzero(hit.reshape(-1, self.width)[a:a + self.out_p, a:a + self.out_q])
 
-    def scatter(self, feats: np.ndarray, weights: np.ndarray,
-                at: np.ndarray) -> tuple[np.ndarray, int]:
-        """Run each tap's GEMM in float32, so that its products and their sum
-        over the C input channels are float32, and add the products into a
-        float64 buffer in tap order: the sums across taps are float64. Read
-        them back at the sorted output-grid keys `at`, rounded to float32.
-        Returns the (len(at), F) block and the multiply count, which includes
-        contributions that land in the padding."""
-        f, k, _, c = weights.shape
-        kernel = weights.transpose(1, 2, 3, 0)  # (k, k, C, F) view
-        buf = np.zeros((self.size, f), dtype=np.float64)
-        x = feats[self.order]  # every site once, each stride class one slice
-        shared = np.empty((len(x), f), dtype=np.float32)  # each tap's products, in turn
-        macs, s = 0, self.step
-        for (m, n), (lo, hi, off, runs, short) in zip(np.ndindex(k, k), self.taps):
-            prod = np.matmul(x[lo:hi], kernel[m, n], out=shared[:hi - lo])
-            macs += len(prod) * c * f
-            for i0, i1, d in runs:
-                buf[d + off:d + off + (i1 - i0) * s:s] += prod[i0:i1]
-            buf[short + off] += prod[len(prod) - len(short):]
-        a, w = self.a, self.width
-        if len(at) == self.out_p * self.out_q:
-            block = buf.reshape(-1, w, f)[a:a + self.out_p, a:a + self.out_q]
-            return block.astype(np.float32).reshape(-1, f), macs
-        rows, cols = np.divmod(at, self.out_q)
-        return buf[(rows + a) * w + cols + a].astype(np.float32), macs
-
+def _macs(keys: np.ndarray, q: int, k: int, stride: int, c: int, f: int) -> int:
+    """Multiplies of a convolution that reads the input sites by tap: tap
+    (m, n) takes the sites with r = m - a and c = n - a modulo the stride
+    (all of them at stride 1), contributions off the grid included."""
+    a = k // 2
+    rows, cols = np.divmod(keys, q)
+    per_class = np.bincount(rows % stride * stride + cols % stride,
+                            minlength=stride * stride).reshape(stride, stride)
+    taps = np.bincount((np.arange(k) - a) % stride, minlength=stride)
+    return int(taps @ per_class @ taps) * c * f
 
 
 _OUT = ("reach", "same", "all")
@@ -300,16 +246,24 @@ _OUT = ("reach", "same", "all")
 
 def conv(x: Sites, kernel: KernelTensor, stride: int = 1, transposed: bool = False,
          out: str = "reach") -> tuple[Sites, int]:
-    """Scatter convolution of the sites of x, same-centered zero padding.
+    """Gather convolution over the sites of x, same-centered zero padding.
 
-    The output grid is ceil(p / s) x ceil(q / s) at stride s, or (p * s,
-    q * s) when transposed: site (r, c) then scatters from (r * s, c * s),
-    as if upsampled by zero insertion. `out` picks the output sites:
-    "reach" the cells some tap reaches (sparse convolution; every other cell
-    is exactly zero), "same" the input sites (submanifold convolution, stride
-    1 only), "all" every cell (dense convolution). Returns the output sites
-    and the multiply count: l * k^2 * C * F for l input sites at stride 1,
-    contributions that land off the grid included.
+    The output grid is ceil(p / s) x ceil(q / s) at stride s, where output
+    cell (r, c) reads input cell (r * s + m - a, c * s + n - a) under tap
+    (m, n), a = k // 2. Transposed, it is (p * s, q * s), as if the input
+    were upsampled by zero insertion: it splits into s^2 phases by (r mod s,
+    c mod s), and each phase reads only the taps that land on input sites.
+    `out` picks the output sites: "reach" the cells some tap reaches (sparse
+    convolution; every other cell is exactly zero), "same" the input sites
+    (submanifold convolution, stride 1 only), "all" every cell (dense
+    convolution). Returns the output sites and the multiply count: l * k^2
+    * C * F for l input sites at stride 1 and when transposed; at stride s
+    each tap counts the sites of its stride class. Off-grid contributions
+    count in both.
+
+    Precision: each kernel row's products, summed over its k taps and the C
+    input channels, come from one float32 GEMM; the k kernel rows are summed
+    in float64, in order, and rounded to float32 once per output site.
     """
     _check_input(x.feats.shape[1], kernel)
     _check_stride(stride)
@@ -317,22 +271,47 @@ def conv(x: Sites, kernel: KernelTensor, stride: int = 1, transposed: bool = Fal
         raise ValueError(f"out must be one of {_OUT}, got {out!r}")
     if out == "same" and stride != 1:
         raise ValueError("submanifold convolution requires stride 1")
-    taps = _Taps(x.keys, x.p, x.q, kernel.k, stride, transposed)
+    p, q, k, s = x.p, x.q, kernel.k, stride
+    a = k // 2
+    out_p, out_q = _out_shape(p, q, s, transposed)
     if out == "all":
-        keys = np.arange(taps.out_p * taps.out_q)
+        keys = np.arange(out_p * out_q)
     elif out == "same":
         keys = x.keys
     else:
-        keys = taps.touched()
-    feats, macs = taps.scatter(x.feats, kernel.weights, keys)
-    return Sites(taps.out_p, taps.out_q, keys, feats), macs
+        keys = _reach(x.keys, p, q, k, s, transposed)
+    # index grid of the padded input; cells off the list read the zero row
+    l, c = x.feats.shape
+    w = q + 2 * a
+    table = np.full((p + 2 * a) * w, l, dtype=np.intp)
+    rows, cols = np.divmod(x.keys, q)
+    table[(rows + a) * w + cols + a] = np.arange(l)
+    feats = np.concatenate((x.feats, np.zeros((1, c), dtype=np.float32)))
+    macs = _macs(x.keys, q, k, 1 if transposed else s, c, kernel.out_channels)
+    rows, cols = np.divmod(keys, out_q)
+    if not transposed:
+        base = rows * (s * w) + cols * s
+        y = _gemms(table, feats, base, [(m * w, m) for m in range(k)],
+                   [(n, n) for n in range(k)], kernel.weights)
+        return Sites(out_p, out_q, keys, y), macs
+    y = np.empty((len(keys), kernel.out_channels), dtype=np.float32)
+    phase = rows % s * s + cols % s
+    order = np.argsort(phase, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(phase, minlength=s * s))))
+    for (i, j), lo, hi in zip(np.ndindex(s, s), bounds[:-1], bounds[1:]):
+        sel = order[lo:hi]
+        base = (rows[sel] // s + a) * w + cols[sel] // s + a
+        taps_m = [((i + m - a) // s * w, m) for m in range(k) if (i + m - a) % s == 0]
+        taps_n = [((j + n - a) // s, n) for n in range(k) if (j + n - a) % s == 0]
+        y[sel] = _gemms(table, feats, base, taps_m, taps_n, kernel.weights)
+    return Sites(out_p, out_q, keys, y), macs
 
 
 def reach(keys: np.ndarray, p: int, q: int, k: int, stride: int = 1,
           transposed: bool = False) -> np.ndarray:
-    """Sorted output keys a k x k scatter from the sorted site keys of a
-    (p, q) grid reaches: the output sites of conv(..., out="reach")."""
+    """Sorted output keys that a k x k convolution of the sorted site keys of
+    a (p, q) grid reaches: the output sites of conv(..., out="reach")."""
     if k < 1 or k % 2 == 0:
         raise ValueError(f"kernel side must be odd, got {k}")
     _check_stride(stride)
-    return _Taps(_check_keys(keys, p, q), p, q, k, stride, transposed).touched()
+    return _reach(_check_keys(keys, p, q), p, q, k, stride, transposed)

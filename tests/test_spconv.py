@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airsense.spconv import FeatureMap, KernelTensor, Sites, _LONG_RUN, conv, gather_conv, reach
+from airsense.spconv import FeatureMap, KernelTensor, Sites, conv, gather_conv, reach
 from oracles import reach_oracle
 
 
@@ -207,7 +207,7 @@ class TestSparseScatter:
         assert macs == len(sites.keys) * 9 * 3 * 2
 
     def test_sparse_consistency_exact(self, rng):
-        # sparse path on compacted sites == dense scatter on the masked map,
+        # sparse path on compacted sites == dense engine on the masked map,
         # value-exact in sequential mode
         fm, mask, kt = random_case(rng, 20, 17, 4, 5, 3, density=0.35)
         sites = Sites.from_dense(fm, mask)
@@ -344,22 +344,21 @@ class TestReachableMask:
 
 
 def runs_and_singles(r, p, q):
-    """Mask with row runs in rows 1.. long enough for the kernel's slice adds
-    even at stride 2, and an isolated site in row 0 plus sparse noise for its
-    indexed adds."""
+    """Mask with row runs of at least 32 sites in rows 1.., an isolated site in
+    row 0 and sparse noise: full tap windows next to nearly empty ones."""
     mask = r.random((p, q)) < r.uniform(0.0, 0.1)
     mask[0] = False
     mask[0, int(r.integers(0, q))] = True
     for _ in range(int(r.integers(1, 5))):
-        start = int(r.integers(0, q - 2 * _LONG_RUN + 1))
-        stop = int(r.integers(start + 2 * _LONG_RUN, q + 1))
+        start = int(r.integers(0, q - 32 + 1))
+        stop = int(r.integers(start + 32, q + 1))
         mask[int(r.integers(1, p)), start:stop] = True
     return mask
 
 
 class TestTapKernel:
-    """Runs of consecutive sites take the kernel's slice adds, the rest its
-    indexed adds; both must match the gather oracles at every stride."""
+    """Runs of consecutive sites and isolated sites must both match the
+    gather oracles at every stride."""
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 10_000), k=st.sampled_from([1, 3, 5]),
@@ -367,7 +366,7 @@ class TestTapKernel:
     def test_runs_and_singles_match_oracles(self, seed, k, mode):
         transposed, stride = mode
         r = np.random.default_rng(seed)
-        p, q = 2 * int(r.integers(3, 12)) + 1, 2 * int(r.integers(_LONG_RUN, 2 * _LONG_RUN)) + 1
+        p, q = 2 * int(r.integers(3, 12)) + 1, 2 * int(r.integers(16, 32)) + 1
         c, f = int(r.integers(1, 5)), int(r.integers(1, 5))
         mask = runs_and_singles(r, p, q)
         fm = FeatureMap(r.normal(size=(p, q, c)).astype(np.float32) * mask[:, :, None])
@@ -392,6 +391,73 @@ class TestTapKernel:
         assert np.array_equal(touched, reach_oracle(mask, k, stride, transposed))
         assert np.array_equal(out.keys, np.flatnonzero(touched))
         assert not got[~touched].any()
+
+
+def stride_class_macs(keys, q, k, stride, transposed, c, f):
+    """Multiply count by the definition: l * k^2 * C * F transposed or at
+    stride 1; at stride s, tap (m, n) multiplies the sites with r = m - a
+    and c = n - a modulo s."""
+    if transposed or stride == 1:
+        return len(keys) * k * k * c * f
+    a = k // 2
+    rows, cols = np.divmod(keys, q)
+    return sum(int((((rows - m + a) % stride == 0) & ((cols - n + a) % stride == 0)).sum())
+               for m in range(k) for n in range(k)) * c * f
+
+
+def check_against_oracles(fm, mask, kt, stride, transposed, out):
+    """conv on the masked sites of fm against gather_conv (zero insertion
+    when transposed): values, output set and multiply count."""
+    p, q, c = fm.values.shape
+    k, f = kt.k, kt.out_channels
+    sites = Sites.from_dense(fm, mask)
+    got, macs = conv(sites, kt, stride, transposed, out)
+    if transposed:
+        upsampled = np.zeros((p * stride, q * stride, c), dtype=np.float32)
+        upsampled[::stride, ::stride] = fm.values
+        ref = gather_conv(FeatureMap(upsampled), kt).values
+    else:
+        ref = gather_conv(fm, kt, stride).values
+    assert (got.p, got.q) == ref.shape[:2]
+    if out == "same":
+        assert np.array_equal(got.keys, sites.keys)
+        np.testing.assert_allclose(got.feats, ref[mask], atol=1e-5)
+    else:
+        np.testing.assert_allclose(got.to_dense().values, ref, atol=1e-5)
+    if out == "reach":
+        want = reach_oracle(mask, k, stride, transposed)
+        assert np.array_equal(got.keys, np.flatnonzero(want))
+    assert macs == stride_class_macs(sites.keys, q, k, stride, transposed, c, f)
+    return got
+
+
+class TestStridesAndPhases:
+    """Grid sizes and options the API accepts beyond the backbone's: standard
+    strides 3 and 4, transposed strides whose phases include some with no
+    tap, odd and even sides and every output mode, at unit-scale weights."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 10_000), p=st.integers(1, 14), q=st.integers(1, 14),
+           mode=st.sampled_from([(False, 3, 1), (False, 3, 3), (False, 3, 5), (False, 4, 1),
+                                 (False, 4, 3), (False, 4, 5), (True, 2, 1), (True, 4, 1)]),
+           out=st.sampled_from(["reach", "same", "all"]), density=st.floats(0.0, 1.0))
+    def test_matches_oracles(self, seed, p, q, mode, out, density):
+        transposed, stride, k = mode
+        if out == "same":
+            stride = 1   # submanifold convolution is stride 1 only
+        r = np.random.default_rng(seed)
+        c, f = int(r.integers(1, 6)), int(r.integers(1, 6))
+        fm, mask, kt = random_case(r, p, q, c, f, k, density)
+        check_against_oracles(fm, mask, kt, stride, transposed, out)
+
+    @pytest.mark.parametrize("out", ["reach", "same", "all"])
+    def test_output_set_larger_than_one_chunk(self, rng, out):
+        # k = 3, C = 8: a gathered block of 2^20 float32 values holds 43690
+        # output rows, fewer than this grid's output set
+        p, q, k, c = 221, 210, 3, 8
+        fm, mask, kt = random_case(rng, p, q, c, 3, k, density=0.98)
+        got = check_against_oracles(fm, mask, kt, 1, False, out)
+        assert len(got.keys) > (1 << 20) // (k * c)
 
 
 class TestRelativeSpeed:
