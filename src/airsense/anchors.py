@@ -27,7 +27,6 @@ __all__ = [
     "AnchorGrid",
     "build_anchor_layers",
     "build_anchor_grid",
-    "z_residual",
     "focal_cls_term",
     "encode_box",
     "decode_box",
@@ -65,25 +64,17 @@ class AnchorLayer:
     class_id: int
     class_name: str
     z_center: float
-    size: tuple[float, float, float] = ANCHOR_SIZE
 
 
-def build_anchor_layers(sensor_elevation: float = 0.0,
-                        layers_below: int = LAYERS_BELOW,
-                        layers_above: int = LAYERS_BELOW,
-                        layer_height: float = LAYER_HEIGHT,
-                        size: tuple[float, float, float] = ANCHOR_SIZE) -> list[AnchorLayer]:
-    """One anchor layer per altitude band, centered mid-band.
+def build_anchor_layers(sensor_elevation: float = 0.0) -> list[AnchorLayer]:
+    """NUM_LAYERS anchor layers, one per LAYER_HEIGHT altitude band.
 
-    Layer i spans [i - layers_below, i - layers_below + 1) meters relative to
-    the sensor elevation, so its center sits at (i - layers_below + 0.5).
+    Layer i spans [i - LAYERS_BELOW, i - LAYERS_BELOW + 1) bands relative to
+    the sensor elevation, so its center sits at (i - LAYERS_BELOW + 0.5).
     """
-    count = layers_below + layers_above + 1
-    layers = []
-    for i in range(count):
-        zc = sensor_elevation + (i - layers_below) * layer_height + 0.5 * layer_height
-        layers.append(AnchorLayer(i, f"drone_{i}", zc, size))
-    return layers
+    return [AnchorLayer(i, f"drone_{i}",
+                        sensor_elevation + (i - LAYERS_BELOW) * LAYER_HEIGHT + 0.5 * LAYER_HEIGHT)
+            for i in range(NUM_LAYERS)]
 
 
 @dataclass
@@ -97,14 +88,9 @@ class AnchorGrid:
     def num_layers(self) -> int:
         return len(self.layers)
 
-    @property
-    def num_anchors(self) -> int:
-        return self.grid.ny * self.grid.nx * self.num_layers
-
     def anchor_box(self, iy: int, ix: int, layer: int) -> Box3D:
         cx, cy = self.grid.cell_center(ix, iy)
-        lay = self.layers[layer]
-        return Box3D(cx, cy, lay.z_center, *lay.size, yaw=0.0)
+        return Box3D(cx, cy, self.layers[layer].z_center, *ANCHOR_SIZE, yaw=0.0)
 
     def class_of_layer(self, layer: int) -> int:
         return self.layers[layer].class_id
@@ -112,14 +98,6 @@ class AnchorGrid:
 
 def build_anchor_grid(grid: PillarGridSpec, sensor_elevation: float = 0.0) -> AnchorGrid:
     return AnchorGrid(grid, build_anchor_layers(sensor_elevation))
-
-
-def z_residual(gt_z: float, anchor: AnchorLayer) -> float:
-    """Vertical regression target: center gap normalized by anchor height."""
-    h = anchor.size[2]
-    if h <= 0:
-        raise ValueError("anchor height must be positive")
-    return (gt_z - anchor.z_center) / h
 
 
 def focal_cls_term(p: float, alpha: float = 0.25, gamma: float = 2.0,
@@ -197,8 +175,8 @@ def _window(offset: float, radius: float, cell: float, n: int) -> np.ndarray:
     return np.arange(max(lo, 0), min(hi + 1, n))
 
 
-def _z_overlap(z: np.ndarray, h: np.ndarray, gt: Box3D) -> np.ndarray:
-    """Mask of the anchor layers centered at z with heights h that overlap a
+def _z_overlap(z: np.ndarray, h: float, gt: Box3D) -> np.ndarray:
+    """Mask of the anchor layers centered at z with height h that overlap a
     box vertically, tested as iou3d tests it, so a layer outside the mask
     has IoU exactly 0.0 with the box."""
     return (np.minimum(z + h / 2.0, gt.z + gt.h / 2.0)
@@ -234,7 +212,6 @@ def assign_targets(gts: list[Box3D], grid: AnchorGrid,
     labels = np.full((ny, nx, nl), IGNORED if 0.0 >= thr.neg_iou else NEGATIVE,
                      dtype=np.int16)
     layer_z = np.array([layer.z_center for layer in grid.layers])
-    layer_size = np.array([layer.size for layer in grid.layers], dtype=np.float64)
     class_ids = np.array([grid.class_of_layer(il) for il in range(nl)], dtype=np.int16)
 
     forced = []
@@ -245,9 +222,10 @@ def assign_targets(gts: list[Box3D], grid: AnchorGrid,
                              indexing="ij")
         cx, cy = spec.cell_center(ix.ravel(), iy.ravel())
         cells = np.flatnonzero(np.hypot(gt.x - cx, gt.y - cy) <= reach + cell)
-        layers = np.flatnonzero(_z_overlap(layer_z, layer_size[:, 2], gt))
+        layers = np.flatnonzero(_z_overlap(layer_z, ANCHOR_SIZE[2], gt))
         cells, il = np.repeat(cells, len(layers)), np.tile(layers, len(cells))
-        anchors = np.column_stack([cx[cells], cy[cells], layer_z[il], layer_size[il],
+        anchors = np.column_stack([cx[cells], cy[cells], layer_z[il],
+                                   np.broadcast_to(ANCHOR_SIZE, (len(il), 3)),
                                    np.zeros(len(il))])
         v = iou3d(anchors, [gt])[:, 0]
         iy, ix = iy.ravel()[cells], ix.ravel()[cells]

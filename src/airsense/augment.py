@@ -47,8 +47,8 @@ class LabeledFrame:
         if len(self.labels) != len(self.boxes):
             raise ValueError("one label per box required")
 
-    def admitted(self, min_points: int = MIN_CLUSTER_HITS) -> bool:
-        return all(points_in_box(self.frame.points, b).sum() >= min_points
+    def admitted(self) -> bool:
+        return all(points_in_box(self.frame.points, b).sum() >= MIN_CLUSTER_HITS
                    for b in self.boxes)
 
 
@@ -69,8 +69,7 @@ def split_frame(lf: LabeledFrame) -> tuple[ScanFrame, ScanFrame]:
     return subset(inside), subset(~inside)
 
 
-def _enclosing_box(points: np.ndarray, center: np.ndarray, yaw: float,
-                   min_size=DEFAULT_DRONE_BOX) -> Box3D:
+def _enclosing_box(points: np.ndarray, center: np.ndarray, yaw: float) -> Box3D:
     """Label box at the insertion center, grown just enough to enclose the
     cluster when it spills past the default footprint."""
     d = points - center
@@ -79,6 +78,7 @@ def _enclosing_box(points: np.ndarray, center: np.ndarray, yaw: float,
     ly = np.abs(s * d[:, 0] + c * d[:, 1])
     lz = np.abs(d[:, 2])
     pad = 1e-6
+    min_size = DEFAULT_DRONE_BOX
     size = (max(min_size[0], 2 * lx.max() + pad) if len(points) else min_size[0],
             max(min_size[1], 2 * ly.max() + pad) if len(points) else min_size[1],
             max(min_size[2], 2 * lz.max() + pad) if len(points) else min_size[2])
@@ -86,9 +86,8 @@ def _enclosing_box(points: np.ndarray, center: np.ndarray, yaw: float,
 
 
 def synth_insert(background: ScanFrame, cluster: ScanFrame, location, yaw: float,
-                 min_points: int = MIN_CLUSTER_HITS,
-                 label: str = "drone") -> tuple[LabeledFrame, bool]:
-    """Merge a simulated cluster into a background frame.
+                 min_points: int = MIN_CLUSTER_HITS) -> tuple[LabeledFrame, bool]:
+    """Merge a simulated cluster into a background frame, labeled "drone".
 
     The cluster must already have been simulated at the target location and
     orientation; it is never moved here. Background returns inside the new
@@ -111,7 +110,7 @@ def synth_insert(background: ScanFrame, cluster: ScanFrame, location, yaw: float
     t_us = np.concatenate([background.t_us[keep], cluster_t])
     merged = ScanFrame(points, intensity, t_us,
                        background.t_start_us, background.window_us).sorted_by_time()
-    return LabeledFrame(merged, [box], [label]), collision
+    return LabeledFrame(merged, [box]), collision
 
 
 def euclidean_augment(cluster_points: np.ndarray, source_center,
@@ -144,6 +143,10 @@ class AugPlan:
     def __post_init__(self):
         if self.background_pool < 1 or self.instances < 1:
             raise ValueError("plan counts must be positive")
+        for name in ("min_points", "max_attempts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass

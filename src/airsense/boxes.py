@@ -61,6 +61,9 @@ class Box3D:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Box3D":
+        missing = [k for k in ("x", "y", "z", "l", "w", "h") if k not in d]
+        if missing:
+            raise ValueError(f"box is missing {', '.join(missing)}")
         return cls(d["x"], d["y"], d["z"], d["l"], d["w"], d["h"], d.get("yaw", 0.0))
 
 

@@ -181,17 +181,27 @@ def cmd_bench_conv(args) -> int:
     return 0
 
 
-def _boxes_by_frame(rows):
+def _boxes_by_frame(path):
+    """Boxes of a JSONL file of {"frame": int, "box": {...}} rows, by frame."""
     by_frame: dict[int, list[Box3D]] = {}
-    for row in rows:
-        by_frame.setdefault(int(row["frame"]), []).append(Box3D.from_dict(row["box"]))
+    for i, row in enumerate(read_jsonl(path), 1):
+        frame = row.get("frame") if isinstance(row, dict) else None
+        if (isinstance(frame, bool) or not isinstance(frame, int)
+                or not isinstance(row.get("box"), dict)):
+            raise ValueError(f"{path}: row {i}: expected an object with an integer "
+                             f"frame and a box object, got {row!r}")
+        try:
+            box = Box3D.from_dict(row["box"])
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {i}: {exc}") from exc
+        by_frame.setdefault(frame, []).append(box)
     return by_frame
 
 
 def cmd_detect_eval(args) -> int:
     cfg = _load_cfg(args)
-    dets = _boxes_by_frame(read_jsonl(args.detections))
-    gts = _boxes_by_frame(read_jsonl(args.truth))
+    dets = _boxes_by_frame(args.detections)
+    gts = _boxes_by_frame(args.truth)
     frames = sorted(set(dets) | set(gts))
     counts = [classify(dets.get(k, []), gts.get(k, []),
                        args.iou if args.iou is not None else cfg.eval.iou_threshold,
@@ -216,7 +226,7 @@ def cmd_track(args) -> int:
     window = args.window if args.window is not None else cfg.window_ms
     separation = args.separation if args.separation is not None else cfg.tracker.separation_m
     frames = list(window_frames(read_points(args.frames), window))
-    dets = _boxes_by_frame(read_jsonl(args.detections))
+    dets = _boxes_by_frame(args.detections)
     det_lists = [dets.get(k, []) for k in range(len(frames))]
     tc = dataclasses.replace(cfg.tracker, separation_m=separation)
     track_log, alert_log, summary = replay(frames, det_lists, tc)

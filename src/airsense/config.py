@@ -42,8 +42,8 @@ class Config:
     sensor_elevation: float = 0.0
 
 
-_TUPLE_FIELDS = {"x_range", "y_range", "z_range", "translation", "block_convs",
-                 "block_channels", "block_strides", "up_strides", "size"}
+_TUPLE_FIELDS = {"x_range", "y_range", "z_range", "block_convs", "block_channels",
+                 "block_strides", "up_strides"}
 
 
 def _check_number(value, where: str):

@@ -28,7 +28,6 @@ __all__ = [
     "gen_pattern",
     "transform_rays",
     "rays_to_sensor_frame",
-    "lambertian",
     "simulate_frame",
     "directivity_analysis",
     "THRESHOLD_SPARSE",
@@ -141,14 +140,6 @@ def rays_to_sensor_frame(points: np.ndarray, pose: Pose2D) -> np.ndarray:
         + np.asarray(pose.translation, dtype=np.float64)
 
 
-def lambertian(i0: float, alpha: float) -> float:
-    """Return intensity of a diffuse surface: incident intensity scaled by the
-    cosine of the angle between the ray and the surface normal."""
-    if not 0.0 <= alpha <= math.pi / 2.0 + 1e-12:
-        raise ValueError(f"incidence angle out of [0, pi/2]: {alpha}")
-    return i0 * math.cos(alpha)
-
-
 @dataclass
 class FrameSim:
     """One simulated window: the resulting frame plus acceptance bookkeeping.
@@ -161,15 +152,16 @@ class FrameSim:
 
 
 def simulate_frame(pattern: ScanPattern, target: TriangleMesh | Bvh, pose: Pose2D,
-                   window_ms: float = 100.0, start_ms: float = 0.0, i0: float = 1.0,
+                   window_ms: float = 100.0, start_ms: float = 0.0,
                    min_hits: int = MIN_CLUSTER_HITS) -> FrameSim:
     """Scan a posed target for one window.
 
     Pipeline: generate the pattern, transform rays into the mesh rest frame,
-    intersect the rays that can reach the target, apply the Lambertian model,
-    and map hit points back into the sensor frame. The frame is accepted only
-    when at least min_hits returns came back; rays_cast counts every ray of
-    the pattern.
+    intersect the rays that can reach the target, take the Lambertian cosine
+    of each hit (unit incident intensity) as its return's intensity, and map
+    hit points back into the sensor frame. The frame is accepted only when
+    at least min_hits returns came back; rays_cast counts every ray of the
+    pattern.
     """
     bvh = target if isinstance(target, Bvh) else Bvh(target)
     rays = gen_pattern(pattern, window_ms, start_ms)
@@ -183,9 +175,8 @@ def simulate_frame(pattern: ScanPattern, target: TriangleMesh | Bvh, pose: Pose2
                                    local.t_us[keep]))
     sel = hits.hit
     points = rays_to_sensor_frame(hits.points[sel], pose)
-    intensity = i0 * hits.cos_incidence[sel]
     t_start = int(round(start_ms * 1000))
-    frame = ScanFrame(points, intensity, local.t_us[keep][sel],
+    frame = ScanFrame(points, hits.cos_incidence[sel], local.t_us[keep][sel],
                       t_start, int(round(window_ms * 1000)))
     count = int(sel.sum())
     return FrameSim(frame, count, count >= min_hits, len(rays))
@@ -255,9 +246,6 @@ class DirectivityGrid:
 
     def included(self) -> np.ndarray:
         return self.counts >= self.threshold
-
-    def included_centers(self) -> np.ndarray:
-        return self.centers[self.included()]
 
     def to_csv(self, path):
         """Voxel centers and counts, sub-threshold voxels excluded."""

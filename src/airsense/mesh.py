@@ -12,7 +12,6 @@ __all__ = [
     "TriangleMesh",
     "MeshError",
     "load_off",
-    "save_off",
     "load_stl",
     "load_mesh",
     "box_mesh",
@@ -72,10 +71,6 @@ class TriangleMesh:
         lo, hi = self.aabb()
         return (lo + hi) / 2.0
 
-    def transformed(self, rotation: np.ndarray, translation) -> "TriangleMesh":
-        t = np.asarray(translation, dtype=np.float64).reshape(3)
-        return TriangleMesh(self.vertices @ np.asarray(rotation).T + t, self.faces.copy())
-
 
 # ---------------------------------------------------------------------------
 # file formats
@@ -101,16 +96,6 @@ def load_off(path) -> TriangleMesh:
     except (IndexError, ValueError) as exc:
         raise MeshError(f"{path}: malformed OFF file: {exc}") from exc
     return TriangleMesh(verts, np.array(faces, dtype=np.int64))
-
-
-def save_off(path, mesh: TriangleMesh):
-    with open(path, "w") as fh:
-        fh.write("OFF\n")
-        fh.write(f"{len(mesh.vertices)} {mesh.num_triangles} 0\n")
-        for v in mesh.vertices:
-            fh.write(f"{v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
 
 
 def load_stl(path) -> TriangleMesh:
@@ -144,10 +129,9 @@ def load_mesh(path) -> TriangleMesh:
 # ---------------------------------------------------------------------------
 # procedural builders
 
-def box_mesh(size=(1.0, 1.0, 1.0), center=(0.0, 0.0, 0.0)) -> TriangleMesh:
+def box_mesh(size=(1.0, 1.0, 1.0)) -> TriangleMesh:
     sx, sy, sz = (s / 2.0 for s in size)
-    c = np.asarray(center, dtype=np.float64)
-    verts = np.array([[x, y, z] for x in (-sx, sx) for y in (-sy, sy) for z in (-sz, sz)]) + c
+    verts = np.array([[x, y, z] for x in (-sx, sx) for y in (-sy, sy) for z in (-sz, sz)])
     faces = np.array([
         [0, 1, 3], [0, 3, 2],  # -x
         [4, 6, 7], [4, 7, 5],  # +x
@@ -195,14 +179,13 @@ def icosphere(radius: float = 0.5, subdivisions: int = 1,
     return TriangleMesh(v, np.array(faces, dtype=np.int64))
 
 
-def quadcopter_mesh(body=(0.5, 0.5, 0.25), arm_span: float = 1.1,
-                    arm_width: float = 0.12) -> TriangleMesh:
+def quadcopter_mesh() -> TriangleMesh:
     """Crude quadcopter stand-in: a body box plus two crossed arm boxes.
     Fits inside the 1.6 x 1.6 x 1.0 m anchor footprint."""
     parts = [
-        box_mesh(body),
-        box_mesh((arm_span, arm_width, arm_width)),
-        box_mesh((arm_width, arm_span, arm_width)),
+        box_mesh((0.5, 0.5, 0.25)),
+        box_mesh((1.1, 0.12, 0.12)),
+        box_mesh((0.12, 1.1, 0.12)),
     ]
     verts = []
     faces = []

@@ -32,7 +32,6 @@ __all__ = [
     "write_las",
     "read_points",
     "window_frames",
-    "write_tensor",
     "read_tensor",
     "write_jsonl",
     "read_jsonl",
@@ -130,7 +129,8 @@ def write_columnar(path, frames: Iterable[ScanFrame]):
 
 
 def read_columnar(path) -> Iterator[ScanFrame]:
-    """Stream blocks of at most _BLOCK returns, one per non-blank line."""
+    """Stream blocks of at most _BLOCK returns, one per non-blank line.
+    Raises TruncatedFile naming the line of a malformed or non-finite row."""
     with open(path) as fh:
         lines = enumerate(fh, 1)
         while True:
@@ -143,6 +143,8 @@ def read_columnar(path) -> Iterator[ScanFrame]:
                     raise TruncatedFile(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
                 try:
                     rows.append([float(p) for p in parts[:4]])
+                    if not all(map(math.isfinite, rows[-1])):
+                        raise ValueError(f"x, y, z, intensity {rows[-1]} must be finite")
                     times.append(int(parts[4]))
                     if not -2**63 <= times[-1] < 2**63:
                         raise ValueError(f"time {times[-1]} us beyond int64")
@@ -327,18 +329,9 @@ def frame_records(frame: ScanFrame) -> Iterator[ScanFrame]:
 # ---------------------------------------------------------------------------
 # columnar tensor format (benchmark fixtures)
 
-def write_tensor(path, array: np.ndarray):
-    """Text tensor: a `tensor <d0> <d1> ...` header line, then row-major
-    values, one line per innermost row."""
-    arr = np.asarray(array, dtype=np.float64)
-    with open(path, "w") as fh:
-        fh.write("tensor " + " ".join(str(d) for d in arr.shape) + "\n")
-        flat = arr.reshape(-1, arr.shape[-1]) if arr.ndim > 1 else arr.reshape(1, -1)
-        for row in flat:
-            fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
-
-
 def read_tensor(path) -> np.ndarray:
+    """Text tensor: a `tensor <d0> <d1> ...` header line, then the row-major
+    values, split across lines in any way."""
     with open(path) as fh:
         header = fh.readline().split()
         if not header or header[0] != "tensor":

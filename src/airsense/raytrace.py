@@ -67,10 +67,6 @@ class HitBatch:
     triangle: np.ndarray      # (n,) int64, -1 where no hit
     cos_incidence: np.ndarray # (n,) float64
 
-    @property
-    def count(self) -> int:
-        return int(self.hit.sum())
-
 
 def moller_trumbore(origins, directions, v0, v1, v2):
     """Vectorized ray-triangle test with broadcasting over rays x triangles.

@@ -230,9 +230,8 @@ class Tracker:
             track.det_centers = track.det_centers[-2:]
             track.det_times_us = track.det_times_us[-2:]
 
-    def alerts(self, t_us: int | None = None) -> list[SeparationAlert]:
-        return separation_monitor(self.tracks, self.config.separation_m,
-                                  self._last_frame_us if t_us is None else t_us)
+    def alerts(self) -> list[SeparationAlert]:
+        return separation_monitor(self.tracks, self.config.separation_m, self._last_frame_us)
 
 
 def replay(frames: list[ScanFrame], detections_per_frame: list[list[Box3D]],

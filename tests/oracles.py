@@ -1,4 +1,4 @@
-"""Oracles that more than one test module checks against."""
+"""Oracles and fixture writers that more than one test module uses."""
 
 import math
 import struct
@@ -6,10 +6,11 @@ import struct
 import numpy as np
 
 from airsense.boxes import Box3D
+from airsense.mesh import box_mesh
 from airsense.pointio import (LAS_HEADER_SIZE, LAS_PRF3_RECORD_SIZE, BadMagic,
                               NonMonotonicTimestamps, ScanFrame, TruncatedFile,
                               UnsupportedFormat)
-from airsense.raytrace import HitBatch
+from airsense.raytrace import Bvh, HitBatch, RayBundle
 from airsense.spconv import FeatureMap, KernelTensor, gather_conv
 
 
@@ -115,6 +116,36 @@ def window_records(records, window_ms=100.0):
         buf_t.append(t)
     if buf_p:
         yield flush()
+
+
+def write_tensor(path, array):
+    """The text tensor read_tensor reads: a `tensor <d0> <d1> ...` header
+    line, then row-major values, one line per innermost row."""
+    arr = np.asarray(array, dtype=np.float64)
+    with open(path, "w") as fh:
+        fh.write("tensor " + " ".join(str(d) for d in arr.shape) + "\n")
+        flat = arr.reshape(-1, arr.shape[-1]) if arr.ndim > 1 else arr.reshape(1, -1)
+        for row in flat:
+            fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
+
+
+_SLAB = Bvh(box_mesh((1.0, 4.0, 4.0)))
+
+
+def face_cosines(*angles, inside=False):
+    """Bvh.intersect's cos_incidence for rays that meet the -x face of an
+    axis-aligned box_mesh at (-0.5, 0, 0.5), each at its angle (radians)
+    from the face normal, in the plane z = 0.5. The rays come from outside
+    the box, or with inside=True from within it. The face's normal is
+    exactly (-1, 0, 0), so |d . n| is the ray's x component, math.cos of
+    its angle, bit for bit."""
+    d = np.array([[math.cos(a), math.sin(a), 0.0] for a in angles])
+    if inside:
+        d[:, 0] = -d[:, 0]
+    origins = np.array([-0.5, 0.0, 0.5]) - 0.5 * d
+    hits = _SLAB.intersect(RayBundle(origins, d, np.zeros(len(d))))
+    assert hits.hit.all() and set(hits.triangle.tolist()) <= {0, 1}   # the -x face
+    return hits.cos_incidence
 
 
 def cross_product_mt(origins, directions, v0, v1, v2):

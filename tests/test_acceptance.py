@@ -9,13 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from airsense.anchors import AnchorLayer, focal_cls_term, z_residual
+from airsense.anchors import encode_box, focal_cls_term
 from airsense.augment import AugPlan, build_datasets, synth_insert
 from airsense.backbone import ENGINES, BackboneSpec, make_backbone_weights, run_backbone
 from airsense.boxes import Box3D, points_in_box
 from airsense.lidar_sim import (Pose2D, ScanPattern, VoxelRegion,
-                                directivity_analysis, gen_pattern, lambertian,
-                                rays_to_sensor_frame, simulate_frame, transform_rays)
+                                directivity_analysis, gen_pattern, rays_to_sensor_frame,
+                                simulate_frame, transform_rays)
 from airsense.mesh import TriangleMesh, icosphere, quadcopter_mesh
 from airsense.metrics import aggregate, classify, iou3d
 from airsense.pillars import PseudoImage
@@ -24,6 +24,7 @@ from airsense.pointio import (ScanFrame, read_columnar, read_las, window_frames,
 from airsense.raytrace import Bvh, RayBundle
 from airsense.spconv import FeatureMap, KernelTensor, Sites, conv, gather_conv
 from airsense.tracker import replay
+from oracles import face_cosines
 
 
 def _verdict(num, desc):
@@ -214,12 +215,22 @@ def test_criterion_06_ray_budget_and_fov():
 
 @criterion(7, "Lambertian intensity values")
 def test_criterion_07_lambertian_values():
-    # pi/3 and pi/2 are not representable, so equality is checked to within
-    # one unit in the last place of the cosine at those arguments
-    assert lambertian(2.0, 0.0) == 2.0
-    assert abs(lambertian(2.0, math.pi / 3) - 1.0) <= 1e-15
-    assert abs(lambertian(2.0, math.pi / 2) - 0.0) <= 1e-15
-    _verdict(7, "I(0)=I0 exact, I(60deg)=I0/2 and I(90deg)=0 to 1e-15")
+    # pi/3 is not representable, so equality is checked to within one unit
+    # in the last place of the cosine there
+    near = math.radians(89.9)
+    normal, sixty, grazing = face_cosines(0.0, math.pi / 3, near)
+    assert normal == 1.0
+    assert abs(sixty - 0.5) <= 1e-15
+    assert grazing == math.cos(near)
+    # a simulated return's intensity is its hit's cosine, for a unit I0
+    pattern, mesh = ScanPattern(points_per_second=24_000, seed=77), quadcopter_mesh()
+    pose = Pose2D(0.3, tuple(np.array([10.0, 0.5, 0.0]) - mesh.center()))
+    sim = simulate_frame(pattern, mesh, pose, 100.0)
+    hits = Bvh(mesh).intersect(transform_rays(gen_pattern(pattern, 100.0), pose))
+    assert len(sim.frame) > 0
+    assert sim.frame.intensity.tobytes() == hits.cos_incidence[hits.hit].tobytes()
+    _verdict(7, f"I(0)=I0 exact, I(60deg)=I0/2 to 1e-15, I(89.9deg)=I0 cos 89.9deg "
+                f"exact; {len(sim.frame)} simulated intensities equal their cosines")
 
 
 @criterion(8, "directivity monotonicity and preset nesting")
@@ -231,10 +242,10 @@ def test_criterion_08_directivity_monotonicity_and_preset_nesting():
     g100 = directivity_analysis(pattern, mesh, 100.0, 4, region)
     g200 = directivity_analysis(pattern, mesh, 200.0, 4, region)
     assert (g200.counts >= g100.counts).all()
-    set4 = {tuple(c) for c in g100.included_centers()}
+    set4 = {tuple(c) for c in g100.centers[g100.included()]}
     g14 = directivity_analysis(pattern, mesh, 100.0, 14, region)
     assert np.array_equal(g14.counts, g100.counts)  # same seed, same scan
-    set14 = {tuple(c) for c in g14.included_centers()}
+    set14 = {tuple(c) for c in g14.centers[g14.included()]}
     assert set14 <= set4
     _verdict(8, f"5x5x5 grid: 200 ms >= 100 ms voxelwise; preset sets nested "
                 f"(|T14|={len(set14)} <= |T4|={len(set4)})")
@@ -377,8 +388,8 @@ def test_criterion_11_tracker_replay():
 
 @criterion(12, "z residual and focal term unit checks")
 def test_criterion_12_residual_and_focal_unit_checks():
-    layer = AnchorLayer(0, "drone_0", 4.5, (1.6, 1.6, 1.0))
-    assert z_residual(5.0, layer) == 0.5
+    anchor = Box3D(0.0, 0.0, 4.5, 1.6, 1.6, 1.0)
+    assert encode_box(Box3D(0.0, 0.0, 5.0, 1.6, 1.6, 1.0), anchor)[2] == 0.5
     assert focal_cls_term(1.0) == 0.0
     assert focal_cls_term(0.0) == -0.25
     assert focal_cls_term(0.5) == -0.0625

@@ -11,7 +11,6 @@ from airsense.anchors import (
     IGNORED,
     NEGATIVE,
     NUM_LAYERS,
-    AnchorLayer,
     MatchThresholds,
     assign_targets,
     build_anchor_grid,
@@ -20,7 +19,6 @@ from airsense.anchors import (
     encode_box,
     focal_cls_term,
     nms,
-    z_residual,
 )
 from airsense.boxes import Box3D
 from airsense.pillars import PillarGridSpec
@@ -38,8 +36,10 @@ class TestLayers:
         assert layers[20].class_name == "drone_20"
 
     def test_anchor_size(self):
-        for layer in build_anchor_layers():
-            assert layer.size == (1.6, 1.6, 1.0)
+        grid = build_anchor_grid(SMALL_GRID)
+        for il in range(grid.num_layers):
+            box = grid.anchor_box(0, 0, il)
+            assert (box.l, box.w, box.h) == ANCHOR_SIZE == (1.6, 1.6, 1.0)
 
     def test_middle_layer_center(self):
         # layer 10 spans [0, 1) m relative to the sensor, so its center is 0.5
@@ -59,24 +59,28 @@ class TestLayers:
         assert len(zs) == len(ids) == NUM_LAYERS
 
 
+def z_residual(z: float, anchor_z: float, h: float = 1.0) -> float:
+    """encode_box's vertical residual of a box at z against an anchor of
+    height h at anchor_z."""
+    return encode_box(Box3D(0.0, 0.0, z, 1.6, 1.6, 1.0),
+                      Box3D(0.0, 0.0, anchor_z, 1.6, 1.6, h))[2]
+
+
 class TestZResidual:
     def test_zero_at_anchor_center(self):
-        layer = AnchorLayer(0, "drone_0", 4.5)
-        assert z_residual(4.5, layer) == 0.0
+        assert z_residual(4.5, 4.5) == 0.0
 
     def test_direct_substitution(self):
-        layer = AnchorLayer(0, "drone_0", 4.5, (1.6, 1.6, 1.0))
-        assert z_residual(5.0, layer) == pytest.approx(0.5)
+        assert z_residual(5.0, 4.5) == pytest.approx(0.5)
 
     def test_negative_offset(self):
-        layer = AnchorLayer(0, "drone_0", 5.0, (1.6, 1.6, 1.0))
-        assert z_residual(3.0, layer) == pytest.approx(-2.0)
+        assert z_residual(3.0, 5.0) == pytest.approx(-2.0)
 
     @settings(max_examples=50)
     @given(z=st.floats(-20, 20), h=st.floats(0.5, 4.0))
     def test_scale_consistency(self, z, h):
-        one = z_residual(z, AnchorLayer(0, "d", 1.0, (1.6, 1.6, h)))
-        two = z_residual(z, AnchorLayer(0, "d", 1.0, (1.6, 1.6, 2 * h)))
+        one = z_residual(z, 1.0, h)
+        two = z_residual(z, 1.0, 2 * h)
         assert two == pytest.approx(one / 2.0, rel=1e-9, abs=1e-12)
 
 
@@ -159,7 +163,8 @@ class TestAssignTargets:
         gt = grid.anchor_box(2, 2, 10)
         ta = assign_targets([gt], grid)
         counts = ta.counts()
-        assert sum(counts.values()) == grid.num_anchors
+        assert (sum(counts.values()) == ta.labels.size
+                == SMALL_GRID.ny * SMALL_GRID.nx * NUM_LAYERS)
 
     @settings(max_examples=16, deadline=None)
     @given(seed=st.integers(0, 10_000), cell=st.sampled_from([1.0, 0.4, 0.16]))

@@ -227,3 +227,10 @@ class TestBuildDatasets:
         plan = AugPlan(background_pool=2, instances=1)
         with pytest.raises(ValueError):
             build_datasets(plan, real, quadcopter_mesh(), FAST)
+
+    @pytest.mark.parametrize("field", ["min_points", "max_attempts"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True, np.int64(0)])
+    def test_plan_counts_must_be_integers_of_at_least_one(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
+            AugPlan(**{field: value})
+        assert getattr(AugPlan(**{field: np.int64(3)}), field) == 3

@@ -9,6 +9,7 @@ import pytest
 from airsense.cli import main
 from airsense.config import ConfigError, default_config, load_config
 from airsense.pointio import read_jsonl, read_points, window_frames, write_jsonl
+from oracles import write_tensor
 
 
 def run(args):
@@ -102,6 +103,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("field, value", [("min_points", 0), ("max_attempts", 0),
+                                              ("max_attempts", -1), ("min_points", 2.5)])
+    def test_augment_counts_below_one_rejected(self, tmp_path, field, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"augment": {field: value}}))
+        with pytest.raises(ConfigError, match=rf"^augment: {field} must be an integer >= 1"):
+            load_config(path)
+
 
 class TestSimulateCommand:
     def test_writes_frames_and_is_deterministic(self, tmp_path, capsys):
@@ -165,7 +174,6 @@ class TestBenchConvCommand:
         assert abs(ratio - 0.0202) < 1e-4
 
     def test_reads_tensor_fixtures(self, tmp_path, capsys):
-        from airsense.pointio import write_tensor
         rng = np.random.default_rng(0)
         values = np.zeros((12, 12, 3))
         values[2, 3] = [1.0, -1.0, 0.5]
@@ -180,7 +188,6 @@ class TestBenchConvCommand:
         assert "fixture.size = 12x12" in text
 
     def test_mismatched_fixture_channels_fail(self, tmp_path, capsys):
-        from airsense.pointio import write_tensor
         feats = tmp_path / "features.txt"
         kern = tmp_path / "kernel.txt"
         write_tensor(feats, np.ones((4, 4, 2)))
@@ -218,6 +225,24 @@ class TestDetectEvalCommand:
         assert run(["detect-eval", "--detections", d, "--truth", g]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: ") and f"box {field} must be a real" in err
+
+    @pytest.mark.parametrize("row, message", [
+        ({"frame": 0, "box": {"x": 0, "y": 0, "z": 0, "l": 1, "w": 1}},
+         "row 2: box is missing h"),
+        ([0, {"x": 0}], "row 2: expected an object"),
+        ({"box": {"x": 0}}, "row 2: expected an object with an integer frame"),
+        ({"frame": "0", "box": {}}, "row 2: expected an object with an integer frame"),
+        ({"frame": 0, "box": [0, 0, 0, 1, 1, 1]}, "row 2: expected an object with an integer"),
+    ])
+    def test_malformed_row_exits_with_an_error_line(self, tmp_path, capsys, row, message):
+        good = {"frame": 0, "box": {"x": 0, "y": 0, "z": 0, "l": 1, "w": 1, "h": 1}}
+        d, g = tmp_path / "d.jsonl", tmp_path / "g.jsonl"
+        write_jsonl(d, [good, row])
+        write_jsonl(g, [good])
+        for args in (["--detections", d, "--truth", g], ["--detections", g, "--truth", d]):
+            assert run(["detect-eval"] + args) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ValueError: ") and f"d.jsonl: {message}" in err
 
 
 class TestTrackCommand:
@@ -285,6 +310,22 @@ class TestTrackCommand:
             assert run(args + ["--frames", pts, "--detections", dets] + outs) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "window_ms" in err
+
+    @pytest.mark.parametrize("row, message", [
+        ({"frame": 3, "box": {"x": 0, "y": 0, "z": 0, "l": 1, "h": 1}},
+         "row 1: box is missing w"),
+        ("frame 3", "row 1: expected an object"),
+    ])
+    def test_malformed_detection_row_fails_with_an_error_line(self, tmp_path, capsys, row,
+                                                              message):
+        pts, _ = self.flyby(tmp_path)
+        dets = tmp_path / "bad.jsonl"
+        write_jsonl(dets, [row])
+        assert run(["track", "--frames", pts, "--detections", dets,
+                    "--out-tracks", tmp_path / "t.jsonl",
+                    "--out-alerts", tmp_path / "a.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and f"bad.jsonl: {message}" in err
 
     @pytest.mark.parametrize("gps", [math.nan, math.inf])
     def test_bad_gps_time_fails_with_a_typed_error(self, tmp_path, capsys, gps):

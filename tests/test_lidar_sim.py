@@ -16,7 +16,6 @@ from airsense.lidar_sim import (
     VoxelRegion,
     directivity_analysis,
     gen_pattern,
-    lambertian,
     rays_to_sensor_frame,
     simulate_frame,
     transform_rays,
@@ -24,7 +23,7 @@ from airsense.lidar_sim import (
 )
 from airsense.mesh import TriangleMesh, box_mesh, icosphere, quadcopter_mesh
 from airsense.raytrace import Bvh, RayBundle, moller_trumbore
-from oracles import cross_product_mt, index_array_intersect
+from oracles import cross_product_mt, face_cosines, index_array_intersect
 
 FAST = ScanPattern(points_per_second=24_000, seed=7)
 
@@ -72,7 +71,7 @@ def unculled_directivity(pattern, mesh, window_ms, region, yaw):
     rays = gen_pattern(pattern, window_ms)
     for i in np.nonzero(_in_fov(centers, pattern))[0]:
         pose = Pose2D(yaw, tuple(centers[i] - offset if np.any(offset) else centers[i]))
-        counts[i] = bvh.intersect(transform_rays(rays, pose)).count
+        counts[i] = bvh.intersect(transform_rays(rays, pose)).hit.sum()
     return counts
 
 
@@ -174,7 +173,7 @@ class TestIntersect:
         bundle = RayBundle(np.zeros((5, 3)), np.tile([-1.0, 0.0, 0.0], (5, 1)),
                            np.arange(5))
         hits = bvh.intersect(bundle)
-        assert hits.count == 0
+        assert not hits.hit.any()
         assert bvh.triangle_tests == 0
 
     def test_degenerate_triangles_skipped(self):
@@ -325,27 +324,30 @@ class TestTraversalOracle:
 
 
 class TestLambertian:
+    """The Lambertian factor simulate_frame gives each return: the hit's
+    cos_incidence, checked on an axis-aligned box face."""
+
     def test_normal_incidence(self):
-        assert lambertian(2.5, 0.0) == 2.5
+        assert face_cosines(0.0)[0] == 1.0
 
     def test_sixty_degrees(self):
-        assert lambertian(1.0, math.pi / 3) == pytest.approx(0.5, abs=1e-15)
+        assert face_cosines(math.pi / 3)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_grazing(self):
-        assert lambertian(1.0, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
+        near = math.radians(89.9)
+        assert face_cosines(near)[0] == math.cos(near)
+        assert face_cosines(math.pi / 2 - 1e-9)[0] == pytest.approx(0.0, abs=1e-8)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            lambertian(1.0, -0.1)
-        with pytest.raises(ValueError):
-            lambertian(1.0, 2.0)
+    def test_back_face_cosine_is_not_negative(self):
+        angles = (0.0, math.pi / 3, math.radians(89.9))
+        assert face_cosines(*angles, inside=True).tobytes() == face_cosines(*angles).tobytes()
 
     @settings(max_examples=50)
-    @given(a=st.floats(0.0, math.pi / 2), b=st.floats(0.0, math.pi / 2))
+    @given(a=st.floats(0.0, math.radians(89.9)), b=st.floats(0.0, math.radians(89.9)))
     def test_monotone_and_bounded(self, a, b):
-        lo, hi = min(a, b), max(a, b)
-        assert lambertian(1.0, lo) >= lambertian(1.0, hi) - 1e-15
-        assert 0.0 <= lambertian(1.0, lo) <= 1.0
+        lo, hi = face_cosines(min(a, b), max(a, b))
+        assert lo >= hi
+        assert 0.0 <= hi <= lo <= 1.0
 
 
 class TestSimulateFrame:
@@ -371,11 +373,10 @@ class TestSimulateFrame:
         assert not thin.accepted
 
     def test_intensities_bounded_by_incident(self):
-        sim = simulate_frame(FAST, quadcopter_mesh(), Pose2D(0.2, (10, 0, 0)),
-                             100.0, i0=0.8)
+        sim = simulate_frame(FAST, quadcopter_mesh(), Pose2D(0.2, (10, 0, 0)), 100.0)
         assert len(sim.frame) > 0
         assert sim.frame.intensity.min() >= 0.0
-        assert sim.frame.intensity.max() <= 0.8 + 1e-12
+        assert sim.frame.intensity.max() <= 1.0
 
     def test_nonfinite_pose_rejected_naming_the_field(self):
         with pytest.raises(ValueError, match="yaw"):
@@ -451,8 +452,8 @@ class TestDirectivity:
         g200 = directivity_analysis(FAST, mesh, 200.0, THRESHOLD_SPARSE, region)
         assert (g200.counts >= g100.counts).all()
         dense = DirectivityGrid(g100.centers, g100.counts, THRESHOLD_DENSE, 100.0)
-        sparse_set = {tuple(c) for c in g100.included_centers()}
-        dense_set = {tuple(c) for c in dense.included_centers()}
+        sparse_set = {tuple(c) for c in g100.centers[g100.included()]}
+        dense_set = {tuple(c) for c in dense.centers[dense.included()]}
         assert dense_set <= sparse_set
 
     def test_close_voxel_included_at_threshold_one(self):

@@ -22,9 +22,8 @@ from airsense.pointio import (
     window_frames,
     write_columnar,
     write_las,
-    write_tensor,
 )
-from oracles import read_las_records, window_records
+from oracles import read_las_records, window_records, write_tensor
 
 
 def sample_frame(rng, n=50, t_step=2000):
@@ -123,6 +122,13 @@ class TestColumnar:
         path = tmp_path / "late.xyz"
         path.write_text(f"1 2 3 0.5 0\n\n1 2 3 0.5 {2**63}\n")
         with pytest.raises(TruncatedFile, match=":3: time"):
+            list(read_columnar(path))
+
+    @pytest.mark.parametrize("line", ["1 2 nan 0.5 10", "1 inf 3 0.5 20", "1 2 3 -inf 30"])
+    def test_non_finite_value_rejected_with_its_line(self, tmp_path, line):
+        path = tmp_path / "nan.xyz"
+        path.write_text(f"1 2 3 0.5 0\n\n{line}\n")
+        with pytest.raises(TruncatedFile, match=":3: x, y, z, intensity .* must be finite"):
             list(read_columnar(path))
 
     def test_coordinates_survive_to_millimeter(self, tmp_path):
