@@ -157,11 +157,10 @@ def simulate_frame(pattern: ScanPattern, target: TriangleMesh | Bvh, pose: Pose2
     """Scan a posed target for one window.
 
     Pipeline: generate the pattern, transform rays into the mesh rest frame,
-    intersect the rays that can reach the target, take the Lambertian cosine
-    of each hit (unit incident intensity) as its return's intensity, and map
-    hit points back into the sensor frame. The frame is accepted only when
-    at least min_hits returns came back; rays_cast counts every ray of the
-    pattern.
+    intersect the rays that can reach the target, take each hit's Lambertian
+    cosine as its intensity (unit incident intensity) and map hit points back
+    into the sensor frame. The frame is accepted only when at least min_hits
+    returns came back; rays_cast counts every ray of the pattern.
     """
     bvh = target if isinstance(target, Bvh) else Bvh(target)
     rays = gen_pattern(pattern, window_ms, start_ms)
@@ -242,7 +241,6 @@ class DirectivityGrid:
     centers: np.ndarray        # (n, 3)
     counts: np.ndarray         # (n,) int64
     threshold: int
-    window_ms: float
 
     def included(self) -> np.ndarray:
         return self.counts >= self.threshold
@@ -289,7 +287,7 @@ def directivity_analysis(pattern: ScanPattern, mesh: TriangleMesh, window_ms: fl
         batch.append((voxel, apex, kept))
         size += len(kept)
     _count_hits(bvh, batch, counts)
-    return DirectivityGrid(centers, counts, threshold, window_ms)
+    return DirectivityGrid(centers, counts, threshold)
 
 
 def _count_hits(bvh: Bvh, batch: list, counts: np.ndarray):

@@ -142,9 +142,7 @@ def read_columnar(path) -> Iterator[ScanFrame]:
                 if len(parts) != 5:
                     raise TruncatedFile(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
                 try:
-                    rows.append([float(p) for p in parts[:4]])
-                    if not all(map(math.isfinite, rows[-1])):
-                        raise ValueError(f"x, y, z, intensity {rows[-1]} must be finite")
+                    rows.append([*map(float, parts[:4]), lineno])
                     times.append(int(parts[4]))
                     if not -2**63 <= times[-1] < 2**63:
                         raise ValueError(f"time {times[-1]} us beyond int64")
@@ -154,7 +152,11 @@ def read_columnar(path) -> Iterator[ScanFrame]:
                     break
             if not rows:
                 return
-            cols = np.array(rows, dtype=np.float64)
+            cols = np.array(rows, dtype=np.float64)   # x, y, z, intensity, line
+            bad = np.flatnonzero(~np.isfinite(cols).all(axis=1))
+            if len(bad):
+                raise TruncatedFile(f"{path}:{int(cols[bad[0], 4])}: x, y, z, intensity "
+                                    f"{cols[bad[0], :4].tolist()} must be finite")
             yield _block(cols[:, :3], cols[:, 3], np.array(times, dtype=np.int64))
 
 

@@ -451,7 +451,7 @@ class TestDirectivity:
         g100 = directivity_analysis(FAST, mesh, 100.0, THRESHOLD_SPARSE, region)
         g200 = directivity_analysis(FAST, mesh, 200.0, THRESHOLD_SPARSE, region)
         assert (g200.counts >= g100.counts).all()
-        dense = DirectivityGrid(g100.centers, g100.counts, THRESHOLD_DENSE, 100.0)
+        dense = DirectivityGrid(g100.centers, g100.counts, THRESHOLD_DENSE)
         sparse_set = {tuple(c) for c in g100.centers[g100.included()]}
         dense_set = {tuple(c) for c in dense.centers[dense.included()]}
         assert dense_set <= sparse_set
