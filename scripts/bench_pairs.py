@@ -27,6 +27,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+STDERR_LINES = 20
 
 
 def git(*args: str) -> bytes:
@@ -40,10 +41,16 @@ def export(rev: str, dest: str):
 
 
 def bench(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One run of the tree's bench/run.py: its result and its info line."""
-    out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(seconds)],
-                         cwd=tree, check=True, capture_output=True, text=True).stdout
+    """One run of the tree's bench/run.py: its result and its info line. A
+    run that exits non-zero ends the script with the tail of its stderr."""
+    try:
+        out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
+                              "--seed", str(seed), "--seconds", str(seconds)],
+                             cwd=tree, check=True, capture_output=True, text=True).stdout
+    except subprocess.CalledProcessError as exc:
+        tail = "\n".join(exc.stderr.strip().splitlines()[-STDERR_LINES:])
+        raise SystemExit(f"error: {os.path.basename(tree)} run of {workload}@{seed} exited "
+                         f"with code {exc.returncode}; last lines of its stderr:\n{tail}")
     info, result = out.strip().splitlines()[-2:]
     return json.loads(result), json.loads(info)["info"]
 

@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pillars import PseudoImage
 from .spconv import FeatureMap, KernelTensor, Sites, conv, reach
 
 __all__ = [
@@ -126,15 +125,18 @@ class InstrumentationReport:
         return sum(l.nanoseconds for l in self.layers)
 
 
-def run_backbone(pseudo_image: PseudoImage, spec: BackboneSpec, weights: BackboneWeights,
+def run_backbone(x: Sites, spec: BackboneSpec, weights: BackboneWeights,
                  engine: str = "dense") -> tuple[FeatureMap, InstrumentationReport]:
     """Forward pass of the [4, 6, 6] + 3-deconv graph on the chosen engine.
 
-    Every layer is one `conv` over a list of active sites; the engines differ
-    only in the output sites they ask for. Dense keeps every cell, sparse the
-    cells the taps reach, and sparse+submanifold keeps the input set in every
-    convolution except the first (strided) one of each block and the deconvs.
-    A bias, then ReLU, applies on the active set only, and the dense engine
+    The input is the pillars' site list: the occupied cells of the grid and
+    their pooled features. Every layer is one `conv` over a list of active
+    sites; the engines differ only in the output sites they ask for. Dense
+    keeps every cell, sparse the cells the taps reach, and
+    sparse+submanifold keeps the input set in every convolution except the
+    first (strided) one of each block and the deconvs. The sparse engines
+    start from the input list as it is; the dense one densifies it once. A
+    bias, then ReLU, applies on the active set only, and the dense engine
     masks its bias to the cells reachable from the occupied input, so the
     engines stay numerically interchangeable. Maps stay site lists between
     layers; the upsampled maps are cropped to the first one's size (rounding
@@ -144,11 +146,10 @@ def run_backbone(pseudo_image: PseudoImage, spec: BackboneSpec, weights: Backbon
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    fm = FeatureMap(pseudo_image.values)
-    if pseudo_image.mask.shape != (fm.p, fm.q):
-        raise ValueError("occupancy mask does not match pseudo-image grid")
+    if not np.isfinite(x.feats).all():
+        raise ValueError("input sites contain non-finite features")
 
-    plan = _layer_plan(spec, fm.channels)
+    plan = _layer_plan(spec, x.feats.shape[1])
     if len(weights.kernels) != len(plan):
         raise ValueError(f"graph needs {len(plan)} kernels, got {len(weights.kernels)}")
 
@@ -157,8 +158,8 @@ def run_backbone(pseudo_image: PseudoImage, spec: BackboneSpec, weights: Backbon
     # input, tracked only where the dense engine needs them to mask its bias
     live = None
     if dense and any(b is not None for b in weights.biases):
-        live = np.flatnonzero(pseudo_image.mask)
-    cur = (Sites.from_dense(fm) if dense else Sites.from_dense(fm, pseudo_image.mask), live)
+        live = x.keys
+    cur = (Sites.from_dense(x.to_dense()) if dense else x, live)
 
     stats: list[LayerStats] = []
     block_outputs: list[tuple[Sites, np.ndarray | None]] = []

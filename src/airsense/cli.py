@@ -95,10 +95,8 @@ def cmd_augment(args) -> int:
     for name, frames in (("sim", pair.data_sim), ("euc", pair.data_euc)):
         rows = []
         for i, lf in enumerate(frames):
-            rows.append({"frame": i,
-                         "boxes": [b.to_dict() for b in lf.boxes],
-                         "labels": lf.labels,
-                         "points": len(lf.frame)})
+            rows += [{"frame": i, "box": b.to_dict(), "label": label, "points": len(lf.frame)}
+                     for b, label in zip(lf.boxes, lf.labels)]
             write_columnar(f"{args.out}/{name}_{i:05d}.xyz", [lf.frame])
         write_jsonl(f"{args.out}/{name}_labels.jsonl", rows)
     write_jsonl(f"{args.out}/manifest.jsonl", pair.manifest)

@@ -1,5 +1,5 @@
 """Pillar front-end: grid assignment into one columnar batch, 9-feature point
-decoration, per-pillar max pooling, and scattering into a dense pseudo-image."""
+decoration and per-pillar max pooling into the site list the backbone takes."""
 
 from __future__ import annotations
 
@@ -9,12 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pointio import ScanFrame
+from .spconv import Sites
 
 __all__ = [
     "PillarGridSpec",
     "PillarBatch",
     "PillarAssignment",
-    "PseudoImage",
     "assign_pillars",
     "pillar_encode",
     "random_pillar_weights",
@@ -135,41 +135,19 @@ def assign_pillars(frame: ScanFrame, spec: PillarGridSpec) -> PillarAssignment:
                             len(starts) - len(densest))
 
 
-@dataclass
-class PseudoImage:
-    """Dense (ny, nx, F) map of pooled pillar features plus occupancy.
-
-    Cells without a pillar are exactly zero.
-    """
-
-    values: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.values.ndim != 3 or self.mask.shape != self.values.shape[:2]:
-            raise ValueError("pseudo-image needs (ny, nx, F) values and matching mask")
-        if (self.values.any(axis=2) & ~self.mask).any():
-            raise ValueError("non-occupied cells must be all-zero")
-
-    @property
-    def channels(self) -> int:
-        return self.values.shape[2]
-
-
 def random_pillar_weights(rng: np.random.Generator, out_channels: int = 64) -> np.ndarray:
     """Untrained stand-in embedding; 64 output channels by default."""
     return rng.normal(size=(DECORATED_DIMS, out_channels)) / np.sqrt(DECORATED_DIMS)
 
 
 def pillar_encode(pillars: PillarBatch, weights: np.ndarray,
-                  grid: PillarGridSpec) -> PseudoImage:
+                  grid: PillarGridSpec) -> Sites:
     """Expand each return to the 9 per-point features (raw coordinates and
     reflectance, offsets from its pillar's arithmetic mean, horizontal offsets
-    from its cell center), embed them with a linear map and ReLU, take the
-    channelwise maximum over each pillar, and scatter the pooled vectors to
-    the pillars' cells."""
+    from its cell center), embed them with a linear map and ReLU, and take
+    the channelwise maximum over each pillar. Returns the pillars as a site
+    list on the (ny, nx) grid: one float32 row per pillar, keyed by its cell
+    in the batch's row-major order."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2 or weights.shape[0] != DECORATED_DIMS:
         raise ValueError(f"weights must map {DECORATED_DIMS} -> F, got shape {weights.shape}")
@@ -185,12 +163,8 @@ def pillar_encode(pillars: PillarBatch, weights: np.ndarray,
     decorated[:, 8] = xyz[:, 1] - np.repeat(cy, counts)
     emb = decorated @ weights
     np.maximum(emb, 0.0, out=emb)  # ReLU
-
-    values = np.zeros((grid.ny, grid.nx, weights.shape[1]), dtype=np.float32)
-    mask = np.zeros((grid.ny, grid.nx), dtype=bool)
-    values[pillars.iy, pillars.ix] = _segment_max(emb, starts, counts)
-    mask[pillars.iy, pillars.ix] = True
-    return PseudoImage(values, mask)
+    return Sites(grid.ny, grid.nx, pillars.iy * grid.nx + pillars.ix,
+                 _segment_max(emb, starts, counts))
 
 
 def _segment_max(rows: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -144,6 +144,13 @@ class Sites:
         keys = np.flatnonzero(mask)
         return cls(fm.p, fm.q, keys, values[keys])
 
+    @property
+    def mask(self) -> np.ndarray:
+        """Boolean (p, q) occupancy of the keys."""
+        mask = np.zeros(self.p * self.q, dtype=bool)
+        mask[self.keys] = True
+        return mask.reshape(self.p, self.q)
+
     def to_dense(self) -> FeatureMap:
         out = np.zeros((self.p * self.q, self.feats.shape[1]), dtype=np.float32)
         out[self.keys] = self.feats

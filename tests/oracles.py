@@ -26,7 +26,7 @@ def reach_oracle(mask, k, stride=1, transposed=False):
     return gather_conv(FeatureMap(m), ones, stride).values[:, :, 0] > 0
 
 
-def backbone_oracle(pseudo_image, spec, weights, submanifold=False):
+def backbone_oracle(x, spec, weights, submanifold=False):
     """The backbone graph as a chain of float64 gather convolutions: each
     block convolution is `gather_conv` on the whole grid, each deconvolution
     zero insertion plus `gather_conv`; the upsampled maps are cropped to the
@@ -36,7 +36,7 @@ def backbone_oracle(pseudo_image, spec, weights, submanifold=False):
     sparse+submanifold engine does. No biases."""
     k = spec.kernel_size
     kernels = iter(weights.kernels)
-    fm, mask, blocks = FeatureMap(pseudo_image.values), pseudo_image.mask, []
+    fm, mask, blocks = FeatureMap(x.to_dense().values), x.mask, []
     for n_convs, stride in zip(spec.block_convs, spec.block_strides):
         for i in range(n_convs):
             values = gather_conv(fm, next(kernels), stride if i == 0 else 1).values

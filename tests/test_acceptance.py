@@ -18,7 +18,6 @@ from airsense.lidar_sim import (Pose2D, ScanPattern, VoxelRegion,
                                 simulate_frame, transform_rays)
 from airsense.mesh import TriangleMesh, icosphere, quadcopter_mesh
 from airsense.metrics import aggregate, classify, iou3d
-from airsense.pillars import PseudoImage
 from airsense.pointio import (ScanFrame, read_columnar, read_las, window_frames,
                               write_columnar)
 from airsense.raytrace import Bvh, RayBundle
@@ -156,18 +155,18 @@ def test_criterion_04_backbone_engine_agreement():
     weights = make_backbone_weights(spec, in_channels=4, rng=r)
     worst = 0.0
     for case in range(20):
-        pseudo = PseudoImage(r.normal(size=(16, 16, 4)).astype(np.float32),
+        x = Sites.from_dense(FeatureMap(r.normal(size=(16, 16, 4)).astype(np.float32)),
                              np.ones((16, 16), dtype=bool))
         outs = {}
         for engine in ENGINES:
-            out, report = run_backbone(pseudo, spec, weights, engine=engine)
+            out, report = run_backbone(x, spec, weights, engine=engine)
             outs[engine] = out.values
             assert len(report.layers) == 19
         d1 = np.abs(outs["dense"] - outs["sparse"]).max()
         d2 = np.abs(outs["dense"] - outs["sparse+submanifold"]).max()
         worst = max(worst, d1, d2)
         assert d1 <= 1e-4 and d2 <= 1e-4
-    _verdict(4, f"20 pseudo-images through [4,6,6]+3 deconvs, three engines "
+    _verdict(4, f"20 full 16x16 inputs through [4,6,6]+3 deconvs, three engines "
                 f"agree at 1e-4 (worst {worst:.2e})")
 
 

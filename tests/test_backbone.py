@@ -13,22 +13,22 @@ from airsense.backbone import (
     run_backbone,
 )
 from airsense.config import ConfigError, default_config, load_config
-from airsense.pillars import PseudoImage
+from airsense.spconv import FeatureMap, Sites
 from oracles import backbone_oracle, reach_oracle
 
 
 SMALL = BackboneSpec(block_channels=(8, 16, 32), up_channels=16)
 
 
-def full_pseudo_image(rng, h, w, c):
-    return PseudoImage(rng.normal(size=(h, w, c)).astype(np.float32),
-                       np.ones((h, w), dtype=bool))
+def full_sites(rng, h, w, c):
+    return Sites.from_dense(FeatureMap(rng.normal(size=(h, w, c)).astype(np.float32)),
+                            np.ones((h, w), dtype=bool))
 
 
-def sparse_pseudo_image(rng, h, w, c, density):
+def sparse_sites(rng, h, w, c, density):
     mask = rng.random((h, w)) < density
     values = rng.normal(size=(h, w, c)).astype(np.float32) * mask[:, :, None]
-    return PseudoImage(values, mask)
+    return Sites.from_dense(FeatureMap(values), mask)
 
 
 def with_biases(weights, rng):
@@ -60,7 +60,7 @@ class TestGraphShape:
 
     def test_layer_count_is_sixteen_convs_plus_three_deconvs(self, rng):
         weights = make_backbone_weights(SMALL, 4, rng)
-        pi = full_pseudo_image(rng, 16, 16, 4)
+        pi = full_sites(rng, 16, 16, 4)
         _, report = run_backbone(pi, SMALL, weights, engine="dense")
         assert len(report.layers) == 19
         assert sum(1 for l in report.layers if l.kind == "conv") == 16
@@ -70,27 +70,38 @@ class TestGraphShape:
         spec = BackboneSpec(block_convs=(2, 2, 2), block_channels=(4, 8, 8),
                             up_channels=8)
         weights = make_backbone_weights(spec, 3, rng)
-        pi = full_pseudo_image(rng, 8, 8, 3)
+        pi = full_sites(rng, 8, 8, 3)
         _, report = run_backbone(pi, spec, weights, engine="dense")
         assert len(report.layers) == 9
 
     def test_wrong_kernel_count_rejected(self, rng):
         weights = make_backbone_weights(SMALL, 4, rng)
-        pi = full_pseudo_image(rng, 16, 16, 4)
+        pi = full_sites(rng, 16, 16, 4)
         with pytest.raises(ValueError):
             run_backbone(pi, SMALL, BackboneWeights(weights.kernels[:-1]), engine="dense")
 
     def test_unknown_engine_rejected(self, rng):
         weights = make_backbone_weights(SMALL, 4, rng)
-        pi = full_pseudo_image(rng, 16, 16, 4)
+        pi = full_sites(rng, 16, 16, 4)
         with pytest.raises(ValueError):
             run_backbone(pi, SMALL, weights, engine="gpu")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_non_finite_site_feature_rejected(self, rng, engine, bad):
+        weights = make_backbone_weights(SMALL, 4, rng)
+        pi = sparse_sites(rng, 16, 16, 4, 0.25)
+        pi.feats[len(pi.keys) // 2, 1] = bad
+        # rejected at the input, not by the output map's own check
+        with pytest.raises(ValueError, match="input sites contain non-finite"):
+            run_backbone(pi, SMALL, weights, engine=engine)
 
 
 class TestEngineAgreement:
     def test_zero_image_all_engines_zero(self, rng):
         weights = make_backbone_weights(SMALL, 4, rng)
-        pi = PseudoImage(np.zeros((16, 16, 4), np.float32), np.zeros((16, 16), bool))
+        pi = Sites.from_dense(FeatureMap(np.zeros((16, 16, 4), np.float32)),
+                              np.zeros((16, 16), bool))
         for engine in ENGINES:
             out, report = run_backbone(pi, SMALL, weights, engine=engine)
             assert not out.values.any()
@@ -103,7 +114,7 @@ class TestEngineAgreement:
         mask[7, 9] = True
         values = np.zeros((16, 16, 4), dtype=np.float32)
         values[7, 9] = rng.normal(size=4).astype(np.float32)
-        pi = PseudoImage(values, mask)
+        pi = Sites.from_dense(FeatureMap(values), mask)
         dense, _ = run_backbone(pi, SMALL, weights, engine="dense")
         sparse, _ = run_backbone(pi, SMALL, weights, engine="sparse")
         np.testing.assert_allclose(dense.values, sparse.values, atol=1e-4)
@@ -111,7 +122,7 @@ class TestEngineAgreement:
     def test_dense_vs_sparse_on_sparse_inputs(self, rng):
         weights = make_backbone_weights(SMALL, 4, rng)
         for _ in range(3):
-            pi = sparse_pseudo_image(rng, 16, 16, 4, 0.25)
+            pi = sparse_sites(rng, 16, 16, 4, 0.25)
             dense, _ = run_backbone(pi, SMALL, weights, engine="dense")
             sparse, _ = run_backbone(pi, SMALL, weights, engine="sparse")
             np.testing.assert_allclose(dense.values, sparse.values, atol=1e-4)
@@ -120,7 +131,7 @@ class TestEngineAgreement:
         # with every cell occupied the active set is closed under dilation,
         # so the set-preserving engine computes the same map as the others
         weights = make_backbone_weights(SMALL, 4, rng)
-        pi = full_pseudo_image(rng, 16, 16, 4)
+        pi = full_sites(rng, 16, 16, 4)
         outs = [run_backbone(pi, SMALL, weights, engine=e)[0].values for e in ENGINES]
         np.testing.assert_allclose(outs[0], outs[1], atol=1e-4)
         np.testing.assert_allclose(outs[0], outs[2], atol=1e-4)
@@ -128,7 +139,7 @@ class TestEngineAgreement:
     def test_relu_hook_preserves_agreement(self, rng):
         spec = BackboneSpec(block_channels=(8, 16, 32), up_channels=16, relu=True)
         weights = make_backbone_weights(spec, 4, rng)
-        pi = full_pseudo_image(rng, 16, 16, 4)
+        pi = full_sites(rng, 16, 16, 4)
         outs = [run_backbone(pi, spec, weights, engine=e)[0].values for e in ENGINES]
         np.testing.assert_allclose(outs[0], outs[1], atol=1e-4)
         np.testing.assert_allclose(outs[0], outs[2], atol=1e-4)
@@ -142,21 +153,21 @@ class TestEngineAgreement:
         mask[rng.choice(32 * 32, size=40, replace=False)] = True
         mask = mask.reshape(32, 32)
         values = rng.normal(size=(32, 32, 4)).astype(np.float32) * mask[:, :, None]
-        pi = PseudoImage(values, mask)
+        pi = Sites.from_dense(FeatureMap(values), mask)
         dense, _ = run_backbone(pi, spec, weights, engine="dense")
         sparse, _ = run_backbone(pi, spec, weights, engine="sparse")
         np.testing.assert_allclose(dense.values, sparse.values, atol=1e-4)
 
     def test_biases_preserve_agreement_on_saturated_input(self, rng):
         weights = with_biases(make_backbone_weights(SMALL, 4, rng), rng)
-        pi = full_pseudo_image(rng, 16, 16, 4)
+        pi = full_sites(rng, 16, 16, 4)
         outs = [run_backbone(pi, SMALL, weights, engine=e)[0].values for e in ENGINES]
         np.testing.assert_allclose(outs[0], outs[1], atol=1e-4)
         np.testing.assert_allclose(outs[0], outs[2], atol=1e-4)
 
     def test_default_grid_runs_on_every_engine(self, rng):
         grid = default_config().grid
-        pi = sparse_pseudo_image(rng, grid.ny, grid.nx, 4, 0.02)
+        pi = sparse_sites(rng, grid.ny, grid.nx, 4, 0.02)
         weights = make_backbone_weights(SMALL, 4, rng)
         outs = [run_backbone(pi, SMALL, weights, engine=e)[0].values for e in ENGINES]
         assert all(o.shape == (250, 220, 3 * SMALL.up_channels) for o in outs)
@@ -173,7 +184,7 @@ class TestChainOracle:
     def test_default_graph_matches_the_gather_chain(self, engine, density):
         r = np.random.default_rng(11)
         spec = BackboneSpec()
-        pi = sparse_pseudo_image(r, 64, 48, 64, density)
+        pi = sparse_sites(r, 64, 48, 64, density)
         weights = make_backbone_weights(spec, 64, r)
         got, _ = run_backbone(pi, spec, weights, engine)
         want = backbone_oracle(pi, spec, weights, engine == "sparse+submanifold")
@@ -184,14 +195,14 @@ class TestChainOracle:
 class TestInstrumentation:
     def test_submanifold_engine_does_less_work_on_sparse_input(self, rng):
         weights = make_backbone_weights(SMALL, 4, rng)
-        pi = sparse_pseudo_image(rng, 32, 32, 4, 0.05)
+        pi = sparse_sites(rng, 32, 32, 4, 0.05)
         _, rep_sparse = run_backbone(pi, SMALL, weights, engine="sparse")
         _, rep_sub = run_backbone(pi, SMALL, weights, engine="sparse+submanifold")
         assert rep_sub.total_macs < rep_sparse.total_macs
 
     def test_density_tracks_active_fraction(self, rng):
         weights = make_backbone_weights(SMALL, 4, rng)
-        pi = sparse_pseudo_image(rng, 32, 32, 4, 0.05)
+        pi = sparse_sites(rng, 32, 32, 4, 0.05)
         _, report = run_backbone(pi, SMALL, weights, engine="sparse")
         assert report.layers[0].density == pytest.approx(pi.mask.mean())
         # standard sparse convolutions dilate the active set layer over layer
@@ -203,7 +214,7 @@ class TestInstrumentation:
     def test_density_equals_a_numpy_recount(self, seed, engine):
         r = np.random.default_rng(seed)
         p, q = 2 * int(r.integers(6, 20)) + 1, 2 * int(r.integers(6, 20)) + 1
-        pi = sparse_pseudo_image(r, p, q, 4, float(r.uniform(0.0, 0.2)))
+        pi = sparse_sites(r, p, q, 4, float(r.uniform(0.0, 0.2)))
         _, report = run_backbone(pi, SMALL, make_backbone_weights(SMALL, 4, r), engine)
         # the dense engine computes every cell, as its MACs count
         want, blocks = [], []

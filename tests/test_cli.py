@@ -343,26 +343,40 @@ class TestTrackCommand:
         assert err.startswith("error: PointFormatError") and "record 2: GPS time" in err
 
 
+def run_augment(tmp_path):
+    """Three paired frames from a small augment config; returns the output
+    directory."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "scan": {"points_per_second": 48_000},
+        "augment": {"background_pool": 2, "instances": 3,
+                    "region": {"x_range": [9, 13], "y_range": [-2, 2],
+                               "z_range": [-1, 1]}},
+    }))
+    out = tmp_path / "data"
+    assert run(["--config", cfg, "augment", "--mesh", "builtin:drone",
+                "--seed", 3, "--out", out]) == 0
+    return out
+
+
 class TestAugmentCommand:
     def test_paired_outputs_and_manifest(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "scan": {"points_per_second": 48_000},
-            "augment": {"background_pool": 2, "instances": 3,
-                        "region": {"x_range": [9, 13], "y_range": [-2, 2],
-                                   "z_range": [-1, 1]}},
-        }))
-        out = tmp_path / "data"
-        assert run(["--config", cfg, "augment", "--mesh", "builtin:drone",
-                    "--seed", 3, "--out", out]) == 0
+        out = run_augment(tmp_path)
         manifest = read_jsonl(out / "manifest.jsonl")
         assert len(manifest) == 3
         sim_labels = read_jsonl(out / "sim_labels.jsonl")
         euc_labels = read_jsonl(out / "euc_labels.jsonl")
         assert len(sim_labels) == len(euc_labels) == 3
         for s, e, m in zip(sim_labels, euc_labels, manifest):
-            assert s["boxes"][0]["x"] == pytest.approx(m["insertion"][0])
-            assert e["boxes"][0]["x"] == pytest.approx(m["insertion"][0])
+            assert s["box"]["x"] == pytest.approx(m["insertion"][0])
+            assert e["box"]["x"] == pytest.approx(m["insertion"][0])
         for i in range(3):
             assert (out / f"sim_{i:05d}.xyz").exists()
             assert (out / f"euc_{i:05d}.xyz").exists()
+
+    def test_labels_feed_detect_eval(self, tmp_path, capsys):
+        labels = run_augment(tmp_path) / "sim_labels.jsonl"
+        capsys.readouterr()
+        assert run(["detect-eval", "--detections", labels, "--truth", labels]) == 0
+        out = capsys.readouterr().out
+        assert "frames = 3" in out and "f1 = 1.0000" in out

@@ -157,7 +157,7 @@ class TestOracle:
         weights = r.normal(size=(DECORATED_DIMS, 8))
         pi = pillar_encode(batch, weights, CAPPED)
         values, mask = oracle_encode(pillars, weights, CAPPED)
-        assert np.array_equal(pi.values, values)
+        assert np.array_equal(pi.to_dense().values, values)
         assert np.array_equal(pi.mask, mask)
 
 
@@ -244,7 +244,7 @@ def pooled_features(xyz, intensity=None):
     that falls into one pillar."""
     batch = assign_pillars(make_frame(xyz, intensity=intensity), GRID).pillars
     assert len(batch) == 1
-    v = pillar_encode(batch, SPLIT, GRID).values[batch.iy[0], batch.ix[0]]
+    v = pillar_encode(batch, SPLIT, GRID).to_dense().values[batch.iy[0], batch.ix[0]]
     return v[:DECORATED_DIMS], v[DECORATED_DIMS:]
 
 
@@ -272,7 +272,7 @@ class TestEncode:
         batch = assign_pillars(make_frame([[3.2, 0.7, 1.0]]), GRID).pillars
         pi = pillar_encode(batch, np.eye(DECORATED_DIMS), GRID)
         expected = np.maximum([3.2, 0.7, 1.0, 0.5, 0.0, 0.0, 0.0, 3.2 - 3.5, 0.7 - 0.5], 0.0)
-        np.testing.assert_allclose(pi.values[8, 3], expected, atol=1e-6)
+        np.testing.assert_allclose(pi.to_dense().values[8, 3], expected, atol=1e-6)
 
     def test_max_picks_dominating_point(self):
         frame = make_frame([[3.0, 0.0, 1.0], [3.1, 0.1, 1.1]], intensity=[0.2, 0.9])
@@ -280,7 +280,7 @@ class TestEncode:
         weights[3, 0] = 1.0   # reflectance channel
         weights[2, 1] = 1.0   # z channel
         pi = pillar_encode(assign_pillars(frame, GRID).pillars, weights, GRID)
-        np.testing.assert_allclose(pi.values[8, 3], [0.9, 1.1], atol=1e-6)
+        np.testing.assert_allclose(pi.to_dense().values[8, 3], [0.9, 1.1], atol=1e-6)
 
     def test_matches_naive_per_pillar_loop(self, rng):
         xyz = np.column_stack([rng.uniform(0, 16, 300), rng.uniform(-8, 8, 300),
@@ -292,7 +292,7 @@ class TestEncode:
             best = np.full(6, -np.inf)
             for row in oracle_decorate(pillar):
                 best = np.maximum(best, np.maximum(row @ weights, 0.0))
-            np.testing.assert_allclose(pi.values[pillar.iy, pillar.ix], best, atol=1e-6)
+            np.testing.assert_allclose(pi.to_dense().values[pillar.iy, pillar.ix], best, atol=1e-6)
 
     def test_occupancy_equals_nonempty_pillars(self, rng):
         xyz = np.column_stack([rng.uniform(0, 16, 120), rng.uniform(-8, 8, 120),
@@ -308,13 +308,13 @@ class TestEncode:
         assert len(res.pillars) == 0
         assert (res.dropped_out_of_range, res.truncated_points, res.truncated_pillars) == (0, 0, 0)
         pi = pillar_encode(res.pillars, rng.normal(size=(DECORATED_DIMS, 4)), GRID)
-        assert pi.values.shape == (GRID.ny, GRID.nx, 4)
-        assert not pi.mask.any() and not pi.values.any()
+        assert pi.to_dense().values.shape == (GRID.ny, GRID.nx, 4)
+        assert not pi.mask.any() and not pi.to_dense().values.any()
 
     def test_unoccupied_cells_all_zero(self, rng):
         res = assign_pillars(make_frame([[3.0, 0.0, 0.0]]), GRID)
         pi = pillar_encode(res.pillars, rng.normal(size=(DECORATED_DIMS, 4)), GRID)
-        assert not pi.values[~pi.mask].any()
+        assert not pi.to_dense().values[~pi.mask].any()
 
     def test_weight_shape_mismatch(self, rng):
         res = assign_pillars(make_frame([[3.0, 0.0, 0.0]]), GRID)
@@ -368,7 +368,7 @@ class TestProperties:
         weights[4:7] = 0.0
         base = pillar_encode(assign_pillars(make_frame(xyz[:-1]), GRID).pillars, weights, GRID)
         grown = pillar_encode(assign_pillars(make_frame(xyz), GRID).pillars, weights, GRID)
-        assert (grown.values[8, 3] >= base.values[8, 3] - 1e-6).all()
+        assert (grown.to_dense().values[8, 3] >= base.to_dense().values[8, 3] - 1e-6).all()
 
     def test_caps_enforced(self, rng):
         spec = PillarGridSpec(x_range=(0, 4), y_range=(0, 4), cell_size=1.0,
