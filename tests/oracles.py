@@ -36,7 +36,7 @@ def backbone_oracle(x, spec, weights, submanifold=False):
     sparse+submanifold engine does. No biases."""
     k = spec.kernel_size
     kernels = iter(weights.kernels)
-    fm, mask, blocks = FeatureMap(x.to_dense().values), x.mask, []
+    fm, mask, blocks = x.to_dense(), x.mask, []
     for n_convs, stride in zip(spec.block_convs, spec.block_strides):
         for i in range(n_convs):
             values = gather_conv(fm, next(kernels), stride if i == 0 else 1).values
