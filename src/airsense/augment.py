@@ -141,9 +141,7 @@ class AugPlan:
     max_attempts: int = 40
 
     def __post_init__(self):
-        if self.background_pool < 1 or self.instances < 1:
-            raise ValueError("plan counts must be positive")
-        for name in ("min_points", "max_attempts"):
+        for name in ("background_pool", "instances", "min_points", "max_attempts"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")

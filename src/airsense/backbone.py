@@ -53,10 +53,6 @@ class BackboneSpec:
         if self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
 
-    @property
-    def num_layers(self) -> int:
-        return sum(self.block_convs) + 3
-
 
 @dataclass
 class BackboneWeights:
@@ -70,32 +66,26 @@ class BackboneWeights:
             raise ValueError("one bias entry per kernel required")
 
 
-def _layer_plan(spec: BackboneSpec, in_channels: int):
-    """Yield (kind, stride, c_in, c_out, is_block_first) in execution order:
-    all block convolutions first, then the three upsampling stages."""
-    plan = []
-    c_prev = in_channels
-    for b, n_convs in enumerate(spec.block_convs):
-        c_out = spec.block_channels[b]
-        for i in range(n_convs):
-            stride = spec.block_strides[b] if i == 0 else 1
-            plan.append(("conv", stride, c_prev, c_out, i == 0))
-            c_prev = c_out
-    for b in range(3):
-        plan.append(("deconv", spec.up_strides[b], spec.block_channels[b], spec.up_channels, False))
-    return plan
+def _channels(spec: BackboneSpec, in_channels: int):
+    """Yield each layer's (c_in, c_out) in execution order: the block
+    convolutions, then the three upsampling deconvolutions."""
+    c = in_channels
+    for n_convs, c_out in zip(spec.block_convs, spec.block_channels):
+        for _ in range(n_convs):
+            yield c, c_out
+            c = c_out
+    for c_in in spec.block_channels:
+        yield c_in, spec.up_channels
 
 
 def make_backbone_weights(spec: BackboneSpec, in_channels: int,
                           rng: np.random.Generator) -> BackboneWeights:
     """Random weights shaped for the graph, scaled to keep activations O(1)."""
-    kernels = []
-    for kind, stride, c_in, c_out, _ in _layer_plan(spec, in_channels):
-        k = spec.kernel_size
-        scale = 1.0 / np.sqrt(k * k * c_in)
-        kernels.append(KernelTensor(
-            (rng.normal(size=(c_out, k, k, c_in)) * scale).astype(np.float32)))
-    return BackboneWeights(kernels)
+    k = spec.kernel_size
+    return BackboneWeights([
+        KernelTensor((rng.normal(size=(c_out, k, k, c_in)) * (1.0 / np.sqrt(k * k * c_in)))
+                     .astype(np.float32))
+        for c_in, c_out in _channels(spec, in_channels)])
 
 
 @dataclass
@@ -130,78 +120,67 @@ def run_backbone(x: Sites, spec: BackboneSpec, weights: BackboneWeights,
     """Forward pass of the [4, 6, 6] + 3-deconv graph on the chosen engine.
 
     The input is the pillars' site list: the occupied cells of the grid and
-    their pooled features. Every layer is one `conv` over a list of active
-    sites; the engines differ only in the output sites they ask for. Dense
-    keeps every cell, sparse the cells the taps reach, and
-    sparse+submanifold keeps the input set in every convolution except the
-    first (strided) one of each block and the deconvs. The sparse engines
-    start from the input list as it is; the dense one densifies it once. A
-    bias, then ReLU, applies on the active set only, and the dense engine
-    masks its bias to the cells reachable from the occupied input, so the
-    engines stay numerically interchangeable. Maps stay site lists between
-    layers; the upsampled maps are cropped to the first one's size (rounding
-    in the strided blocks can leave the others a few cells larger) and
-    densified once, at the channel concat. Returns that map plus per-layer
-    stats.
+    their pooled features. Every kernel's channels are checked against the
+    graph before the first layer runs. Each block is one strided convolution
+    and then stride-1 ones; each block output then feeds one upsampling
+    deconvolution. Every layer is one `conv` over a list of active sites;
+    the engines differ only in the output sites they ask for. Dense keeps
+    every cell, sparse the cells the taps reach, and sparse+submanifold
+    keeps the input set in every block convolution but the first. The
+    sparse engines start from the input list as it is; the dense one
+    densifies it once. A bias, then ReLU, applies on the active set only,
+    and the dense engine masks its bias to the cells reachable from the
+    occupied input, so the engines stay numerically interchangeable. Maps
+    stay site lists between layers; the upsampled maps are cropped to the
+    first one's size (rounding in the strided blocks can leave the others a
+    few cells larger) and densified once, at the channel concat. Returns
+    that map plus per-layer stats.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if not np.isfinite(x.feats).all():
         raise ValueError("input sites contain non-finite features")
-
-    plan = _layer_plan(spec, x.feats.shape[1])
-    if len(weights.kernels) != len(plan):
-        raise ValueError(f"graph needs {len(plan)} kernels, got {len(weights.kernels)}")
+    want = list(_channels(spec, x.feats.shape[1]))
+    if len(weights.kernels) != len(want):
+        raise ValueError(f"graph needs {len(want)} kernels, got {len(weights.kernels)}")
+    for idx, (kernel, (c_in, c_out)) in enumerate(zip(weights.kernels, want)):
+        if (kernel.in_channels, kernel.out_channels) != (c_in, c_out):
+            raise ValueError(f"kernel {idx} maps {kernel.in_channels} -> {kernel.out_channels} "
+                             f"channels, the graph needs {c_in} -> {c_out}")
 
     dense = engine == "dense"
-    # each map travels with the keys of the cells reachable from the occupied
-    # input, tracked only where the dense engine needs them to mask its bias
-    live = None
-    if dense and any(b is not None for b in weights.biases):
-        live = x.keys
-    cur = (Sites.from_dense(x.to_dense()) if dense else x, live)
-
+    first = "all" if dense else "reach"
+    rest = "same" if engine == "sparse+submanifold" else first
     stats: list[LayerStats] = []
-    block_outputs: list[tuple[Sites, np.ndarray | None]] = []
-    upsampled: list[Sites] = []
-    block_ends = np.cumsum(spec.block_convs)
-    for idx, (kind, stride, c_in, c_out, is_first) in enumerate(plan):
-        src, live = block_outputs[len(upsampled)] if kind == "deconv" else cur
-        if src.feats.shape[1] != c_in:
-            raise ValueError(f"layer {idx} expects {c_in} channels, got {src.feats.shape[1]}")
-        kernel = weights.kernels[idx]
-        if kernel.in_channels != c_in or kernel.out_channels != c_out:
-            raise ValueError(f"kernel {idx} shape mismatch for layer plan")
+
+    def layer(src: Sites, live, kind: str, stride: int, out: str):
+        """One conv, bias, ReLU and stats row. `live` keys the cells reachable
+        from the occupied input, tracked only for the dense engine's bias."""
+        idx = len(stats)
+        kernel, bias = weights.kernels[idx], weights.biases[idx]
         density = len(src.keys) / (src.p * src.q)
         t0 = time.perf_counter_ns()
-
         transposed = kind == "deconv"
-        if dense:
-            out = "all"
-        elif engine == "sparse+submanifold" and kind == "conv" and not is_first:
-            out = "same"
-        else:
-            out = "reach"
         y, macs = conv(src, kernel, stride, transposed, out)
         if live is not None:
             live = reach(live, src.p, src.q, kernel.k, stride, transposed)
-        bias = weights.biases[idx]
         if bias is not None:
-            if dense:
-                y.feats[live] += np.asarray(bias, dtype=np.float32)
-            else:
-                y.feats += np.asarray(bias, dtype=np.float32)
+            y.feats[live if dense else slice(None)] += np.asarray(bias, dtype=np.float32)
         if spec.relu:
             np.maximum(y.feats, 0.0, out=y.feats)
-        t1 = time.perf_counter_ns()
-        stats.append(LayerStats(idx, kind, stride, macs, density, t1 - t0))
+        stats.append(LayerStats(idx, kind, stride, macs, density, time.perf_counter_ns() - t0))
+        return y, live
 
-        if kind == "conv":
-            cur = (y, live)
-            if idx + 1 in block_ends:
-                block_outputs.append(cur)
-        else:
-            upsampled.append(y)
+    live = x.keys if dense and any(b is not None for b in weights.biases) else None
+    cur = (Sites.from_dense(x.to_dense()) if dense else x, live)
+    blocks = []
+    for n_convs, stride in zip(spec.block_convs, spec.block_strides):
+        cur = layer(*cur, "conv", stride, first)
+        for _ in range(n_convs - 1):
+            cur = layer(*cur, "conv", 1, rest)
+        blocks.append(cur)
+    upsampled = [layer(*block, "deconv", stride, first)[0]
+                 for block, stride in zip(blocks, spec.up_strides)]
 
     p, q = upsampled[0].p, upsampled[0].q
     if any(u.p < p or u.q < q for u in upsampled):

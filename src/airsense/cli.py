@@ -46,13 +46,18 @@ def _load_cfg(args) -> Config:
     return default_config()
 
 
+def _seeded(section, seed):
+    """The config section, with its seed replaced by --seed when given."""
+    return section if seed is None else dataclasses.replace(section, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     mesh = _resolve_mesh(args.mesh)
-    pattern = dataclasses.replace(cfg.scan, seed=args.seed)
+    pattern = _seeded(cfg.scan, args.seed)
     pose = Pose2D(args.yaw, (args.at[0], args.at[1], args.at[2]))
     frames = []
     for k in range(args.frames):
@@ -72,7 +77,7 @@ def cmd_simulate(args) -> int:
 def cmd_directivity(args) -> int:
     cfg = _load_cfg(args)
     mesh = _resolve_mesh(args.mesh)
-    pattern = dataclasses.replace(cfg.scan, seed=args.seed)
+    pattern = _seeded(cfg.scan, args.seed)
     region = VoxelRegion(tuple(args.x), tuple(args.y), tuple(args.z), args.voxel)
     grid = directivity_analysis(pattern, mesh, args.window, args.threshold, region)
     grid.to_csv(args.out)
@@ -85,10 +90,9 @@ def cmd_directivity(args) -> int:
 def cmd_augment(args) -> int:
     cfg = _load_cfg(args)
     mesh = _resolve_mesh(args.mesh)
-    pattern = dataclasses.replace(cfg.scan, seed=args.seed)
-    plan = dataclasses.replace(cfg.augment, seed=args.seed)
-
-    rng = np.random.default_rng(args.seed)
+    pattern = _seeded(cfg.scan, args.seed)
+    plan = _seeded(cfg.augment, args.seed)
+    rng = np.random.default_rng(plan.seed)
     real = _synthesize_real_frames(plan, pattern, mesh, rng)
     pair = build_datasets(plan, real, mesh, pattern)
     os.makedirs(args.out, exist_ok=True)
@@ -200,10 +204,9 @@ def cmd_detect_eval(args) -> int:
     cfg = _load_cfg(args)
     dets = _boxes_by_frame(args.detections)
     gts = _boxes_by_frame(args.truth)
+    ev = cfg.eval if args.iou is None else dataclasses.replace(cfg.eval, iou_threshold=args.iou)
     frames = sorted(set(dets) | set(gts))
-    counts = [classify(dets.get(k, []), gts.get(k, []),
-                       args.iou if args.iou is not None else cfg.eval.iou_threshold,
-                       use_bev=cfg.eval.use_bev)
+    counts = [classify(dets.get(k, []), gts.get(k, []), ev.iou_threshold, use_bev=ev.use_bev)
               for k in frames]
     outcome = aggregate(counts)
     fmt = lambda v: "undefined" if v is None else f"{v:.4f}"
@@ -254,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--yaw", type=float, default=0.0, help="target yaw, radians")
     p.add_argument("--window", type=float, default=100.0, help="frame window, ms")
     p.add_argument("--frames", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="default: the config's scan.seed")
     p.add_argument("--out", required=True, help=".las or columnar text output")
     p.set_defaults(func=cmd_simulate)
 
@@ -266,13 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, nargs=2, default=(5.0, 20.0))
     p.add_argument("--y", type=float, nargs=2, default=(-5.0, 5.0))
     p.add_argument("--z", type=float, nargs=2, default=(-3.0, 3.0))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="default: the config's scan.seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_directivity)
 
     p = sub.add_parser("augment", help="paired simulated/rigid datasets + manifest")
     p.add_argument("--mesh", default="builtin:drone")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="default: the config's scan.seed and augment.seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_augment)
 
@@ -294,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detections", required=True, help="JSONL of frame/box rows")
     p.add_argument("--truth", required=True, help="JSONL of frame/box rows")
     p.add_argument("--iou", type=float, default=None,
-                   help="override the IoU threshold (default 0.30)")
+                   help="IoU threshold (default: the config's eval.iou_threshold)")
     p.add_argument("--out", help="JSON report path")
     p.set_defaults(func=cmd_detect_eval)
 

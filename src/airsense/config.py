@@ -28,6 +28,10 @@ class EvalConfig:
     iou_threshold: float = TP_IOU_THRESHOLD
     use_bev: bool = False
 
+    def __post_init__(self):
+        if not 0 < self.iou_threshold <= 1:
+            raise ValueError(f"iou_threshold must be in (0, 1], got {self.iou_threshold!r}")
+
 
 @dataclass
 class Config:
@@ -73,7 +77,10 @@ def _build(cls, data: dict, path: str):
             raise ConfigError(f"{where}: nested object not expected here")
         if name in _TUPLE_FIELDS and isinstance(value, list):
             value = tuple(value)
-        if allowed[name].type != "bool":
+        if allowed[name].type == "bool":
+            if not isinstance(value, bool):
+                raise ConfigError(f"{where}: expected true or false, got {value!r}")
+        else:
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, (int, float)):
                     _check_number(v, where)

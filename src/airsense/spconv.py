@@ -303,10 +303,8 @@ def conv(x: Sites, kernel: KernelTensor, stride: int = 1, transposed: bool = Fal
         return Sites(out_p, out_q, keys, y), macs
     y = np.empty((len(keys), kernel.out_channels), dtype=np.float32)
     phase = rows % s * s + cols % s
-    order = np.argsort(phase, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(phase, minlength=s * s))))
-    for (i, j), lo, hi in zip(np.ndindex(s, s), bounds[:-1], bounds[1:]):
-        sel = order[lo:hi]
+    for i, j in np.ndindex(s, s):
+        sel = np.flatnonzero(phase == i * s + j)
         base = (rows[sel] // s + a) * w + cols[sel] // s + a
         taps_m = [((i + m - a) // s * w, m) for m in range(k) if (i + m - a) % s == 0]
         taps_n = [((j + n - a) // s, n) for n in range(k) if (j + n - a) % s == 0]

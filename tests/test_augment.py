@@ -228,7 +228,8 @@ class TestBuildDatasets:
         with pytest.raises(ValueError):
             build_datasets(plan, real, quadcopter_mesh(), FAST)
 
-    @pytest.mark.parametrize("field", ["min_points", "max_attempts"])
+    @pytest.mark.parametrize("field", ["min_points", "max_attempts", "background_pool",
+                                       "instances"])
     @pytest.mark.parametrize("value", [0, -3, 2.5, True, np.int64(0)])
     def test_plan_counts_must_be_integers_of_at_least_one(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):

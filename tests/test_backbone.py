@@ -13,7 +13,7 @@ from airsense.backbone import (
     run_backbone,
 )
 from airsense.config import ConfigError, default_config, load_config
-from airsense.spconv import FeatureMap, Sites
+from airsense.spconv import FeatureMap, KernelTensor, Sites
 from oracles import backbone_oracle, reach_oracle
 
 
@@ -73,6 +73,28 @@ class TestGraphShape:
         pi = full_sites(rng, 8, 8, 3)
         _, report = run_backbone(pi, spec, weights, engine="dense")
         assert len(report.layers) == 9
+
+    def test_default_spec_layer_schedule(self, rng):
+        spec = BackboneSpec()
+        _, report = run_backbone(full_sites(rng, 16, 16, 4), spec,
+                                 make_backbone_weights(spec, 4, rng), engine="sparse")
+        want = ([("conv", 2)] + [("conv", 1)] * 3 + [("conv", 2)] + [("conv", 1)] * 5
+                + [("conv", 2)] + [("conv", 1)] * 5 + [("deconv", 1), ("deconv", 2), ("deconv", 4)])
+        assert [(l.kind, l.stride) for l in report.layers] == want
+        assert [l.index for l in report.layers] == list(range(19))
+
+    def test_bad_last_kernel_rejected_before_any_conv(self, rng, monkeypatch):
+        import airsense.backbone as backbone
+        calls = []
+        real = backbone.conv
+        monkeypatch.setattr(backbone, "conv", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        kernels = make_backbone_weights(SMALL, 4, rng).kernels
+        k, c_in = SMALL.kernel_size, SMALL.block_channels[2]
+        kernels[-1] = KernelTensor(np.zeros((SMALL.up_channels + 1, k, k, c_in), np.float32))
+        for engine in ENGINES:
+            with pytest.raises(ValueError, match="kernel 18 maps 32 -> 17 channels"):
+                run_backbone(full_sites(rng, 16, 16, 4), SMALL, BackboneWeights(kernels), engine)
+        assert not calls
 
     def test_wrong_kernel_count_rejected(self, rng):
         weights = make_backbone_weights(SMALL, 4, rng)
@@ -172,6 +194,19 @@ class TestEngineAgreement:
         outs = [run_backbone(pi, SMALL, weights, engine=e)[0].values for e in ENGINES]
         assert all(o.shape == (250, 220, 3 * SMALL.up_channels) for o in outs)
         np.testing.assert_allclose(outs[0], outs[1], atol=1e-4)
+
+
+    def test_biases_and_relu_agree_on_the_default_grid(self, rng):
+        # the upsampled maps need cropping here, and the dense engine masks
+        # its biases to the live cells of every layer
+        grid = default_config().grid
+        spec = BackboneSpec(block_channels=(8, 16, 32), up_channels=16, relu=True)
+        pi = sparse_sites(rng, grid.ny, grid.nx, 4, 0.02)
+        weights = with_biases(make_backbone_weights(spec, 4, rng), rng)
+        dense, _ = run_backbone(pi, spec, weights, engine="dense")
+        sparse, _ = run_backbone(pi, spec, weights, engine="sparse")
+        assert dense.values.shape == (250, 220, 3 * spec.up_channels)
+        np.testing.assert_allclose(dense.values, sparse.values, atol=1e-4)
 
 
 class TestChainOracle:

@@ -1,12 +1,14 @@
 import json
 import math
 import re
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from airsense.cli import main
+from airsense.cli import build_parser, main
 from airsense.config import ConfigError, default_config, load_config
 from airsense.pointio import read_jsonl, read_points, window_frames, write_jsonl
 from oracles import write_tensor
@@ -97,6 +99,21 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.eval.use_bev is True and cfg.backbone.relu is True
 
+    @pytest.mark.parametrize("doc, name", [({"eval": {"use_bev": "no"}}, "eval.use_bev"),
+                                           ({"backbone": {"relu": 1}}, "backbone.relu")])
+    def test_boolean_fields_take_only_booleans(self, tmp_path, doc, name):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)}: expected true or false"):
+            load_config(path)
+
+    @pytest.mark.parametrize("value", [7, 0, -0.1, 1.0001])
+    def test_iou_threshold_outside_zero_one_rejected(self, tmp_path, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"eval": {"iou_threshold": value}}))
+        with pytest.raises(ConfigError, match=r"^eval: iou_threshold must be in \(0, 1\]"):
+            load_config(path)
+
     def test_invalid_value_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"match": {"pos_iou": 0.2, "neg_iou": 0.35}}))
@@ -104,7 +121,8 @@ class TestConfig:
             load_config(path)
 
     @pytest.mark.parametrize("field, value", [("min_points", 0), ("max_attempts", 0),
-                                              ("max_attempts", -1), ("min_points", 2.5)])
+                                              ("max_attempts", -1), ("min_points", 2.5),
+                                              ("instances", 2.5), ("background_pool", 1.5)])
     def test_augment_counts_below_one_rejected(self, tmp_path, field, value):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"augment": {field: value}}))
@@ -124,6 +142,17 @@ class TestSimulateCommand:
         assert run(["--config", cfg] + args + ["--out", out_b]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         assert len(list(read_points(out_a))) > 0
+
+    def test_config_seed_is_the_default(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scan": {"points_per_second": 24_000, "seed": 7}}))
+        outs = {}
+        for name, seed in (("config", []), ("flag", ["--seed", 7]), ("zero", ["--seed", 0])):
+            outs[name] = tmp_path / f"{name}.xyz"
+            assert run(["--config", cfg, "simulate", "--mesh", "builtin:drone",
+                        "--at", 11, 0, 0] + seed + ["--out", outs[name]]) == 0
+        assert outs["config"].read_bytes() == outs["flag"].read_bytes()
+        assert outs["config"].read_bytes() != outs["zero"].read_bytes()
 
     def test_las_output(self, tmp_path):
         out = tmp_path / "scan.las"
@@ -151,6 +180,19 @@ class TestDirectivityCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,y,z,count"
         assert all(int(l.split(",")[3]) >= 4 for l in lines[1:])
+
+
+    def test_config_seed_is_the_default(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scan": {"points_per_second": 24_000, "seed": 7}}))
+        outs = {}
+        for name, seed in (("config", []), ("flag", ["--seed", 7]), ("zero", ["--seed", 0])):
+            outs[name] = tmp_path / f"{name}.csv"
+            assert run(["--config", cfg, "directivity", "--mesh", "builtin:drone",
+                        "--threshold", 1, "--x", 9, 12, "--y", -1, 1, "--z", -1, 1]
+                       + seed + ["--out", outs[name]]) == 0
+        assert outs["config"].read_bytes() == outs["flag"].read_bytes()
+        assert outs["config"].read_bytes() != outs["zero"].read_bytes()
 
 
 class TestBenchConvCommand:
@@ -214,6 +256,16 @@ class TestDetectEvalCommand:
         assert (report["tp"], report["fp"], report["fn"]) == (1, 1, 1)
         assert report["precision"] == pytest.approx(0.5)
         assert report["recall"] == pytest.approx(0.5)
+
+    def test_iou_flag_is_checked_like_the_config(self, tmp_path, capsys):
+        row = {"frame": 0, "box": {"x": 0, "y": 0, "z": 0, "l": 1, "w": 1, "h": 1}}
+        d = tmp_path / "d.jsonl"
+        write_jsonl(d, [row])
+        assert run(["detect-eval", "--detections", d, "--truth", d, "--iou", 0.5]) == 0
+        assert "tp = 1" in capsys.readouterr().out
+        assert run(["detect-eval", "--detections", d, "--truth", d, "--iou", 7]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: iou_threshold must be in (0, 1]")
 
     @pytest.mark.parametrize("field, bad", [("x", "1"), ("l", True), ("yaw", None)])
     def test_mistyped_box_field_exits_with_an_error_line(self, tmp_path, capsys, field, bad):
@@ -343,19 +395,19 @@ class TestTrackCommand:
         assert err.startswith("error: PointFormatError") and "record 2: GPS time" in err
 
 
-def run_augment(tmp_path):
+def run_augment(tmp_path, seeds=("--seed", 3), config_seed=0, name="data"):
     """Three paired frames from a small augment config; returns the output
     directory."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
-        "scan": {"points_per_second": 48_000},
-        "augment": {"background_pool": 2, "instances": 3,
+        "scan": {"points_per_second": 48_000, "seed": config_seed},
+        "augment": {"background_pool": 2, "instances": 3, "seed": config_seed,
                     "region": {"x_range": [9, 13], "y_range": [-2, 2],
                                "z_range": [-1, 1]}},
     }))
-    out = tmp_path / "data"
-    assert run(["--config", cfg, "augment", "--mesh", "builtin:drone",
-                "--seed", 3, "--out", out]) == 0
+    out = tmp_path / name
+    assert run(["--config", cfg, "augment", "--mesh", "builtin:drone", *seeds,
+                "--out", out]) == 0
     return out
 
 
@@ -380,3 +432,46 @@ class TestAugmentCommand:
         assert run(["detect-eval", "--detections", labels, "--truth", labels]) == 0
         out = capsys.readouterr().out
         assert "frames = 3" in out and "f1 = 1.0000" in out
+
+    def test_config_seed_is_the_default(self, tmp_path):
+        from_config = run_augment(tmp_path, (), config_seed=7, name="config")
+        from_flag = run_augment(tmp_path, ("--seed", 7), config_seed=7, name="flag")
+        files = sorted(p.name for p in from_config.iterdir())
+        assert files == sorted(p.name for p in from_flag.iterdir())
+        for f in files:
+            assert (from_config / f).read_bytes() == (from_flag / f).read_bytes()
+        zero = run_augment(tmp_path, ("--seed", 0), config_seed=7, name="zero")
+        assert (zero / "manifest.jsonl").read_bytes() != (from_config / "manifest.jsonl").read_bytes()
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+class TestReadmeExamples:
+    def test_every_airsense_command_parses(self):
+        commands = []
+        for block in readme_blocks("sh"):
+            for line in block.replace("\\\n", " ").splitlines():
+                line = re.sub(r"\$\{?[wc]\}?", "1", line.split("#")[0])
+                for part in line.split(";"):
+                    words = shlex.split(part)
+                    if words[:1] == ["do"]:
+                        words = words[1:]
+                    if words[:1] == ["airsense"]:
+                        commands.append(words[1:])
+        assert len(commands) >= 10
+        for argv in commands:
+            args = build_parser().parse_args(argv)
+            assert callable(args.func)
+
+    def test_every_json_block_loads(self, tmp_path):
+        blocks = readme_blocks("json")
+        assert len(blocks) >= 2
+        for block in blocks:
+            path = tmp_path / "cfg.json"
+            path.write_text(block)
+            load_config(path)
