@@ -13,7 +13,7 @@ from airsense.backbone import (
     run_backbone,
 )
 from airsense.config import ConfigError, default_config, load_config
-from airsense.spconv import FeatureMap, KernelTensor, Sites
+from airsense.spconv import FeatureMap, KernelTensor, Sites, conv
 from oracles import backbone_oracle, reach_oracle
 
 
@@ -84,10 +84,8 @@ class TestGraphShape:
         assert [l.index for l in report.layers] == list(range(19))
 
     def test_bad_last_kernel_rejected_before_any_conv(self, rng, monkeypatch):
-        import airsense.backbone as backbone
         calls = []
-        real = backbone.conv
-        monkeypatch.setattr(backbone, "conv", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        monkeypatch.setattr("airsense.backbone.conv", lambda *a: calls.append(a) or conv(*a))
         kernels = make_backbone_weights(SMALL, 4, rng).kernels
         k, c_in = SMALL.kernel_size, SMALL.block_channels[2]
         kernels[-1] = KernelTensor(np.zeros((SMALL.up_channels + 1, k, k, c_in), np.float32))
