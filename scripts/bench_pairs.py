@@ -9,7 +9,9 @@ Each revision is exported with `git archive` into a fresh directory and
 alternate which side runs first. The script writes BENCH_<NAME>.json at the
 root of the repository after every pair: the machine, and per workload every
 run's end-to-end metrics with the median and quartiles of each side, the
-median change and the number of pairs the change won.
+median change, the number of pairs the change won and whether the gain rule
+holds: the change reads lower in at least 9 of every 10 pairs, and its median
+is lower than the parent's by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -65,10 +67,11 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
     }
     for metric in runs["parent"][0]["metrics"]:
         values = {s: np.array([r["metrics"][metric]["value"] for r in runs[s]]) for s in SIDES}
+        quartiles = {s: np.percentile(values[s], [25, 50, 75]) for s in SIDES}
         n = out["pairs"]
         entry = {}
         for s in SIDES:
-            q1, med, q3 = np.percentile(values[s], [25, 50, 75])
+            q1, med, q3 = quartiles[s]
             entry[s] = {"median": round(float(med), 4), "q1": round(float(q1), 4),
                         "q3": round(float(q3), 4),
                         "runs": [round(float(v), 4) for v in values[s]]}
@@ -77,7 +80,11 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
         entry["median_change_pct"] = (
             round(100.0 * (entry["change"]["median"] / parent_median - 1.0), 2)
             if parent_median else None)
-        entry["parent_iqr"] = round(entry["parent"]["q3"] - entry["parent"]["q1"], 4)
+        parent_iqr = quartiles["parent"][2] - quartiles["parent"][0]
+        entry["parent_iqr"] = round(float(parent_iqr), 4)
+        entry["gain_holds"] = bool(
+            n > 0 and entry["change_wins"] >= 0.9 * n
+            and quartiles["parent"][1] - quartiles["change"][1] > parent_iqr)
         out[metric] = entry
     return out
 
@@ -117,7 +124,9 @@ def main(argv=None) -> int:
         "machine": None,
         "statistics": "median and quartiles (numpy.percentile, linear) over the runs of one "
                       "side; change_wins counts pairs where the change reads lower, ties "
-                      "count for neither",
+                      "count for neither; gain_holds is true when change_wins is at least "
+                      "0.9 of the pairs and the parent median exceeds the change median by "
+                      "more than parent_iqr",
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:

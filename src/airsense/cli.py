@@ -55,6 +55,8 @@ def _seeded(section, seed):
 # subcommands
 
 def cmd_simulate(args) -> int:
+    if args.frames < 1:
+        raise ValueError(f"frames must be >= 1, got {args.frames}")
     cfg = _load_cfg(args)
     mesh = _resolve_mesh(args.mesh)
     pattern = _seeded(cfg.scan, args.seed)

@@ -43,10 +43,14 @@ THRESHOLD_DENSE = 14
 
 MIN_CLUSTER_HITS = 10
 
-# rays traced per traversal in directivity_analysis: enough to share each
-# traversal among many voxels, small enough to keep its temporaries small
-# (192 KB per (n, 3) float64 array); larger batches traced no faster
-_RAY_BATCH = 1 << 13
+# (voxel, ray) pairs traced per traversal in directivity_analysis. Each
+# traversal pays a fixed numpy cost per node, so larger batches trace faster:
+# the 19,801 rays of the offline benchmark's 50-voxel block took 18.5 ms in
+# 8192-ray batches, 15.8 ms in 16384 and 13.2 ms in one batch (medians of 35,
+# 2 vCPUs). A traversal holds about 320 B of temporaries per ray, so a sweep of
+# the CLI-default region peaked at 42.2 / 45.8 / 52.7 / 65.5 MB maxrss at
+# 1 << 13 / 14 / 15 / 16; 1 << 14 is the largest batch within 5 MB of 1 << 13.
+_RAY_BATCH = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -92,11 +96,8 @@ def gen_pattern(spec: ScanPattern, duration_ms: float, start_ms: float = 0.0) ->
     az = np.radians(spec.h_fov_deg / 2.0) * rho * np.cos(theta)
     el = np.radians(spec.v_fov_deg / 2.0) * rho * np.sin(theta)
 
-    dirs = np.column_stack([
-        np.cos(el) * np.cos(az),
-        np.cos(el) * np.sin(az),
-        np.sin(el),
-    ])
+    cos_el = np.cos(el)
+    dirs = np.column_stack([cos_el * np.cos(az), cos_el * np.sin(az), np.sin(el)])
     t_us = np.floor(idx * (1e6 / rate)).astype(np.int64)
     return RayBundle(np.zeros((n, 3)), dirs, t_us)
 
@@ -169,7 +170,7 @@ def simulate_frame(pattern: ScanPattern, target: TriangleMesh | Bvh, pose: Pose2
     # only rays in the cone around the target's bounding sphere can reach it;
     # the rest skip the traversal
     apex = -np.asarray(pose.translation, dtype=np.float64) @ pose.rotation()
-    keep = _in_cone(bvh, apex, local.directions)
+    keep = _in_cone(bvh, apex[None], local.directions)[0]
     hits = bvh.intersect(RayBundle(local.origins[keep], local.directions[keep],
                                    local.t_us[keep]))
     sel = hits.hit
@@ -209,20 +210,21 @@ class VoxelRegion:
         return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
 
-def _in_cone(bvh: Bvh, apex: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Mask of the rays from apex that can meet the sphere through the corners
-    of bvh's root box: those whose unit direction lies within the sphere's
-    angular radius of its center, one dot product each. The radius is padded
-    by 1e-6 of itself plus 1e-9 of the distance to the apex, far above the
-    rounding of this test and of the slab test, so no ray that reaches the
-    root box is dropped. Rays from inside the sphere are all kept."""
+def _in_cone(bvh: Bvh, apexes: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """(m, n) mask of the rays from each of m apexes that can meet the sphere
+    through the corners of bvh's root box: those whose unit direction lies
+    within the sphere's angular radius of its center, one dot product each.
+    The radius is padded by 1e-6 of itself plus 1e-9 of the distance to the
+    apex, far above the rounding of this test and of the slab test, so no ray
+    that reaches the root box is dropped. Rays from an apex inside the sphere
+    are all kept."""
     root = bvh.nodes[0]
-    v = (root.lo + root.hi) / 2.0 - apex
-    dist = math.sqrt(v @ v)
-    r = math.sqrt(np.sum((root.hi - root.lo) ** 2)) / 2.0 * (1.0 + 1e-6) + dist * 1e-9
-    if dist <= r:
-        return np.ones(len(directions), dtype=bool)
-    return directions @ v >= math.sqrt(dist * dist - r * r)
+    v = (root.lo + root.hi) / 2.0 - apexes
+    dist = np.sqrt(np.einsum("ij,ij->i", v, v))
+    r = math.dist(root.lo, root.hi) / 2.0 * (1.0 + 1e-6) + dist * 1e-9
+    # cosine of each apex's angular radius; -inf keeps every ray from inside
+    cos_min = np.where(dist > r, np.sqrt(np.maximum(dist * dist - r * r, 0.0)), -np.inf)
+    return v @ directions.T >= cos_min[:, None]
 
 
 def _in_fov(centers: np.ndarray, pattern: ScanPattern) -> np.ndarray:
@@ -262,9 +264,11 @@ def directivity_analysis(pattern: ScanPattern, mesh: TriangleMesh, window_ms: fl
     Only voxel centers inside the field of view are scanned; the rest stay at
     zero. Every placement shares one acceleration structure and one yaw, so
     the pattern turns into the mesh rest frame once and each voxel only moves
-    the rays' common origin. Each voxel keeps the rays in the cone around the
-    target's bounding sphere, and the kept rays of many voxels go through one
-    traversal, their hits counted back per voxel.
+    the rays' common origin. One cone test per chunk of voxels keeps the
+    (voxel, ray) pairs whose ray can reach the target's bounding sphere; the
+    pairs stream, in voxel-major order, into traversals of _RAY_BATCH pairs
+    that may span voxels and chunks, and each traversal's hits are counted
+    back per voxel with one bincount.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
@@ -275,28 +279,36 @@ def directivity_analysis(pattern: ScanPattern, mesh: TriangleMesh, window_ms: fl
     shift = centers[voxels] - offset if np.any(offset) else centers[voxels]
     rot_inv = Pose2D(yaw).rotation().T
     bvh = Bvh(mesh)
-    # bit for bit the rows transform_rays gives for each voxel's pose
-    dirs = gen_pattern(pattern, window_ms).directions @ rot_inv.T
+    # bit for bit the rows transform_rays gives for each voxel's pose, kept
+    # column-major so that the cone test's product reads each component in one run
+    dirs = np.asfortranarray(gen_pattern(pattern, window_ms).directions @ rot_inv.T)
     apexes = (np.zeros_like(shift) - shift) @ rot_inv.T
-    batch, size = [], 0
-    for voxel, apex in zip(voxels, apexes):
-        kept = dirs[_in_cone(bvh, apex, dirs)]
-        if size + len(kept) > _RAY_BATCH:
-            _count_hits(bvh, batch, counts)
-            batch, size = [], 0
-        batch.append((voxel, apex, kept))
-        size += len(kept)
-    _count_hits(bvh, batch, counts)
+    for pairs in _cone_pairs(bvh, apexes, dirs):
+        voxel, ray = np.divmod(pairs, len(dirs))
+        hit = bvh.intersect(RayBundle(apexes[voxel], dirs[ray],
+                                      np.zeros(len(pairs), dtype=np.int64))).hit
+        counts[voxels] += np.bincount(voxel[hit], minlength=len(voxels))
     return DirectivityGrid(centers, counts, threshold)
 
 
-def _count_hits(bvh: Bvh, batch: list, counts: np.ndarray):
-    """Trace the (voxel, origin, directions) entries of a batch in one
-    traversal and add each voxel's hits to counts."""
-    if not batch:
-        return
-    voxels, apexes, dirs = zip(*batch)
-    sizes = [len(d) for d in dirs]
-    hit = bvh.intersect(RayBundle(np.repeat(apexes, sizes, axis=0), np.concatenate(dirs),
-                                  np.zeros(sum(sizes), dtype=np.int64))).hit
-    counts += np.bincount(np.repeat(voxels, sizes)[hit], minlength=len(counts))
+def _cone_pairs(bvh: Bvh, apexes: np.ndarray, dirs: np.ndarray):
+    """Batches of _RAY_BATCH (the last one fewer) flat indices voxel * n + ray
+    of the rays in each apex's cone, in ascending order. The cone test runs
+    on chunks of apexes whose masks hold at most _RAY_BATCH entries, or one
+    apex's n rays, and at most one batch plus one chunk of pairs is held."""
+    n = len(dirs)
+    step = max(1, _RAY_BATCH // max(n, 1))
+    parts, size = [], 0
+    for a in range(0, len(apexes), step):
+        flat = np.flatnonzero(_in_cone(bvh, apexes[a:a + step], dirs))
+        flat += a * n
+        parts.append(flat)
+        size += flat.size
+        if size >= _RAY_BATCH:
+            pairs = np.concatenate(parts)
+            cut = size - size % _RAY_BATCH
+            for b in range(0, cut, _RAY_BATCH):
+                yield pairs[b:b + _RAY_BATCH]
+            parts, size = [pairs[cut:]], size - cut
+    if size:
+        yield np.concatenate(parts)

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 
 from airsense.boxes import Box3D
+from airsense.lidar_sim import Pose2D, _in_cone, _in_fov, gen_pattern
 from airsense.mesh import box_mesh
 from airsense.pointio import (LAS_HEADER_SIZE, LAS_PRF3_RECORD_SIZE, BadMagic,
                               NonMonotonicTimestamps, ScanFrame, TruncatedFile,
@@ -221,6 +222,47 @@ def index_array_intersect(bvh, bundle):
     points[hit] = origins[hit] + best_t[hit, None] * dirs[hit]
     cosang[hit] = np.abs(np.sum(dirs[hit] * bvh.mesh.normals[best_tri[hit]], axis=1))
     return HitBatch(hit, best_t, points, best_tri, np.clip(cosang, 0.0, 1.0)), tests
+
+
+
+LOOP_BATCH = 1 << 13
+
+
+def loop_directivity(pattern, mesh, window_ms, region, yaw=0.0):
+    """directivity_analysis's counts as a per-voxel loop: one cone test per
+    in-view voxel, the kept rays of whole voxels gathered with np.repeat and
+    np.concatenate into traversals of at most LOOP_BATCH rays (a voxel with
+    more rays than that gets a traversal of its own), and each traversal's
+    hits counted back per voxel."""
+    centers = region.centers()
+    counts = np.zeros(len(centers), dtype=np.int64)
+    voxels = np.nonzero(_in_fov(centers, pattern))[0]
+    offset = mesh.center()
+    shift = centers[voxels] - offset if np.any(offset) else centers[voxels]
+    rot_inv = Pose2D(yaw).rotation().T
+    bvh = Bvh(mesh)
+    dirs = gen_pattern(pattern, window_ms).directions @ rot_inv.T
+    apexes = (np.zeros_like(shift) - shift) @ rot_inv.T
+
+    def count_hits(batch):
+        if not batch:
+            return
+        ids, origins, kept = zip(*batch)
+        sizes = [len(d) for d in kept]
+        hit = bvh.intersect(RayBundle(np.repeat(origins, sizes, axis=0), np.concatenate(kept),
+                                      np.zeros(sum(sizes), dtype=np.int64))).hit
+        counts[:] += np.bincount(np.repeat(ids, sizes)[hit], minlength=len(counts))
+
+    batch, size = [], 0
+    for voxel, apex in zip(voxels, apexes):
+        kept = dirs[_in_cone(bvh, apex[None], dirs)[0]]
+        if size + len(kept) > LOOP_BATCH:
+            count_hits(batch)
+            batch, size = [], 0
+        batch.append((voxel, apex, kept))
+        size += len(kept)
+    count_hits(batch)
+    return counts
 
 
 # The scalar yawed-box overlap: one Sutherland-Hodgman clip over Python

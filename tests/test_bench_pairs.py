@@ -38,3 +38,32 @@ def test_finished_run_returns_its_result_and_info(tmp_path, bench_pairs):
         "print('{\"info\": {\"seed\": 7}}')\n"
         "print('{\"correct\": true}')\n")
     assert bench_pairs.bench(str(tree), "sky", 7, 1.0) == ({"correct": True}, {"seed": 7})
+
+
+def pair_runs(parent, change):
+    """summarize's input: one run per value, op_norm_ms only."""
+    return {side: [{"correct": True, "failed": 0, "attempted": 10,
+                    "metrics": {"op_norm_ms": {"value": v}}} for v in values]
+            for side, values in (("parent", parent), ("change", change))}
+
+
+@pytest.mark.parametrize("parent, change, holds", [
+    # 9/10 wins, medians 10.0 -> 8.0 apart by more than the parent IQR 0.375
+    ([9.5, 10.0, 10.5, 9.75, 10.25, 10.0, 9.75, 10.25, 10.0, 10.0],
+     [8.0, 8.0, 8.0, 8.0, 8.0, 8.0, 8.0, 8.0, 8.0, 11.0], True),
+    # 8/10 wins: too few
+    ([9.5, 10.0, 10.5, 9.75, 10.25, 10.0, 9.75, 10.25, 10.0, 10.0],
+     [8.0, 8.0, 8.0, 8.0, 8.0, 8.0, 8.0, 8.0, 11.0, 11.0], False),
+    # 10/10 wins, but the medians 10.0 -> 9.8 differ by less than the IQR
+    ([9.5, 10.0, 10.5, 9.75, 10.25, 10.0, 9.75, 10.25, 10.0, 10.0],
+     [9.4, 9.8, 10.4, 9.7, 10.2, 9.8, 9.7, 10.2, 9.8, 9.8], False),
+    # 3/3 wins over three pairs, well apart
+    ([10.0, 10.1, 9.9], [8.0, 8.1, 7.9], True),
+    # a rise is never a gain
+    ([8.0, 8.1, 7.9], [10.0, 10.1, 9.9], False),
+])
+def test_gain_rule_needs_nine_in_ten_wins_and_medians_apart_by_the_parent_iqr(
+        bench_pairs, parent, change, holds):
+    entry = bench_pairs.summarize(pair_runs(parent, change))["op_norm_ms"]
+    assert entry["gain_holds"] is holds
+    assert entry["change_wins"] == sum(c < p for p, c in zip(parent, change))

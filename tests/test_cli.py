@@ -168,6 +168,15 @@ class TestSimulateCommand:
                     "--out", tmp_path / "x.xyz"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("frames", [-1, 0])
+    def test_frame_count_below_one_rejected(self, tmp_path, capsys, frames):
+        out = tmp_path / "s.xyz"
+        assert run(["simulate", "--mesh", "builtin:sphere", "--at", 9, 0, 0,
+                    "--frames", frames, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: frames must be >= 1, got {frames}")
+        assert not out.exists()
+
 
 class TestDirectivityCommand:
     def test_csv_written_with_threshold(self, tmp_path):

@@ -21,9 +21,11 @@ from airsense.lidar_sim import (
     transform_rays,
     _in_fov,
 )
+from airsense.cli import build_parser
+from airsense.config import default_config
 from airsense.mesh import TriangleMesh, box_mesh, icosphere, quadcopter_mesh
 from airsense.raytrace import Bvh, RayBundle, moller_trumbore
-from oracles import cross_product_mt, face_cosines, index_array_intersect
+from oracles import cross_product_mt, face_cosines, index_array_intersect, loop_directivity
 
 FAST = ScanPattern(points_per_second=24_000, seed=7)
 
@@ -442,6 +444,60 @@ class TestConeCull:
             assert sim.frame.t_us.tobytes() == t_us.tobytes()
             assert (sim.hit_count, sim.rays_cast) == (hit_count, rays_cast)
             assert culled.triangle_tests == full.triangle_tests
+
+
+class TestFlatSweep:
+    """The flat (voxel, ray) pair sweep against the per-voxel loop it
+    replaced: equal counts wherever a traversal's pairs start and end."""
+
+    def test_cli_default_region_matches_the_loop(self):
+        args = build_parser().parse_args(["directivity", "--mesh", "builtin:drone",
+                                          "--out", "unused.csv"])
+        region = VoxelRegion(tuple(args.x), tuple(args.y), tuple(args.z), args.voxel)
+        pattern, mesh = default_config().scan, quadcopter_mesh()
+        grid = directivity_analysis(pattern, mesh, args.window, args.threshold, region)
+        assert grid.counts.sum() > 0
+        assert np.array_equal(grid.counts, loop_directivity(pattern, mesh, args.window, region))
+
+    @pytest.mark.parametrize("mesh, yaw, batch", [
+        (quadcopter_mesh(), 0.9, None),
+        (quadcopter_mesh(), -2.3, None),
+        (icosphere(0.5, 1, center=(0.4, -0.3, 0.2)), 0.0, None),
+        (icosphere(0.5, 1, center=(0.4, -0.3, 0.2)), 1.1, 16),
+        (quadcopter_mesh(), 0.0, 16),
+        (quadcopter_mesh(), 0.4, 1000),
+    ], ids=["yawed", "yawed-back", "off-origin", "off-origin-yawed-batch-16", "batch-16",
+            "yawed-batch-1000"])
+    def test_matches_the_loop(self, mesh, yaw, batch):
+        # 27 voxels of FAST's 2400 rays: the default batch spans chunks of six
+        # voxels; 16 and 1000 end batches partway through a voxel's rays
+        region = VoxelRegion((9.0, 12.0), (-1.5, 1.5), (-1.5, 1.5))
+        with mock.patch.object(lidar_sim, "_RAY_BATCH", batch or lidar_sim._RAY_BATCH):
+            grid = directivity_analysis(FAST, mesh, 100.0, 1, region, yaw=yaw)
+        assert grid.counts.sum() > 0
+        assert np.array_equal(grid.counts, loop_directivity(FAST, mesh, 100.0, region, yaw))
+
+    def test_cone_masks_stay_within_a_batch(self):
+        masks = []
+        in_cone = lidar_sim._in_cone
+
+        def recorded(bvh, apexes, directions):
+            mask = in_cone(bvh, apexes, directions)
+            masks.append(mask.shape)
+            return mask
+
+        region = VoxelRegion((10.0, 15.0), (-5.0, 5.0), (0.0, 1.0))
+        n = len(gen_pattern(FAST, 100.0))
+        for batch in (lidar_sim._RAY_BATCH, 1000):
+            masks.clear()
+            with mock.patch.object(lidar_sim, "_in_cone", recorded), \
+                    mock.patch.object(lidar_sim, "_RAY_BATCH", batch):
+                directivity_analysis(FAST, quadcopter_mesh(), 100.0, 1, region)
+            assert masks and all(c == n for _, c in masks)
+            assert sum(m for m, _ in masks) == 50
+            assert max(m * c for m, c in masks) <= max(batch, n)
+        # a batch of 1000 holds less than one voxel's 2400 rays
+        assert all(m == 1 for m, _ in masks)
 
 
 class TestDirectivity:
