@@ -224,7 +224,6 @@ def index_array_intersect(bvh, bundle):
     return HitBatch(hit, best_t, points, best_tri, np.clip(cosang, 0.0, 1.0)), tests
 
 
-
 LOOP_BATCH = 1 << 13
 
 
