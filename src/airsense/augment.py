@@ -141,10 +141,13 @@ class AugPlan:
     max_attempts: int = 40
 
     def __post_init__(self):
-        for name in ("background_pool", "instances", "min_points", "max_attempts"):
+        for name, low in (("background_pool", 1), ("instances", 1), ("min_points", 1),
+                          ("max_attempts", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if not (math.isfinite(self.window_ms) and self.window_ms > 0):
+            raise ValueError(f"window_ms must be finite and > 0, got {self.window_ms!r}")
 
 
 @dataclass

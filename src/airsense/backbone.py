@@ -52,6 +52,12 @@ class BackboneSpec:
                 raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
+        # every upsampled block output must land on the first one's grid
+        s1, s2, s3 = self.block_strides
+        totals = (s1, s1 * s2, s1 * s2 * s3)
+        if any(t * self.up_strides[0] != totals[0] * u for t, u in zip(totals, self.up_strides)):
+            raise ValueError("cumulative block_strides over up_strides must agree for all "
+                             f"three blocks, got {totals} over {tuple(self.up_strides)}")
 
 
 @dataclass
@@ -183,9 +189,6 @@ def run_backbone(x: Sites, spec: BackboneSpec, weights: BackboneWeights,
                  for block, stride in zip(blocks, spec.up_strides)]
 
     p, q = upsampled[0].p, upsampled[0].q
-    if any(u.p < p or u.q < q for u in upsampled):
-        raise ValueError("upsampled block outputs disagree on size: "
-                         f"{sorted((u.p, u.q) for u in upsampled)}")
     final = np.zeros((p * q, sum(u.feats.shape[1] for u in upsampled)), dtype=np.float32)
     lo = 0
     for u in upsampled:

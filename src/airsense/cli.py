@@ -7,11 +7,11 @@ Every command is deterministic for a fixed (config, seed) pair.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,14 +41,21 @@ def _resolve_mesh(spec: str):
 
 
 def _load_cfg(args) -> Config:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return default_config()
-
-
-def _seeded(section, seed):
-    """The config section, with its seed replaced by --seed when given."""
-    return section if seed is None else dataclasses.replace(section, seed=seed)
+    """The config file, or the defaults, with each flag that is given
+    written over its fields; the fields' own checks run on the flags too."""
+    cfg = load_config(args.config) if args.config else default_config()
+    seed, window = getattr(args, "seed", None), getattr(args, "window", None)
+    separation, iou = getattr(args, "separation", None), getattr(args, "iou", None)
+    if seed is not None:
+        cfg = replace(cfg, scan=replace(cfg.scan, seed=seed),
+                      augment=replace(cfg.augment, seed=seed))
+    if window is not None:
+        cfg = replace(cfg, window_ms=window)
+    if separation is not None:
+        cfg = replace(cfg, tracker=replace(cfg.tracker, separation_m=separation))
+    if iou is not None:
+        cfg = replace(cfg, eval=replace(cfg.eval, iou_threshold=iou))
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +66,11 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"frames must be >= 1, got {args.frames}")
     cfg = _load_cfg(args)
     mesh = _resolve_mesh(args.mesh)
-    pattern = _seeded(cfg.scan, args.seed)
     pose = Pose2D(args.yaw, (args.at[0], args.at[1], args.at[2]))
     frames = []
     for k in range(args.frames):
-        start = k * args.window
-        sim = simulate_frame(pattern, mesh, pose, args.window, start_ms=start)
+        start = k * cfg.window_ms
+        sim = simulate_frame(cfg.scan, mesh, pose, cfg.window_ms, start_ms=start)
         status = "accepted" if sim.accepted else "thin"
         print(f"frame {k}: {sim.hit_count} hits from {sim.rays_cast} rays ({status})")
         frames.append(sim.frame)
@@ -79,9 +85,8 @@ def cmd_simulate(args) -> int:
 def cmd_directivity(args) -> int:
     cfg = _load_cfg(args)
     mesh = _resolve_mesh(args.mesh)
-    pattern = _seeded(cfg.scan, args.seed)
     region = VoxelRegion(tuple(args.x), tuple(args.y), tuple(args.z), args.voxel)
-    grid = directivity_analysis(pattern, mesh, args.window, args.threshold, region)
+    grid = directivity_analysis(cfg.scan, mesh, cfg.window_ms, args.threshold, region)
     grid.to_csv(args.out)
     n_inc = int(grid.included().sum())
     print(f"{n_inc}/{len(grid.centers)} voxels at threshold {args.threshold} "
@@ -92,11 +97,10 @@ def cmd_directivity(args) -> int:
 def cmd_augment(args) -> int:
     cfg = _load_cfg(args)
     mesh = _resolve_mesh(args.mesh)
-    pattern = _seeded(cfg.scan, args.seed)
-    plan = _seeded(cfg.augment, args.seed)
+    plan = cfg.augment
     rng = np.random.default_rng(plan.seed)
-    real = _synthesize_real_frames(plan, pattern, mesh, rng)
-    pair = build_datasets(plan, real, mesh, pattern)
+    real = _synthesize_real_frames(plan, cfg.scan, mesh, rng)
+    pair = build_datasets(plan, real, mesh, cfg.scan)
     os.makedirs(args.out, exist_ok=True)
     for name, frames in (("sim", pair.data_sim), ("euc", pair.data_euc)):
         rows = []
@@ -206,10 +210,9 @@ def cmd_detect_eval(args) -> int:
     cfg = _load_cfg(args)
     dets = _boxes_by_frame(args.detections)
     gts = _boxes_by_frame(args.truth)
-    ev = cfg.eval if args.iou is None else dataclasses.replace(cfg.eval, iou_threshold=args.iou)
     frames = sorted(set(dets) | set(gts))
-    counts = [classify(dets.get(k, []), gts.get(k, []), ev.iou_threshold, use_bev=ev.use_bev)
-              for k in frames]
+    counts = [classify(dets.get(k, []), gts.get(k, []), cfg.eval.iou_threshold,
+                       use_bev=cfg.eval.use_bev) for k in frames]
     outcome = aggregate(counts)
     fmt = lambda v: "undefined" if v is None else f"{v:.4f}"
     print(f"frames = {len(frames)}")
@@ -226,13 +229,10 @@ def cmd_detect_eval(args) -> int:
 
 def cmd_track(args) -> int:
     cfg = _load_cfg(args)
-    window = args.window if args.window is not None else cfg.window_ms
-    separation = args.separation if args.separation is not None else cfg.tracker.separation_m
-    frames = list(window_frames(read_points(args.frames), window))
+    frames = list(window_frames(read_points(args.frames), cfg.window_ms))
     dets = _boxes_by_frame(args.detections)
     det_lists = [dets.get(k, []) for k in range(len(frames))]
-    tc = dataclasses.replace(cfg.tracker, separation_m=separation)
-    track_log, alert_log, summary = replay(frames, det_lists, tc)
+    track_log, alert_log, summary = replay(frames, det_lists, cfg.tracker)
     write_jsonl(args.out_tracks, track_log)
     write_jsonl(args.out_alerts, alert_log)
     print(f"frames = {len(frames)}")
@@ -257,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", type=float, nargs=3, required=True,
                    metavar=("X", "Y", "Z"), help="target center, meters")
     p.add_argument("--yaw", type=float, default=0.0, help="target yaw, radians")
-    p.add_argument("--window", type=float, default=100.0, help="frame window, ms")
+    p.add_argument("--window", type=float, default=None,
+                   help="frame window, ms (default: the config's window_ms)")
     p.add_argument("--frames", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="default: the config's scan.seed")
     p.add_argument("--out", required=True, help=".las or columnar text output")
@@ -265,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("directivity", help="per-voxel return-count heat map CSV")
     p.add_argument("--mesh", required=True)
-    p.add_argument("--window", type=float, default=100.0)
+    p.add_argument("--window", type=float, default=None,
+                   help="window, ms (default: the config's window_ms)")
     p.add_argument("--threshold", type=int, default=4)
     p.add_argument("--voxel", type=float, default=1.0)
     p.add_argument("--x", type=float, nargs=2, default=(5.0, 20.0))

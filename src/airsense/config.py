@@ -1,17 +1,19 @@
 """Declarative configuration: one JSON document holding the grid, anchor,
-scan, augmentation, tracker, and evaluation settings. Unknown keys are
-rejected so typos fail loudly."""
+scan, augmentation, tracker, and evaluation settings. Each field is read by
+its declared type, and unknown keys are rejected so typos fail loudly."""
 
 from __future__ import annotations
 
 import json
+import math
 import sys
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 
 from .anchors import MatchThresholds
 from .augment import AugPlan
 from .backbone import BackboneSpec
-from .lidar_sim import ScanPattern, VoxelRegion
+from .lidar_sim import ScanPattern
 from .metrics import TP_IOU_THRESHOLD
 from .pillars import PillarGridSpec
 from .tracker import TrackerConfig
@@ -45,9 +47,9 @@ class Config:
     window_ms: float = 100.0
     sensor_elevation: float = 0.0
 
-
-_TUPLE_FIELDS = {"x_range", "y_range", "z_range", "block_convs", "block_channels",
-                 "block_strides", "up_strides"}
+    def __post_init__(self):
+        if not (math.isfinite(self.window_ms) and self.window_ms > 0):
+            raise ValueError(f"window_ms must be finite and > 0, got {self.window_ms!r}")
 
 
 def _check_number(value, where: str):
@@ -60,46 +62,34 @@ def _check_number(value, where: str):
         raise ConfigError(f"{where}: expected a finite number, got {shown}")
 
 
-def _build(cls, data: dict, path: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected an object")
-    allowed = {f.name: f for f in fields(cls)}
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, value in data.items():
-        where = f"{path}.{name}"
-        if name == "region":
-            kwargs[name] = _build(VoxelRegion, value, where)
-            continue
-        if isinstance(value, dict):
-            raise ConfigError(f"{where}: nested object not expected here")
-        if name in _TUPLE_FIELDS and isinstance(value, list):
-            value = tuple(value)
-        if allowed[name].type == "bool":
-            if not isinstance(value, bool):
-                raise ConfigError(f"{where}: expected true or false, got {value!r}")
-        else:
-            for v in value if isinstance(value, tuple) else (value,):
-                if isinstance(v, (int, float)):
-                    _check_number(v, where)
-        kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-_SECTIONS = {
-    "grid": PillarGridSpec,
-    "scan": ScanPattern,
-    "match": MatchThresholds,
-    "augment": AugPlan,
-    "tracker": TrackerConfig,
-    "eval": EvalConfig,
-    "backbone": BackboneSpec,
-}
+def _build(tp, value, where: str):
+    """The JSON value read as the declared type tp: a dataclass from an
+    object, field by field; a tuple from a list; a bool from true or false;
+    anything else is a number, and a float field holds it as a float."""
+    if is_dataclass(tp):
+        at = where or "top level"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{at}: expected an object")
+        unknown = set(value) - {f.name for f in fields(tp)}
+        if unknown:
+            raise ConfigError(f"{at}: unknown keys {sorted(unknown)}")
+        hints = typing.get_type_hints(tp)
+        kwargs = {name: _build(hints[name], v, f"{where}.{name}" if where else name)
+                  for name, v in value.items()}
+        try:
+            return tp(**kwargs)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{at}: {exc}") from exc
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return tuple(_build(typing.get_args(tp)[0], v, where) for v in value)
+    if tp is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{where}: expected true or false, got {value!r}")
+        return value
+    _check_number(value, where)
+    return float(value) if tp is float else value
 
 
 def load_config(path) -> Config:
@@ -108,23 +98,7 @@ def load_config(path) -> Config:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    known_scalar = {"window_ms", "sensor_elevation"}
-    unknown = set(raw) - set(_SECTIONS) - known_scalar
-    if unknown:
-        raise ConfigError(f"{path}: unknown sections {sorted(unknown)}")
-    cfg = Config()
-    for section, cls in _SECTIONS.items():
-        if section in raw:
-            setattr(cfg, section, _build(cls, raw[section], section))
-    for name in known_scalar:
-        if name in raw:
-            _check_number(raw[name], name)
-            setattr(cfg, name, float(raw[name]))
-    if not cfg.window_ms > 0:
-        raise ConfigError(f"window_ms: expected a positive number, got {cfg.window_ms}")
-    return cfg
+    return _build(Config, raw, "")
 
 
 def default_config() -> Config:

@@ -68,8 +68,10 @@ class ScanPattern:
     seed: int = 0
 
     def __post_init__(self):
-        if self.points_per_second <= 0:
-            raise ValueError("points_per_second must be positive")
+        for name, low in (("points_per_second", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not (0 < self.h_fov_deg < 180 and 0 < self.v_fov_deg < 180):
             raise ValueError("field of view must be in (0, 180) degrees")
 

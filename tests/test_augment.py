@@ -235,3 +235,14 @@ class TestBuildDatasets:
         with pytest.raises(ValueError, match=f"{field} must be an integer >= 1"):
             AugPlan(**{field: value})
         assert getattr(AugPlan(**{field: np.int64(3)}), field) == 3
+
+    @pytest.mark.parametrize("value", [-1, 2.5, True])
+    def test_plan_seed_must_be_an_integer_of_at_least_zero(self, value):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            AugPlan(seed=value)
+        assert AugPlan(seed=np.int64(0)).seed == 0
+
+    @pytest.mark.parametrize("value", [0.0, -5.0, math.inf, math.nan])
+    def test_plan_window_must_be_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="window_ms must be finite and > 0"):
+            AugPlan(window_ms=value)

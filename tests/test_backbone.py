@@ -83,6 +83,19 @@ class TestGraphShape:
         assert [(l.kind, l.stride) for l in report.layers] == want
         assert [l.index for l in report.layers] == list(range(19))
 
+    @pytest.mark.parametrize("block_strides, up_strides", [
+        ((1, 1, 1), (1, 2, 4)), ((2, 1, 2), (1, 2, 4)), ((2, 2, 2), (2, 2, 2))])
+    def test_strides_whose_upsampled_maps_disagree_rejected(self, tmp_path, block_strides,
+                                                            up_strides):
+        # cumulative stride / up stride must be equal: 2/1 = 4/2 = 8/4 by default
+        with pytest.raises(ValueError, match="cumulative block_strides over up_strides"):
+            BackboneSpec(block_strides=block_strides, up_strides=up_strides)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"backbone": {"block_strides": block_strides,
+                                                 "up_strides": up_strides}}))
+        with pytest.raises(ConfigError, match="^backbone: cumulative block_strides"):
+            load_config(path)
+
     def test_bad_last_kernel_rejected_before_any_conv(self, rng, monkeypatch):
         calls = []
         monkeypatch.setattr("airsense.backbone.conv", lambda *a: calls.append(a) or conv(*a))
@@ -222,6 +235,24 @@ class TestChainOracle:
         got, _ = run_backbone(pi, spec, weights, engine)
         want = backbone_oracle(pi, spec, weights, engine == "sparse+submanifold")
         assert got.values.shape == want.shape == (32, 24, 3 * spec.up_channels)
+        np.testing.assert_allclose(got.values, want, atol=1e-4)
+
+    @pytest.mark.parametrize("block_strides, up_strides", [
+        ((1, 2, 2), (1, 2, 4)), ((3, 1, 2), (1, 1, 2)), ((1, 3, 1), (1, 3, 3))])
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_consistent_strides_on_odd_grids_match_the_gather_chain(self, engine,
+                                                                   block_strides, up_strides):
+        # the later upsampled maps are never smaller than the first, only
+        # a few cells larger where the strided blocks round up
+        r = np.random.default_rng(12)
+        spec = BackboneSpec(block_convs=(2, 2, 2), block_channels=(4, 8, 8),
+                            block_strides=block_strides, up_strides=up_strides, up_channels=4)
+        pi = sparse_sites(r, 13, 11, 3, 0.3)
+        weights = make_backbone_weights(spec, 3, r)
+        got, _ = run_backbone(pi, spec, weights, engine)
+        want = backbone_oracle(pi, spec, weights, engine == "sparse+submanifold")
+        s, u = block_strides[0], up_strides[0]
+        assert got.values.shape == want.shape == (-(-13 // s) * u, -(-11 // s) * u, 12)
         np.testing.assert_allclose(got.values, want, atol=1e-4)
 
 

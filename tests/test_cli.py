@@ -1,15 +1,17 @@
+import dataclasses
 import json
 import math
 import re
 import shlex
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from airsense.cli import build_parser, main
-from airsense.config import ConfigError, default_config, load_config
+from airsense.config import Config, ConfigError, default_config, load_config
 from airsense.pointio import read_jsonl, read_points, window_frames, write_jsonl
 from oracles import write_tensor
 
@@ -129,6 +131,53 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"^augment: {field} must be an integer >= 1"):
             load_config(path)
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"scan": {"seed": 1.5}}, "scan: seed must be an integer >= 0, got 1.5"),
+        ({"scan": {"seed": -1}}, "scan: seed must be an integer >= 0, got -1"),
+        ({"scan": {"points_per_second": 1.5}},
+         "scan: points_per_second must be an integer >= 1, got 1.5"),
+        ({"augment": {"seed": 2.5}}, "augment: seed must be an integer >= 0, got 2.5"),
+        ({"augment": {"seed": -1}}, "augment: seed must be an integer >= 0, got -1"),
+        ({"augment": {"window_ms": -5}}, "augment: window_ms must be finite and > 0, got -5.0"),
+        ({"augment": {"window_ms": 0}}, "augment: window_ms must be finite and > 0, got 0.0"),
+    ])
+    def test_seeds_rate_and_plan_window_rejected_at_load(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        commands = {"scan": [["simulate", "--mesh", "builtin:sphere", "--at", 9, 0, 0,
+                              "--out", tmp_path / "s.xyz"],
+                             ["directivity", "--mesh", "builtin:sphere",
+                              "--out", tmp_path / "d.csv"]],
+                    "augment": [["augment", "--out", tmp_path / "aug"]]}
+        for command in commands[next(iter(doc))]:
+            capsys.readouterr()
+            assert run(["--config", path] + command) == 1
+            assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+        assert not any((tmp_path / name).exists() for name in ("s.xyz", "d.csv", "aug"))
+
+    def test_default_config_round_trips_through_json(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dataclasses.asdict(default_config())))
+        assert load_config(path) == default_config()
+
+    def test_every_leaf_type_is_one_the_loader_reads(self):
+        def leaves(cls, prefix):
+            for name, tp in typing.get_type_hints(cls).items():
+                if dataclasses.is_dataclass(tp):
+                    yield from leaves(tp, f"{prefix}{name}.")
+                else:
+                    yield f"{prefix}{name}", tp
+
+        found = dict(leaves(Config, ""))
+        assert {"augment.region.voxel_size", "backbone.relu", "window_ms"} <= set(found)
+        for name, tp in found.items():
+            if typing.get_origin(tp) is tuple:
+                assert set(typing.get_args(tp)) - {Ellipsis} in ({int}, {float}), name
+            else:
+                assert tp in (bool, int, float), name
+
 
 class TestSimulateCommand:
     def test_writes_frames_and_is_deterministic(self, tmp_path, capsys):
@@ -168,6 +217,32 @@ class TestSimulateCommand:
                     "--out", tmp_path / "x.xyz"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_config_window_is_the_default(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window_ms": 50}))
+        outs = {}
+        runs = {"config": ["--config", cfg, "simulate"], "flag": ["simulate", "--window", 50]}
+        for name, args in runs.items():
+            outs[name] = tmp_path / f"{name}.xyz"
+            capsys.readouterr()
+            assert run(args + ["--mesh", "builtin:sphere", "--at", 9, 0, 0,
+                               "--out", outs[name]]) == 0
+            # 240k rays/s over 50 ms
+            assert " hits from 12000 rays " in capsys.readouterr().out
+        assert outs["config"].read_bytes() == outs["flag"].read_bytes()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", -1, "seed must be an integer >= 0, got -1"),
+        ("--window", -5, "window_ms must be finite and > 0, got -5.0"),
+        ("--window", "nan", "window_ms must be finite and > 0, got nan"),
+    ])
+    def test_flags_pass_the_config_checks(self, tmp_path, capsys, flag, value, message):
+        for command in (["simulate", "--at", 9, 0, 0], ["directivity"]):
+            out = tmp_path / "out"
+            assert run(command + ["--mesh", "builtin:sphere", flag, value, "--out", out]) == 1
+            assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize("frames", [-1, 0])
     def test_frame_count_below_one_rejected(self, tmp_path, capsys, frames):
         out = tmp_path / "s.xyz"
@@ -202,6 +277,20 @@ class TestDirectivityCommand:
                        + seed + ["--out", outs[name]]) == 0
         assert outs["config"].read_bytes() == outs["flag"].read_bytes()
         assert outs["config"].read_bytes() != outs["zero"].read_bytes()
+
+    def test_config_window_is_the_default(self, tmp_path):
+        outs = {}
+        for name, window, flag in (("config", 50, []), ("flag", 100, ["--window", 50]),
+                                   ("long", 50, ["--window", 100])):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"scan": {"points_per_second": 24_000},
+                                       "window_ms": window}))
+            outs[name] = tmp_path / f"{name}.csv"
+            assert run(["--config", cfg, "directivity", "--mesh", "builtin:drone",
+                        "--threshold", 1, "--x", 9, 12, "--y", -1, 1, "--z", -1, 1]
+                       + flag + ["--out", outs[name]]) == 0
+        assert outs["config"].read_bytes() == outs["flag"].read_bytes()
+        assert outs["config"].read_bytes() != outs["long"].read_bytes()
 
 
 class TestBenchConvCommand:

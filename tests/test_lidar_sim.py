@@ -123,6 +123,15 @@ class TestPattern:
         assert (np.diff(rays.t_us) >= 0).all()
         assert rays.t_us[0] >= 0 and rays.t_us[-1] < 100_000
 
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5), ("seed", True),
+                                              ("points_per_second", 0),
+                                              ("points_per_second", 1.5)])
+    def test_seed_and_rate_must_be_integers(self, field, value):
+        low = 0 if field == "seed" else 1
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= {low}, got"):
+            ScanPattern(**{field: value})
+        assert getattr(ScanPattern(**{field: np.int64(3)}), field) == 3
+
 
 class TestTransform:
     def test_identity_pose(self):
@@ -454,10 +463,11 @@ class TestFlatSweep:
         args = build_parser().parse_args(["directivity", "--mesh", "builtin:drone",
                                           "--out", "unused.csv"])
         region = VoxelRegion(tuple(args.x), tuple(args.y), tuple(args.z), args.voxel)
-        pattern, mesh = default_config().scan, quadcopter_mesh()
-        grid = directivity_analysis(pattern, mesh, args.window, args.threshold, region)
+        cfg, mesh = default_config(), quadcopter_mesh()
+        grid = directivity_analysis(cfg.scan, mesh, cfg.window_ms, args.threshold, region)
         assert grid.counts.sum() > 0
-        assert np.array_equal(grid.counts, loop_directivity(pattern, mesh, args.window, region))
+        assert np.array_equal(grid.counts,
+                              loop_directivity(cfg.scan, mesh, cfg.window_ms, region))
 
     @pytest.mark.parametrize("mesh, yaw, batch", [
         (quadcopter_mesh(), 0.9, None),
