@@ -541,6 +541,14 @@ class TestAugmentCommand:
         zero = run_augment(tmp_path, ("--seed", 0), config_seed=7, name="zero")
         assert (zero / "manifest.jsonl").read_bytes() != (from_config / "manifest.jsonl").read_bytes()
 
+    def test_seed_flag_sets_the_scan_and_the_plan_seed(self, tmp_path):
+        from_flag = run_augment(tmp_path, ("--seed", 0), config_seed=7, name="flag")
+        from_config = run_augment(tmp_path, (), config_seed=0, name="config")
+        files = sorted(p.name for p in from_config.iterdir())
+        assert files == sorted(p.name for p in from_flag.iterdir())
+        for f in files:
+            assert (from_config / f).read_bytes() == (from_flag / f).read_bytes()
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
