@@ -7,7 +7,8 @@ Each revision is exported with `git archive` into a fresh directory and
 `bench/run.py` runs unchanged from each copy, one process per run. A
 `W@S:N` argument asks for N pairs of workload W at seed S; the pairs
 alternate which side runs first. The script writes BENCH_<NAME>.json at the
-root of the repository after every pair: the machine, and per workload every
+root of the repository after every pair: the machine, each revision's count
+of lines in the Python files under src/ and scripts/, and per workload every
 run's end-to-end metrics with the median and quartiles of each side, the
 median change, the number of pairs the change won and whether the gain rule
 holds: the change reads lower in at least 9 of every 10 pairs, and its median
@@ -20,6 +21,7 @@ import argparse
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tarfile
@@ -40,6 +42,12 @@ def export(rev: str, dest: str):
     """The committed tree of rev, extracted into dest."""
     with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
         tar.extractall(dest, filter="data")
+
+
+def source_lines(tree: str) -> int:
+    """Lines of the Python files under the tree's src/ and scripts/."""
+    return sum(len(path.read_bytes().splitlines()) for d in ("src", "scripts")
+               for path in pathlib.Path(tree, d).rglob("*.py"))
 
 
 def bench(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -133,6 +141,7 @@ def main(argv=None) -> int:
         trees = {s: os.path.join(tmp, s) for s in SIDES}
         for s in SIDES:
             export(revs[s], trees[s])
+        record["source_lines"] = {s: source_lines(trees[s]) for s in SIDES}
         for workload, seed, pairs in plan:
             runs = {s: [] for s in SIDES}
             for i in range(pairs):

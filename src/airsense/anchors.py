@@ -45,6 +45,10 @@ LAYERS_BELOW = 10
 NEGATIVE = -1
 IGNORED = -2
 
+# RetinaNet's focal weights (Lin et al., arXiv 1708.02002)
+FOCAL_ALPHA = 0.25
+FOCAL_GAMMA = 2.0
+
 
 @dataclass(frozen=True)
 class MatchThresholds:
@@ -100,16 +104,15 @@ def build_anchor_grid(grid: PillarGridSpec, sensor_elevation: float = 0.0) -> An
     return AnchorGrid(grid, build_anchor_layers(sensor_elevation))
 
 
-def focal_cls_term(p: float, alpha: float = 0.25, gamma: float = 2.0,
-                   with_log: bool = False) -> float:
+def focal_cls_term(p: float, with_log: bool = False) -> float:
     """Class-imbalance weighted classification term.
 
-    The default evaluates -alpha * (1 - p)^gamma. with_log=True multiplies in
-    the log-likelihood factor of the conventional focal loss instead.
+    The default evaluates -FOCAL_ALPHA * (1 - p)^FOCAL_GAMMA; with_log=True
+    multiplies in the log-likelihood factor of the conventional focal loss.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of range: {p}")
-    base = -alpha * (1.0 - p) ** gamma
+    base = -FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA
     if not with_log:
         return base
     if p == 0.0:

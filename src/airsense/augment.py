@@ -6,10 +6,11 @@ plan so the two datasets stay frame-aligned."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .anchors import ANCHOR_SIZE
 from .boxes import Box3D, points_in_box, rot_z
 from .lidar_sim import MIN_CLUSTER_HITS, Pose2D, ScanPattern, VoxelRegion, simulate_frame
 from .mesh import TriangleMesh
@@ -24,32 +25,15 @@ __all__ = [
     "synth_insert",
     "euclidean_augment",
     "build_datasets",
-    "DEFAULT_DRONE_BOX",
 ]
-
-# label box matching the anchor footprint; grown when a cluster overflows it
-DEFAULT_DRONE_BOX = (1.6, 1.6, 1.0)
 
 
 @dataclass
 class LabeledFrame:
-    """A scan frame with ground-truth boxes. The dataset admission rule wants
-    every box to enclose at least 10 returns; violations are detectable via
-    admitted() but do not make construction fail."""
+    """A scan frame with its ground-truth boxes, each one labeled "drone"."""
 
     frame: ScanFrame
     boxes: list[Box3D]
-    labels: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.labels:
-            self.labels = ["drone"] * len(self.boxes)
-        if len(self.labels) != len(self.boxes):
-            raise ValueError("one label per box required")
-
-    def admitted(self) -> bool:
-        return all(points_in_box(self.frame.points, b).sum() >= MIN_CLUSTER_HITS
-                   for b in self.boxes)
 
 
 def split_frame(lf: LabeledFrame) -> tuple[ScanFrame, ScanFrame]:
@@ -70,18 +54,17 @@ def split_frame(lf: LabeledFrame) -> tuple[ScanFrame, ScanFrame]:
 
 
 def _enclosing_box(points: np.ndarray, center: np.ndarray, yaw: float) -> Box3D:
-    """Label box at the insertion center, grown just enough to enclose the
-    cluster when it spills past the default footprint."""
+    """Label box at the insertion center: the anchor footprint, grown just
+    enough to enclose the (non-empty) cluster when it spills past it."""
     d = points - center
     c, s = math.cos(-yaw), math.sin(-yaw)
     lx = np.abs(c * d[:, 0] - s * d[:, 1])
     ly = np.abs(s * d[:, 0] + c * d[:, 1])
     lz = np.abs(d[:, 2])
     pad = 1e-6
-    min_size = DEFAULT_DRONE_BOX
-    size = (max(min_size[0], 2 * lx.max() + pad) if len(points) else min_size[0],
-            max(min_size[1], 2 * ly.max() + pad) if len(points) else min_size[1],
-            max(min_size[2], 2 * lz.max() + pad) if len(points) else min_size[2])
+    size = (max(ANCHOR_SIZE[0], 2 * lx.max() + pad),
+            max(ANCHOR_SIZE[1], 2 * ly.max() + pad),
+            max(ANCHOR_SIZE[2], 2 * lz.max() + pad))
     return Box3D(center[0], center[1], center[2], *size, yaw=yaw)
 
 
@@ -94,6 +77,8 @@ def synth_insert(background: ScanFrame, cluster: ScanFrame, location, yaw: float
     label box are removed as an occlusion approximation; their presence is
     reported through the returned collision flag.
     """
+    if min_points < 1:
+        raise ValueError(f"min_points must be >= 1, got {min_points}")
     if len(cluster) < min_points:
         raise ValueError(f"cluster has {len(cluster)} points, need >= {min_points}")
     center = np.asarray(location, dtype=np.float64).reshape(3)

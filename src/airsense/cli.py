@@ -24,6 +24,7 @@ from .mesh import MeshError, box_mesh, icosphere, load_mesh, quadcopter_mesh
 from .metrics import aggregate, classify
 from .pointio import (PointFormatError, ScanFrame, read_jsonl, read_points, read_tensor,
                       window_frames, write_columnar, write_jsonl, write_las)
+from .raytrace import Bvh
 from .spconv import FeatureMap, KernelTensor, Sites, conv
 from .tracker import replay
 
@@ -65,12 +66,12 @@ def cmd_simulate(args) -> int:
     if args.frames < 1:
         raise ValueError(f"frames must be >= 1, got {args.frames}")
     cfg = _load_cfg(args)
-    mesh = _resolve_mesh(args.mesh)
+    bvh = Bvh(_resolve_mesh(args.mesh))
     pose = Pose2D(args.yaw, (args.at[0], args.at[1], args.at[2]))
     frames = []
     for k in range(args.frames):
         start = k * cfg.window_ms
-        sim = simulate_frame(cfg.scan, mesh, pose, cfg.window_ms, start_ms=start)
+        sim = simulate_frame(cfg.scan, bvh, pose, cfg.window_ms, start_ms=start)
         status = "accepted" if sim.accepted else "thin"
         print(f"frame {k}: {sim.hit_count} hits from {sim.rays_cast} rays ({status})")
         frames.append(sim.frame)
@@ -105,8 +106,8 @@ def cmd_augment(args) -> int:
     for name, frames in (("sim", pair.data_sim), ("euc", pair.data_euc)):
         rows = []
         for i, lf in enumerate(frames):
-            rows += [{"frame": i, "box": b.to_dict(), "label": label, "points": len(lf.frame)}
-                     for b, label in zip(lf.boxes, lf.labels)]
+            rows += [{"frame": i, "box": b.to_dict(), "label": "drone", "points": len(lf.frame)}
+                     for b in lf.boxes]
             write_columnar(f"{args.out}/{name}_{i:05d}.xyz", [lf.frame])
         write_jsonl(f"{args.out}/{name}_labels.jsonl", rows)
     write_jsonl(f"{args.out}/manifest.jsonl", pair.manifest)
@@ -117,17 +118,19 @@ def cmd_augment(args) -> int:
 def _synthesize_real_frames(plan: AugPlan, pattern: ScanPattern, mesh, rng):
     """Stand-in for recorded flights: each background is clutter plus one
     simulated target with its label box."""
+    bvh = Bvh(mesh)
+    window_us = round(plan.window_ms * 1000)
     frames = []
     k = 0
     while len(frames) < plan.background_pool:
         n_bg = int(rng.integers(300, 600))
         pts = np.column_stack([rng.uniform(5, 60, n_bg), rng.uniform(-25, 25, n_bg),
                                rng.uniform(-8, 8, n_bg)])
-        t_us = np.sort(rng.integers(0, int(plan.window_ms * 1000), n_bg)).astype(np.int64)
-        bg = ScanFrame(pts, rng.uniform(0, 1, n_bg), t_us, 0, int(plan.window_ms * 1000))
+        t_us = np.sort(rng.integers(0, window_us, n_bg)).astype(np.int64)
+        bg = ScanFrame(pts, rng.uniform(0, 1, n_bg), t_us, 0, window_us)
         loc = np.array([rng.uniform(9, 18), rng.uniform(-4, 4), rng.uniform(-2, 2)])
         yaw = float(rng.uniform(-np.pi, np.pi))
-        sim = simulate_frame(pattern, mesh, Pose2D(yaw, tuple(loc - mesh.center())),
+        sim = simulate_frame(pattern, bvh, Pose2D(yaw, tuple(loc - mesh.center())),
                              plan.window_ms)
         k += 1
         if k > plan.background_pool * 20:

@@ -82,6 +82,8 @@ def gen_pattern(spec: ScanPattern, duration_ms: float, start_ms: float = 0.0) ->
     The ray count is exactly round(rate * duration). Ray i of the global
     timeline gets phase from its absolute index, so a longer window is a
     strict prefix extension of a shorter one with the same seed and start.
+    Ray j is stamped floor(j * 1e6 / rate) us after the window's start, which
+    is rounded to the microsecond as simulate_frame rounds its frame's.
     """
     if duration_ms <= 0:
         raise ValueError("duration must be positive")
@@ -100,7 +102,7 @@ def gen_pattern(spec: ScanPattern, duration_ms: float, start_ms: float = 0.0) ->
 
     cos_el = np.cos(el)
     dirs = np.column_stack([cos_el * np.cos(az), cos_el * np.sin(az), np.sin(el)])
-    t_us = np.floor(idx * (1e6 / rate)).astype(np.int64)
+    t_us = round(start_ms * 1000) + np.arange(n, dtype=np.int64) * 1_000_000 // rate
     return RayBundle(np.zeros((n, 3)), dirs, t_us)
 
 
@@ -277,8 +279,7 @@ def directivity_analysis(pattern: ScanPattern, mesh: TriangleMesh, window_ms: fl
     centers = region.centers()
     counts = np.zeros(len(centers), dtype=np.int64)
     voxels = np.nonzero(_in_fov(centers, pattern))[0]
-    offset = mesh.center()
-    shift = centers[voxels] - offset if np.any(offset) else centers[voxels]
+    shift = centers[voxels] - mesh.center()
     rot_inv = Pose2D(yaw).rotation().T
     bvh = Bvh(mesh)
     # bit for bit the rows transform_rays gives for each voxel's pose, kept

@@ -40,6 +40,8 @@ __all__ = [
 COLUMNAR_COORD_DECIMALS = 3  # 1 mm on-disk scale
 COLUMNAR_INTENSITY_DECIMALS = 6
 LAS_HEADER_SIZE = 227
+LAS_SCALE = (0.001, 0.001, 0.001)   # 1 mm
+LAS_OFFSET = (0.0, 0.0, 0.0)
 # point record format 3, little-endian and unpadded
 _PRF3 = np.dtype([("xyz", "<i4", 3), ("intensity", "<u2"), ("return_bits", "u1"),
                   ("classification", "u1"), ("scan_angle", "i1"), ("user_data", "u1"),
@@ -163,33 +165,31 @@ def read_columnar(path) -> Iterator[ScanFrame]:
 # ---------------------------------------------------------------------------
 # LAS 1.2 / point record format 3 subset
 
-def write_las(path, frames: Iterable[ScanFrame],
-              scale: tuple[float, float, float] = (0.001, 0.001, 0.001),
-              offset: tuple[float, float, float] = (0.0, 0.0, 0.0)):
+def write_las(path, frames: Iterable[ScanFrame]):
     """Minimal LAS 1.2 PRF3 writer of the frames' returns, in order.
-    Coordinates are quantized to the header scale; GPS time stores seconds;
-    intensity maps [0, 1] onto uint16. Raises ValueError, writing nothing,
-    for a non-finite intensity or a coordinate that does not quantize to an
-    int32."""
+    Coordinates are quantized to LAS_SCALE about LAS_OFFSET; GPS time stores
+    seconds; intensity maps [0, 1] onto uint16. Raises ValueError, writing
+    nothing, for a non-finite intensity or a coordinate that does not
+    quantize to an int32."""
     frames = list(frames) or [ScanFrame.empty()]
     xyz = np.concatenate([f.points for f in frames])
     intensity = np.concatenate([f.intensity for f in frames])
     t_us = np.concatenate([f.t_us for f in frames])
-    q = np.rint((xyz - np.asarray(offset)) / np.asarray(scale))
+    q = np.rint((xyz - np.asarray(LAS_OFFSET)) / np.asarray(LAS_SCALE))
     fits = ((q >= -2**31) & (q <= 2**31 - 1)).all(axis=1) & np.isfinite(intensity)
     bad = np.flatnonzero(~fits)
     if len(bad):
         i = bad[0]
         raise ValueError(f"record {i}: x, y, z, intensity "
                          f"{[*xyz[i].tolist(), float(intensity[i])]} must be finite, "
-                         f"x, y, z within int32 at scale {scale}, offset {offset}")
+                         f"x, y, z within int32 at scale {LAS_SCALE}, offset {LAS_OFFSET}")
     body = np.zeros(len(xyz), dtype=_PRF3)
     body["xyz"] = q
     body["intensity"] = np.clip(np.rint(intensity * 65535), 0, 65535)
     body["return_bits"] = 0x11
     body["gps_time"] = t_us.astype(np.float64) * 1e-6
     # bounds of the stored values, from the integers as the reader sees them
-    stored = body["xyz"] * np.asarray(scale) + np.asarray(offset)
+    stored = body["xyz"] * np.asarray(LAS_SCALE) + np.asarray(LAS_OFFSET)
     bounds = (np.column_stack([stored.max(axis=0), stored.min(axis=0)]).ravel()
               if len(stored) else np.zeros(6))
 
@@ -205,8 +205,8 @@ def write_las(path, frames: Iterable[ScanFrame],
     struct.pack_into("<H", header, 105, LAS_PRF3_RECORD_SIZE)
     struct.pack_into("<I", header, 107, len(body))
     struct.pack_into("<I", header, 111, len(body))  # points by return[0]
-    struct.pack_into("<ddd", header, 131, *scale)
-    struct.pack_into("<ddd", header, 155, *offset)
+    struct.pack_into("<ddd", header, 131, *LAS_SCALE)
+    struct.pack_into("<ddd", header, 155, *LAS_OFFSET)
     struct.pack_into("<dddddd", header, 179, *bounds)
     with open(path, "wb") as fh:
         fh.write(header)

@@ -209,9 +209,7 @@ class Bvh:
                 # (triangles, rays); nearest hit, ties to the lowest triangle id
                 t = np.where(valid, t, np.inf)
                 tmin = t.min(axis=0)
-                first = np.full(rays.size, tri_ids[-1])
-                for j in range(tri_ids.size - 2, -1, -1):
-                    first = np.where(t[j] == tmin, tri_ids[j], first)
+                first = tri_ids[np.argmax(t == tmin, axis=0)]
                 best = best_t[rays]
                 upd = (tmin < best) | ((tmin == best) & (tmin < np.inf)
                                        & (first < best_tri[rays]))

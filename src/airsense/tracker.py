@@ -46,7 +46,7 @@ class Track:
     last_update_us: int = 0
     det_centers: list[np.ndarray] = field(default_factory=list)   # last two confirmed
     det_times_us: list[int] = field(default_factory=list)
-    skip_streak: int = 0
+    skip_streak: int = field(default=0, init=False)
 
     @property
     def velocity(self) -> np.ndarray | None:

@@ -5,8 +5,8 @@ import struct
 
 import numpy as np
 
-from airsense.boxes import Box3D
-from airsense.lidar_sim import Pose2D, _in_cone, _in_fov, gen_pattern
+from airsense.boxes import Box3D, points_in_box
+from airsense.lidar_sim import MIN_CLUSTER_HITS, Pose2D, _in_cone, _in_fov, gen_pattern
 from airsense.mesh import box_mesh
 from airsense.pointio import (LAS_HEADER_SIZE, LAS_PRF3_RECORD_SIZE, BadMagic,
                               NonMonotonicTimestamps, ScanFrame, TruncatedFile,
@@ -222,6 +222,12 @@ def index_array_intersect(bvh, bundle):
     points[hit] = origins[hit] + best_t[hit, None] * dirs[hit]
     cosang[hit] = np.abs(np.sum(dirs[hit] * bvh.mesh.normals[best_tri[hit]], axis=1))
     return HitBatch(hit, best_t, points, best_tri, np.clip(cosang, 0.0, 1.0)), tests
+
+
+def admitted(lf) -> bool:
+    """The dataset admission rule: every box of the labeled frame encloses at
+    least MIN_CLUSTER_HITS of its returns."""
+    return all(points_in_box(lf.frame.points, b).sum() >= MIN_CLUSTER_HITS for b in lf.boxes)
 
 
 LOOP_BATCH = 1 << 13

@@ -17,6 +17,7 @@ from airsense.boxes import Box3D, points_in_box
 from airsense.lidar_sim import Pose2D, ScanPattern, VoxelRegion, simulate_frame
 from airsense.mesh import quadcopter_mesh
 from airsense.pointio import ScanFrame
+from oracles import admitted
 
 FAST = ScanPattern(points_per_second=24_000, seed=11)
 WINDOW_US = 100_000
@@ -47,7 +48,7 @@ class TestSplit:
         drone, background = split_frame(lf)
         assert len(drone) == 0
         assert len(background) == 2
-        assert not lf.admitted()
+        assert not admitted(lf)
 
     def test_no_labels_rejected(self):
         with pytest.raises(ValueError):
@@ -99,7 +100,7 @@ class TestSynthInsert:
         cluster = self.simulated_cluster(loc, 1.2)
         lf, _ = synth_insert(ScanFrame.empty(window_us=WINDOW_US), cluster, loc, 1.2)
         assert points_in_box(cluster.points, lf.boxes[0]).all()
-        assert lf.admitted()
+        assert admitted(lf)
 
     def test_occluded_background_removed_and_flagged(self):
         loc = (11.0, 0.0, 0.0)
@@ -113,6 +114,11 @@ class TestSynthInsert:
         thin = frame_from([[11, 0, 0]] * 5)
         with pytest.raises(ValueError):
             synth_insert(ScanFrame.empty(window_us=WINDOW_US), thin, (11, 0, 0), 0.0)
+
+    def test_min_points_below_one_rejected(self):
+        empty = ScanFrame.empty(window_us=WINDOW_US)
+        with pytest.raises(ValueError, match="min_points must be >= 1, got 0"):
+            synth_insert(empty, empty, (11, 0, 0), 0.0, min_points=0)
 
 
 class TestEuclidean:
@@ -205,7 +211,7 @@ class TestBuildDatasets:
             b = euc_bg[np.lexsort(euc_bg.T)]
             assert np.array_equal(a, b)
             # admission rule on both sides
-            assert sim_lf.admitted() and euc_lf.admitted()
+            assert admitted(sim_lf) and admitted(euc_lf)
 
     def test_simulated_and_rigid_clusters_differ(self, rng):
         # the scan pattern depends on position, so a simulated cluster cannot

@@ -40,6 +40,15 @@ def test_finished_run_returns_its_result_and_info(tmp_path, bench_pairs):
     assert bench_pairs.bench(str(tree), "sky", 7, 1.0) == ({"correct": True}, {"seed": 7})
 
 
+def test_source_lines_count_the_python_files_under_src_and_scripts(tmp_path, bench_pairs):
+    for rel, text in (("src/pkg/a.py", "a = 1\nb = 2\n"), ("src/pkg/sub/b.py", "\n\nc = 3"),
+                      ("scripts/run.py", "print()\n"), ("src/pkg/notes.txt", "x\ny\n"),
+                      ("bench/run.py", "x = 1\n"), ("tests/test_a.py", "x = 1\n")):
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text)
+    assert bench_pairs.source_lines(str(tmp_path)) == 2 + 3 + 1
+
+
 def pair_runs(parent, change):
     """summarize's input: one run per value, op_norm_ms only."""
     return {side: [{"correct": True, "failed": 0, "attempted": 10,

@@ -123,6 +123,21 @@ class TestPattern:
         assert (np.diff(rays.t_us) >= 0).all()
         assert rays.t_us[0] >= 0 and rays.t_us[-1] < 100_000
 
+    # frames whose first ray was stamped before the frame when the stamps
+    # came from the ray's index on the global timeline
+    @pytest.mark.parametrize("rate, window_ms, frame", [(48_000, 100.0, 41),
+                                                        (100_000, 12.345, 21),
+                                                        (100_000, 33.3333, 7)])
+    def test_rays_stamped_inside_their_frame(self, rate, window_ms, frame):
+        spec = ScanPattern(points_per_second=rate)
+        start_ms = frame * window_ms
+        start_us = round(start_ms * 1000)
+        t_us = gen_pattern(spec, window_ms, start_ms).t_us
+        assert t_us[0] == start_us and t_us[-1] < start_us + round(window_ms * 1000)
+        sim = simulate_frame(spec, icosphere(0.5, 2), Pose2D(0.0, (3.0, 0.0, 0.0)),
+                             window_ms, start_ms)
+        assert sim.frame.t_start_us == start_us and sim.hit_count > 0
+
     @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5), ("seed", True),
                                               ("points_per_second", 0),
                                               ("points_per_second", 1.5)])

@@ -1,13 +1,19 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import pathlib
 import pkgutil
+import types
+import typing
 
 import airsense
+from airsense import cli
+from airsense.config import Config
 
 # public names that only the tests call, each with the reason it stays
 UNCALLED_ON_PURPOSE = {
-    "focal_cls_term": "acceptance criterion 12 checks it; the training loss will call it",
+    "focal_cls_term": "acceptance criterion 12 checks it",
     "moller_trumbore": "the per-triangle entry point the traversal's bit-identity tests use",
     "gather_conv": "the float64 reference every convolution engine is checked against",
 }
@@ -32,20 +38,25 @@ def test_no_module_imports_another_modules_private_names():
         assert not private, f"airsense.{info.name} imports private names {private}"
 
 
+def _nodes_under(*dirs: str):
+    """Every AST node of the Python files under the repository's dirs."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    for path in (p for d in dirs for p in (root / d).rglob("*.py")):
+        yield from ast.walk(ast.parse(path.read_text()))
+
+
 def _names_used_by_the_program() -> set[str]:
     """Names loaded, attributes read and names imported anywhere under src/,
     scripts/ and bench/. Definitions, __all__ strings and docstrings are not
     uses."""
-    root = pathlib.Path(__file__).resolve().parents[1]
     used = set()
-    for path in (p for d in ("src", "scripts", "bench") for p in (root / d).rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.alias):
-                used.add(node.name.rpartition(".")[2])
+    for node in _nodes_under("src", "scripts", "bench"):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rpartition(".")[2])
     return used
 
 
@@ -57,3 +68,95 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                                     "__all__", ())
                 if name not in used and name not in UNCALLED_ON_PURPOSE]
     assert not uncalled, f"public names that only the tests use: {uncalled}"
+
+
+# defaulted parameters and fields that no call sets, each with the reason it stays
+UNSET_ON_PURPOSE = {
+    "build_anchor_grid.sensor_elevation": "A.2's anchors read `cfg.sensor_elevation`",
+}
+
+# top-level Config fields that no command reads, each with the reason it stays
+UNREAD_ON_PURPOSE = dict.fromkeys(("grid", "match", "backbone", "sensor_elevation"),
+                                  "A.2 (ROADMAP carried item 3)")
+
+
+def _set_by_calls() -> dict[str, tuple[int, set[str]]]:
+    """For each callee name anywhere under src/, scripts/, bench/ and tests/
+    (a bare name, or the attribute called): the most leading positional
+    arguments any call passes, and every keyword passed. A *args argument
+    sets every position from its own on, and **kwargs every keyword."""
+    set_by: dict[str, tuple[int, set[str]]] = {}
+    for call in _nodes_under("src", "scripts", "bench", "tests"):
+        if not isinstance(call, ast.Call):
+            continue
+        name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        positions = (1 << 30 if any(isinstance(a, ast.Starred) for a in call.args)
+                     else len(call.args))
+        keywords = {k.arg or "**" for k in call.keywords}
+        seen_positions, seen_keywords = set_by.get(name, (0, set()))
+        set_by[name] = (max(seen_positions, positions), seen_keywords | keywords)
+    return set_by
+
+
+def _config_dataclasses() -> set[type]:
+    """Config and every dataclass its fields reach by declared type."""
+    reached, todo = set(), [Config]
+    while todo:
+        cls = todo.pop()
+        reached.add(cls)
+        todo += [tp for tp in typing.get_type_hints(cls).values()
+                 if dataclasses.is_dataclass(tp) and tp not in reached]
+    return reached
+
+
+def _callables():
+    """(qualified name, callee name, parameters after self or cls) of each
+    public src function, method, and class with its own constructor; a
+    dataclass's constructor takes its init fields."""
+    for info in pkgutil.iter_modules(airsense.__path__):
+        module = importlib.import_module(f"airsense.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj) or inspect.isclass(obj) and "__init__" in vars(obj):
+                yield name, name, list(inspect.signature(obj).parameters.values())
+            if not inspect.isclass(obj):
+                continue
+            for attr, member in vars(obj).items():
+                if attr.startswith("_") or not isinstance(
+                        member, (staticmethod, classmethod, types.FunctionType)):
+                    continue
+                params = list(inspect.signature(getattr(member, "__func__", member))
+                              .parameters.values())
+                yield (f"{name}.{attr}", attr,
+                       params if isinstance(member, staticmethod) else params[1:])
+
+
+def test_every_defaulted_parameter_and_field_has_a_setter():
+    """A default that no call overrides is a constant in disguise. Fields of
+    the dataclasses under Config are exempt: the config loader sets them."""
+    set_by = _set_by_calls()
+    under_config = {cls.__name__ for cls in _config_dataclasses()}
+    unset = []
+    for qualname, callee, params in _callables():
+        if qualname in under_config:
+            continue
+        positions, keywords = set_by.get(callee, (0, set()))
+        unset += [f"{qualname}.{p.name}" for i, p in enumerate(params)
+                  if p.default is not p.empty
+                  and not (p.kind != p.KEYWORD_ONLY and i < positions)
+                  and p.name not in keywords and "**" not in keywords]
+    assert sorted(unset) == sorted(UNSET_ON_PURPOSE), (
+        f"defaulted parameters and fields that no call sets: {sorted(unset)}; "
+        f"only {sorted(UNSET_ON_PURPOSE)} may stay unset")
+
+
+def test_every_config_field_is_read_by_a_command():
+    """Each top-level Config field is read as cfg.<field> in the CLI."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "cfg"}
+    unread = [f.name for f in dataclasses.fields(Config) if f.name not in read]
+    assert sorted(unread) == sorted(UNREAD_ON_PURPOSE), (
+        f"Config fields that no command reads as cfg.<field>: {sorted(unread)}; "
+        f"only {sorted(UNREAD_ON_PURPOSE)} may stay unread")
