@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import Box3D, wrap_angle
+from .fields import check_fields
 from .metrics import iou3d
 from .pillars import PillarGridSpec
 
@@ -56,8 +57,7 @@ class MatchThresholds:
     neg_iou: float = 0.35
 
     def __post_init__(self):
-        if not (math.isfinite(self.pos_iou) and math.isfinite(self.neg_iou)):
-            raise ValueError(f"thresholds must be finite, got {(self.pos_iou, self.neg_iou)}")
+        check_fields(self)
         if not 0.0 <= self.neg_iou < self.pos_iou <= 1.0:
             raise ValueError("thresholds must satisfy 0 <= neg_iou < pos_iou <= 1, "
                              f"got {(self.pos_iou, self.neg_iou)}")

@@ -12,6 +12,7 @@ import numpy as np
 
 from .anchors import ANCHOR_SIZE
 from .boxes import Box3D, points_in_box, rot_z
+from .fields import check_fields
 from .lidar_sim import MIN_CLUSTER_HITS, Pose2D, ScanPattern, VoxelRegion, simulate_frame
 from .mesh import TriangleMesh
 from .pointio import ScanFrame
@@ -121,18 +122,16 @@ class AugPlan:
     instances: int = 2495
     region: VoxelRegion = VoxelRegion((8.0, 24.0), (-6.0, 6.0), (-3.0, 3.0))
     seed: int = 0
-    window_ms: float = 100.0
     min_points: int = MIN_CLUSTER_HITS
     max_attempts: int = 40
 
     def __post_init__(self):
+        check_fields(self)
         for name, low in (("background_pool", 1), ("instances", 1), ("min_points", 1),
                           ("max_attempts", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            if value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not (math.isfinite(self.window_ms) and self.window_ms > 0):
-            raise ValueError(f"window_ms must be finite and > 0, got {self.window_ms!r}")
 
 
 @dataclass
@@ -145,8 +144,8 @@ class DatasetPair:
     manifest: list[dict]
 
 
-def build_datasets(plan: AugPlan, real_frames: list[LabeledFrame],
-                   mesh: TriangleMesh, pattern: ScanPattern) -> DatasetPair:
+def build_datasets(plan: AugPlan, real_frames: list[LabeledFrame], mesh: TriangleMesh,
+                   pattern: ScanPattern, window_ms: float = 100.0) -> DatasetPair:
     """Generate the paired simulated / rigid-baseline datasets.
 
     Backgrounds and source clusters come from the first background_pool real
@@ -178,7 +177,7 @@ def build_datasets(plan: AugPlan, real_frames: list[LabeledFrame],
             location = centers[int(rng.integers(0, len(centers)))]
             yaw = float(rng.uniform(-math.pi, math.pi))
             pose = Pose2D(yaw, tuple(location - mesh_offset))
-            result = simulate_frame(pattern, bvh, pose, plan.window_ms,
+            result = simulate_frame(pattern, bvh, pose, window_ms,
                                     min_hits=plan.min_points)
             if result.accepted:
                 sim = result

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import check_fields
 from .spconv import FeatureMap, KernelTensor, Sites, conv, reach
 
 __all__ = [
@@ -22,10 +23,6 @@ __all__ = [
 ]
 
 ENGINES = ("dense", "sparse", "sparse+submanifold")
-
-
-def _positive_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
 
 
 @dataclass(frozen=True)
@@ -42,14 +39,15 @@ class BackboneSpec:
     relu: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("block_convs", "block_channels", "block_strides", "up_strides"):
             value = getattr(self, name)
-            if not (isinstance(value, (tuple, list)) and len(value) == 3
-                    and all(map(_positive_int, value))):
+            if min(value) < 1:
                 raise ValueError(f"{name} must be three integers >= 1, got {value!r}")
         for name in ("up_channels", "kernel_size"):
-            if not _positive_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
         # every upsampled block output must land on the first one's grid
@@ -178,7 +176,11 @@ def run_backbone(x: Sites, spec: BackboneSpec, weights: BackboneWeights,
         return y, live
 
     live = x.keys if dense and any(b is not None for b in weights.biases) else None
-    cur = (Sites.from_dense(x.to_dense()) if dense else x, live)
+    if dense:   # every cell, without re-checking the finiteness checked above
+        rows = np.zeros((x.p * x.q, x.feats.shape[1]), dtype=np.float32)
+        rows[x.keys] = x.feats
+        x = Sites(x.p, x.q, np.arange(x.p * x.q), rows)
+    cur = (x, live)
     blocks = []
     for n_convs, stride in zip(spec.block_convs, spec.block_strides):
         cur = layer(*cur, "conv", stride, first)

@@ -100,8 +100,8 @@ def cmd_augment(args) -> int:
     mesh = _resolve_mesh(args.mesh)
     plan = cfg.augment
     rng = np.random.default_rng(plan.seed)
-    real = _synthesize_real_frames(plan, cfg.scan, mesh, rng)
-    pair = build_datasets(plan, real, mesh, cfg.scan)
+    real = _synthesize_real_frames(plan, cfg.scan, cfg.window_ms, mesh, rng)
+    pair = build_datasets(plan, real, mesh, cfg.scan, cfg.window_ms)
     os.makedirs(args.out, exist_ok=True)
     for name, frames in (("sim", pair.data_sim), ("euc", pair.data_euc)):
         rows = []
@@ -115,11 +115,11 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def _synthesize_real_frames(plan: AugPlan, pattern: ScanPattern, mesh, rng):
+def _synthesize_real_frames(plan: AugPlan, pattern: ScanPattern, window_ms: float, mesh, rng):
     """Stand-in for recorded flights: each background is clutter plus one
     simulated target with its label box."""
     bvh = Bvh(mesh)
-    window_us = round(plan.window_ms * 1000)
+    window_us = round(window_ms * 1000)
     frames = []
     k = 0
     while len(frames) < plan.background_pool:
@@ -131,7 +131,7 @@ def _synthesize_real_frames(plan: AugPlan, pattern: ScanPattern, mesh, rng):
         loc = np.array([rng.uniform(9, 18), rng.uniform(-4, 4), rng.uniform(-2, 2)])
         yaw = float(rng.uniform(-np.pi, np.pi))
         sim = simulate_frame(pattern, bvh, Pose2D(yaw, tuple(loc - mesh.center())),
-                             plan.window_ms)
+                             window_ms)
         k += 1
         if k > plan.background_pool * 20:
             raise RuntimeError("could not synthesize enough admitted frames")

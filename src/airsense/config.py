@@ -4,15 +4,15 @@ its declared type, and unknown keys are rejected so typos fail loudly."""
 
 from __future__ import annotations
 
+import contextlib
 import json
-import math
-import sys
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .anchors import MatchThresholds
 from .augment import AugPlan
 from .backbone import BackboneSpec
+from .fields import FieldError, check_fields
 from .lidar_sim import ScanPattern
 from .metrics import TP_IOU_THRESHOLD
 from .pillars import PillarGridSpec
@@ -31,6 +31,7 @@ class EvalConfig:
     use_bev: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         if not 0 < self.iou_threshold <= 1:
             raise ValueError(f"iou_threshold must be in (0, 1], got {self.iou_threshold!r}")
 
@@ -48,24 +49,15 @@ class Config:
     sensor_elevation: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.window_ms) and self.window_ms > 0):
+        check_fields(self)
+        if self.window_ms <= 0:
             raise ValueError(f"window_ms must be finite and > 0, got {self.window_ms!r}")
 
 
-def _check_number(value, where: str):
-    """A number finite as a float: not a boolean, NaN, infinite or an int
-    beyond float range."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        shown = ("an integer beyond float range" if isinstance(value, int)
-                 and not isinstance(value, bool) else repr(value))
-        raise ConfigError(f"{where}: expected a finite number, got {shown}")
-
-
-def _build(tp, value, where: str):
-    """The JSON value read as the declared type tp: a dataclass from an
-    object, field by field; a tuple from a list; a bool from true or false;
-    anything else is a number, and a float field holds it as a float."""
+def _build(tp, value, where: str, default):
+    """The JSON value as the declared type tp: an object as default with its
+    fields written over, a list as a tuple, an integer in a float field as a
+    float. Each dataclass checks its fields; its error names the dotted path."""
     if is_dataclass(tp):
         at = where or "top level"
         if not isinstance(value, dict):
@@ -74,22 +66,22 @@ def _build(tp, value, where: str):
         if unknown:
             raise ConfigError(f"{at}: unknown keys {sorted(unknown)}")
         hints = typing.get_type_hints(tp)
-        kwargs = {name: _build(hints[name], v, f"{where}.{name}" if where else name)
-                  for name, v in value.items()}
+        kwargs = {name: _build(hints[name], v, f"{where}.{name}" if where else name,
+                               getattr(default, name)) for name, v in value.items()}
         try:
-            return tp(**kwargs)
-        except (TypeError, ValueError, OverflowError) as exc:
+            return replace(default, **kwargs)
+        except FieldError as exc:
+            raise ConfigError(f"{where}.{exc}" if where else str(exc)) from exc
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"{at}: {exc}") from exc
-    if typing.get_origin(tp) is tuple:
-        if not isinstance(value, list):
-            raise ConfigError(f"{where}: expected a list, got {value!r}")
-        return tuple(_build(typing.get_args(tp)[0], v, where) for v in value)
-    if tp is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{where}: expected true or false, got {value!r}")
-        return value
-    _check_number(value, where)
-    return float(value) if tp is float else value
+    items = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple and isinstance(value, list) and len(value) == len(items):
+        return tuple(_build(t, v, where, None) for t, v in zip(items, value))
+    if tp is float and type(value) is int:
+        # an int beyond float range stays one, and the field check refuses it
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    return value
 
 
 def load_config(path) -> Config:
@@ -98,7 +90,7 @@ def load_config(path) -> Config:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return _build(Config, raw, "")
+    return _build(Config, raw, "", Config())
 
 
 def default_config() -> Config:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import rot_z
+from .fields import check_fields
 from .mesh import TriangleMesh
 from .pointio import ScanFrame
 from .raytrace import Bvh, RayBundle
@@ -68,9 +69,10 @@ class ScanPattern:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         for name, low in (("points_per_second", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            if value < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not (0 < self.h_fov_deg < 180 and 0 < self.v_fov_deg < 180):
             raise ValueError("field of view must be in (0, 180) degrees")
@@ -79,17 +81,18 @@ class ScanPattern:
 def gen_pattern(spec: ScanPattern, duration_ms: float, start_ms: float = 0.0) -> RayBundle:
     """Time-stamped sensor-frame rays for one window.
 
-    The ray count is exactly round(rate * duration). Ray i of the global
-    timeline gets phase from its absolute index, so a longer window is a
-    strict prefix extension of a shorter one with the same seed and start.
-    Ray j is stamped floor(j * 1e6 / rate) us after the window's start, which
-    is rounded to the microsecond as simulate_frame rounds its frame's.
+    Ray i of the global timeline gets phase from its absolute index, so a
+    longer window is a strict prefix extension of a shorter one with the
+    same seed and start. Ray j is stamped floor(j * 1e6 / rate) us after the
+    window's start; the start and the duration are rounded to the
+    microsecond as simulate_frame rounds its frame's, and the ray count is
+    that of the stamps inside it: ceil(rate * duration_us / 1e6).
     """
     if duration_ms <= 0:
         raise ValueError("duration must be positive")
     rate = spec.points_per_second
     i0 = round(rate * start_ms * 1e-3)
-    n = round(rate * duration_ms * 1e-3)
+    n = -(-rate * round(duration_ms * 1000) // 1_000_000)
     idx = i0 + np.arange(n)
     t_s = idx / rate
 
@@ -114,11 +117,7 @@ class Pose2D:
     translation: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if not math.isfinite(self.yaw):
-            raise ValueError(f"yaw must be finite, got {self.yaw}")
-        t = np.asarray(self.translation, dtype=np.float64)
-        if t.shape != (3,) or not np.isfinite(t).all():
-            raise ValueError(f"translation must be three finite values, got {self.translation}")
+        check_fields(self)
 
     def rotation(self) -> np.ndarray:
         return rot_z(self.yaw)
@@ -196,12 +195,12 @@ class VoxelRegion:
     voxel_size: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.voxel_size) and self.voxel_size > 0):
+        check_fields(self)
+        if self.voxel_size <= 0:
             raise ValueError(f"voxel_size must be finite and positive, got {self.voxel_size}")
         for name in ("x_range", "y_range", "z_range"):
             lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)
-                    and (hi - lo) / self.voxel_size + 1e-9 >= 1):
+            if (hi - lo) / self.voxel_size + 1e-9 < 1:
                 raise ValueError(f"{name} must be finite and span at least one voxel of "
                                  f"{self.voxel_size}, got {(lo, hi)}")
 

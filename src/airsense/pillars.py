@@ -3,11 +3,11 @@ decoration and per-pillar max pooling into the site list the backbone takes."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_fields
 from .pointio import ScanFrame
 from .spconv import Sites
 
@@ -37,15 +37,12 @@ class PillarGridSpec:
     max_pillars: int = 12_000
 
     def __post_init__(self):
-        for name in ("x_range", "y_range", "z_range"):
-            lo, hi = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"{name} must be finite, got {(lo, hi)}")
-        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+        check_fields(self)
+        if self.cell_size <= 0:
             raise ValueError(f"cell_size must be finite and positive, got {self.cell_size}")
         for name in ("max_points_per_pillar", "max_pillars"):
             cap = getattr(self, name)
-            if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 1:
+            if cap < 1:
                 raise ValueError(f"{name} must be a positive integer, got {cap!r}")
         if self.nx < 1 or self.ny < 1:
             name = "x_range" if self.nx < 1 else "y_range"

@@ -10,12 +10,12 @@ raises an alert for every pair of tracks closer than the threshold.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boxes import Box3D, points_in_box
+from .fields import check_fields
 from .pointio import ScanFrame
 
 __all__ = [
@@ -84,14 +84,12 @@ class TrackerConfig:
     max_skips: int = 10              # coasting frames before a track is dropped
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("gate_m", "separation_m"):
             value = getattr(self, name)
-            # finite as a float: not NaN, not infinite, not an int beyond float range
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not 0 < value <= sys.float_info.max):
+            if value <= 0:
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-        if (isinstance(self.max_skips, bool) or not isinstance(self.max_skips, (int, np.integer))
-                or self.max_skips < 0):
+        if self.max_skips < 0:
             raise ValueError(f"max_skips must be an integer >= 0, got {self.max_skips!r}")
 
 

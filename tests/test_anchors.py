@@ -235,9 +235,11 @@ class TestAssignTargets:
             assert np.array_equal(ta.labels, expected)
 
     def test_thresholds_must_be_finite_and_ordered_within_unit_range(self):
-        for pos, neg in [(0.4, math.nan), (math.nan, 0.35), (math.inf, 0.35),
-                         (0.4, -math.inf), (0.35, 0.4), (0.4, 0.4), (1.2, 0.35),
-                         (0.4, -0.1)]:
+        for pos, neg, name in [(0.4, math.nan, "neg_iou"), (math.nan, 0.35, "pos_iou"),
+                               (math.inf, 0.35, "pos_iou"), (0.4, -math.inf, "neg_iou")]:
+            with pytest.raises(ValueError, match=f"^{name}: expected a finite number, got"):
+                MatchThresholds(pos, neg)
+        for pos, neg in [(0.35, 0.4), (0.4, 0.4), (1.2, 0.35), (0.4, -0.1)]:
             with pytest.raises(ValueError, match="threshold"):
                 MatchThresholds(pos, neg)
         MatchThresholds(1.0, 0.0)

@@ -122,24 +122,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    @pytest.mark.parametrize("field, value", [("min_points", 0), ("max_attempts", 0),
-                                              ("max_attempts", -1), ("min_points", 2.5),
-                                              ("instances", 2.5), ("background_pool", 1.5)])
-    def test_augment_counts_below_one_rejected(self, tmp_path, field, value):
+    @pytest.mark.parametrize("field, value, message", [
+        ("min_points", 0, "augment: min_points must be an integer >= 1"),
+        ("max_attempts", 0, "augment: max_attempts must be an integer >= 1"),
+        ("max_attempts", -1, "augment: max_attempts must be an integer >= 1"),
+        ("min_points", 2.5, "augment.min_points: expected an integer, got 2.5"),
+        ("instances", 2.5, "augment.instances: expected an integer, got 2.5"),
+        ("background_pool", 1.5, "augment.background_pool: expected an integer, got 1.5")])
+    def test_augment_counts_below_one_rejected(self, tmp_path, field, value, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"augment": {field: value}}))
-        with pytest.raises(ConfigError, match=rf"^augment: {field} must be an integer >= 1"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
             load_config(path)
 
     @pytest.mark.parametrize("doc, message", [
-        ({"scan": {"seed": 1.5}}, "scan: seed must be an integer >= 0, got 1.5"),
+        ({"scan": {"seed": 1.5}}, "scan.seed: expected an integer, got 1.5"),
         ({"scan": {"seed": -1}}, "scan: seed must be an integer >= 0, got -1"),
         ({"scan": {"points_per_second": 1.5}},
-         "scan: points_per_second must be an integer >= 1, got 1.5"),
-        ({"augment": {"seed": 2.5}}, "augment: seed must be an integer >= 0, got 2.5"),
+         "scan.points_per_second: expected an integer, got 1.5"),
+        ({"augment": {"seed": 2.5}}, "augment.seed: expected an integer, got 2.5"),
         ({"augment": {"seed": -1}}, "augment: seed must be an integer >= 0, got -1"),
-        ({"augment": {"window_ms": -5}}, "augment: window_ms must be finite and > 0, got -5.0"),
-        ({"augment": {"window_ms": 0}}, "augment: window_ms must be finite and > 0, got 0.0"),
     ])
     def test_seeds_rate_and_plan_window_rejected_at_load(self, tmp_path, capsys, doc, message):
         path = tmp_path / "cfg.json"
@@ -232,15 +234,15 @@ class TestSimulateCommand:
         assert outs["config"].read_bytes() == outs["flag"].read_bytes()
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--seed", -1, "seed must be an integer >= 0, got -1"),
-        ("--window", -5, "window_ms must be finite and > 0, got -5.0"),
-        ("--window", "nan", "window_ms must be finite and > 0, got nan"),
+        ("--seed", -1, "ValueError: seed must be an integer >= 0, got -1"),
+        ("--window", -5, "ValueError: window_ms must be finite and > 0, got -5.0"),
+        ("--window", "nan", "FieldError: window_ms: expected a finite number, got nan"),
     ])
     def test_flags_pass_the_config_checks(self, tmp_path, capsys, flag, value, message):
         for command in (["simulate", "--at", 9, 0, 0], ["directivity"]):
             out = tmp_path / "out"
             assert run(command + ["--mesh", "builtin:sphere", flag, value, "--out", out]) == 1
-            assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+            assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists()
 
     @pytest.mark.parametrize("frames", [-1, 0])
@@ -493,15 +495,16 @@ class TestTrackCommand:
         assert err.startswith("error: PointFormatError") and "record 2: GPS time" in err
 
 
-def run_augment(tmp_path, seeds=("--seed", 3), config_seed=0, name="data"):
-    """Three paired frames from a small augment config; returns the output
-    directory."""
+def run_augment(tmp_path, seeds=("--seed", 3), config_seed=0, name="data", **top_level):
+    """Three paired frames from a small augment config, with any top-level
+    fields given; returns the output directory."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "scan": {"points_per_second": 48_000, "seed": config_seed},
         "augment": {"background_pool": 2, "instances": 3, "seed": config_seed,
                     "region": {"x_range": [9, 13], "y_range": [-2, 2],
                                "z_range": [-1, 1]}},
+        **top_level,
     }))
     out = tmp_path / name
     assert run(["--config", cfg, "augment", "--mesh", "builtin:drone", *seeds,
@@ -540,6 +543,19 @@ class TestAugmentCommand:
             assert (from_config / f).read_bytes() == (from_flag / f).read_bytes()
         zero = run_augment(tmp_path, ("--seed", 0), config_seed=7, name="zero")
         assert (zero / "manifest.jsonl").read_bytes() != (from_config / "manifest.jsonl").read_bytes()
+
+    def test_config_window_sets_the_frames(self, tmp_path):
+        out = run_augment(tmp_path, window_ms=50)
+        frames = [f for side in ("sim", "euc") for i in range(3)
+                  for f in read_points(out / f"{side}_{i:05d}.xyz")]
+        # 48k rays/s over 50 ms, and 300-600 clutter returns spread over the window
+        assert all(f.t_us.max() < 50_000 for f in frames)
+        assert max(f.t_us.max() for f in frames) > 45_000
+        assert all(m["sim_points"] <= 2_400 for m in read_jsonl(out / "manifest.jsonl"))
+        cfg = tmp_path / "plan_window.json"
+        cfg.write_text(json.dumps({"augment": {"window_ms": 50}}))
+        with pytest.raises(ConfigError, match=r"^augment: unknown keys \['window_ms'\]$"):
+            load_config(cfg)
 
     def test_seed_flag_sets_the_scan_and_the_plan_seed(self, tmp_path):
         from_flag = run_augment(tmp_path, ("--seed", 0), config_seed=7, name="flag")

@@ -84,7 +84,28 @@ class TestPattern:
 
     def test_ray_budget_exact_rounding(self):
         assert len(gen_pattern(FAST, 100.0)) == 2400
-        assert len(gen_pattern(FAST, 33.3)) == round(24_000 * 0.0333)
+        assert len(gen_pattern(FAST, 33.3)) == 800   # ceil(24_000 * 33_300 us / 1e6)
+
+    # the count is that of the stamps floor(j * 1e6 / rate) inside the window
+    # rounded to the microsecond, whatever the window's start
+    @pytest.mark.parametrize("rate, window_ms, count", [(240_000, 100.0, 24_000),
+                                                        (48_000, 100.0, 4_800),
+                                                        (100_000, 12.345, 1_235),
+                                                        (2_000_000, 0.1003, 200)])
+    def test_ray_count_is_the_stamps_inside_the_rounded_window(self, rate, window_ms, count):
+        spec = ScanPattern(points_per_second=rate)
+        window_us = round(window_ms * 1000)
+        assert (count - 1) * 1_000_000 // rate < window_us <= count * 1_000_000 // rate
+        for frame in (0, 1, 41):
+            assert len(gen_pattern(spec, window_ms, frame * window_ms)) == count
+
+    def test_fast_scan_of_a_window_off_the_microsecond_grid(self):
+        # round(2e6 rays/s * 0.1003 ms) = 201 rays stamped the last at 100 us,
+        # the end of the 100 us frame
+        sim = simulate_frame(ScanPattern(points_per_second=2_000_000), icosphere(0.5, 2),
+                             Pose2D(0.0, (0.2, 0.0, 0.0)), 0.1003)
+        assert sim.rays_cast == 200 and sim.frame.window_us == 100
+        assert sim.frame.t_us.max() < 100
 
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError):
@@ -138,12 +159,14 @@ class TestPattern:
                              window_ms, start_ms)
         assert sim.frame.t_start_us == start_us and sim.hit_count > 0
 
-    @pytest.mark.parametrize("field, value", [("seed", -1), ("seed", 1.5), ("seed", True),
-                                              ("points_per_second", 0),
-                                              ("points_per_second", 1.5)])
-    def test_seed_and_rate_must_be_integers(self, field, value):
-        low = 0 if field == "seed" else 1
-        with pytest.raises(ValueError, match=rf"^{field} must be an integer >= {low}, got"):
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -1, "seed must be an integer >= 0, got"),
+        ("seed", 1.5, "seed: expected an integer, got 1.5"),
+        ("seed", True, "seed: expected a finite number, got True"),
+        ("points_per_second", 0, "points_per_second must be an integer >= 1, got"),
+        ("points_per_second", 1.5, "points_per_second: expected an integer, got 1.5")])
+    def test_seed_and_rate_must_be_integers(self, field, value, message):
+        with pytest.raises(ValueError, match=rf"^{message}"):
             ScanPattern(**{field: value})
         assert getattr(ScanPattern(**{field: np.int64(3)}), field) == 3
 

@@ -151,6 +151,24 @@ def test_every_defaulted_parameter_and_field_has_a_setter():
         f"only {sorted(UNSET_ON_PURPOSE)} may stay unset")
 
 
+def test_every_nested_config_field_is_read_by_the_program():
+    """Each field of a dataclass under Config is read as .<field> somewhere in
+    src/ other than its own class's __post_init__, where the checks read it;
+    the sections in UNREAD_ON_PURPOSE stay exempt."""
+    hints = typing.get_type_hints(Config)
+    exempt = {Config} | {hints[name] for name in UNREAD_ON_PURPOSE}
+    nodes = list(_nodes_under("src"))
+    in_check = {node: cls.name for cls in nodes if isinstance(cls, ast.ClassDef)
+                for fn in cls.body if getattr(fn, "name", None) == "__post_init__"
+                for node in ast.walk(fn)}
+    reads = {(node.attr, in_check.get(node)) for node in nodes
+             if isinstance(node, ast.Attribute)}
+    unread = [f"{cls.__name__}.{f.name}" for cls in _config_dataclasses() - exempt
+              for f in dataclasses.fields(cls)
+              if not any(attr == f.name and owner != cls.__name__ for attr, owner in reads)]
+    assert not unread, f"fields under Config that only their own checks read: {sorted(unread)}"
+
+
 def test_every_config_field_is_read_by_a_command():
     """Each top-level Config field is read as cfg.<field> in the CLI."""
     tree = ast.parse(pathlib.Path(cli.__file__).read_text())
