@@ -1,7 +1,7 @@
 """Run the benchmark in alternating before/after pairs over two revisions.
 
     python scripts/bench_pairs.py --parent REV --change REV --name NAME \
-        --what "what changed" offline@7:10 sky@7:3 [--seconds 25]
+        --what "what changed" offline@7:10 sky@7:3 [--seconds 25] [--control K]
 
 Each revision is exported with `git archive` into a fresh directory and
 `bench/run.py` runs unchanged from each copy, one process per run. A
@@ -13,6 +13,10 @@ run's end-to-end metrics with the median and quartiles of each side, the
 median change, the number of pairs the change won and whether the gain rule
 holds: the change reads lower in at least 9 of every 10 pairs, and its median
 is lower than the parent's by more than the parent's interquartile range.
+With --control K, each workload also runs K pairs of the parent against a
+second export of the parent, interleaved with its pairs, and records their
+summary under "control": the drift that identical code shows in the same
+session, to read a claimed gain against.
 """
 
 from __future__ import annotations
@@ -106,7 +110,18 @@ def parse_plan(items: list[str]) -> list[tuple[str, int, int]]:
             plan.append((workload, int(seed), int(pairs)))
         except ValueError:
             raise SystemExit(f"error: expected W@SEED:PAIRS, got {item!r}")
+        if plan[-1][2] < 1:
+            raise SystemExit(f"error: expected at least one pair, got {item!r}")
     return plan
+
+
+def run_pair(trees: dict, i: int, runs: dict, workload: str, seed: int, seconds: float):
+    """Pair i: one run from each side's tree, the parent first in even pairs.
+    Returns the info line of the last run."""
+    for s in SIDES if i % 2 == 0 else SIDES[::-1]:
+        result, info = bench(trees[s], workload, seed, seconds)
+        runs[s].append(result)
+    return info
 
 
 def main(argv=None) -> int:
@@ -116,9 +131,14 @@ def main(argv=None) -> int:
     parser.add_argument("--name", required=True, help="writes BENCH_<name>.json")
     parser.add_argument("--what", required=True, help="what the change does, for the record")
     parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--control", type=int, default=0, metavar="K",
+                        help="K A/A pairs per workload: the parent against a second "
+                             "export of the parent")
     parser.add_argument("plan", nargs="+", help="W@SEED:PAIRS, e.g. offline@7:10")
     args = parser.parse_args(argv)
     plan = parse_plan(args.plan)
+    if args.control < 0:
+        parser.error(f"--control must be >= 0, got {args.control}")
     revs = {s: git("rev-parse", "--verify", f"{r}^{{commit}}").decode().strip()
             for s, r in zip(SIDES, (args.parent, args.change))}
     path = os.path.join(ROOT, f"BENCH_{args.name}.json")
@@ -134,7 +154,9 @@ def main(argv=None) -> int:
                       "side; change_wins counts pairs where the change reads lower, ties "
                       "count for neither; gain_holds is true when change_wins is at least "
                       "0.9 of the pairs and the parent median exceeds the change median by "
-                      "more than parent_iqr",
+                      "more than parent_iqr; control, when present, is the same summary "
+                      "over A/A pairs of the parent against a second export of the parent, "
+                      "interleaved with the workload's pairs",
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -142,23 +164,33 @@ def main(argv=None) -> int:
         for s in SIDES:
             export(revs[s], trees[s])
         record["source_lines"] = {s: source_lines(trees[s]) for s in SIDES}
+        # the A/A control's second side: the parent again, exported apart
+        control_trees = {"parent": trees["parent"], "change": os.path.join(tmp, "control")}
+        if args.control:
+            export(revs["parent"], control_trees["change"])
         for workload, seed, pairs in plan:
+            key = f"{workload}@{seed}"
             runs = {s: [] for s in SIDES}
-            for i in range(pairs):
-                for s in SIDES if i % 2 == 0 else SIDES[::-1]:
-                    result, info = bench(trees[s], workload, seed, args.seconds)
-                    runs[s].append(result)
+            control = {s: [] for s in SIDES}
+            for i in range(max(pairs, args.control)):
+                for label, tr, rs, n in (("pair", trees, runs, pairs),
+                                         ("control pair", control_trees, control, args.control)):
+                    if i >= n:
+                        continue
+                    info = run_pair(tr, i, rs, workload, seed, args.seconds)
                     if record["machine"] is None:
                         prov = info["provenance"]
                         record["machine"] = {k: prov[k] for k in
                                              ("python", "numpy", "blas", "blas_threads", "nproc")}
-                record["workloads"][f"{workload}@{seed}"] = summarize(runs)
+                    print(f"{key} {label} {i + 1}/{n}: "
+                          + ", ".join(f"{s} {rs[s][-1]['metrics']['op_norm_ms']['value']:.2f}"
+                                      for s in SIDES), flush=True)
+                record["workloads"][key] = summarize(runs)
+                if control["parent"]:
+                    record["workloads"][key]["control"] = summarize(control)
                 with open(path, "w") as fh:
                     json.dump(record, fh, indent=1)
                     fh.write("\n")
-                print(f"{workload}@{seed} pair {i + 1}/{pairs}: "
-                      + ", ".join(f"{s} {runs[s][-1]['metrics']['op_norm_ms']['value']:.2f}"
-                                  for s in SIDES), flush=True)
     return 0
 
 

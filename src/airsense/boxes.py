@@ -68,12 +68,19 @@ class Box3D:
 
 
 def points_in_box(points: np.ndarray, box: Box3D) -> np.ndarray:
-    """Boolean containment mask for (n, 3) points; boundaries are inclusive."""
+    """Boolean containment mask for (n, 3) points; boundaries are inclusive.
+
+    The height test runs on every point; the yawed footprint test runs only
+    on the points it keeps, so a frame's far returns cost one comparison."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    d = pts - box.center
+    cx, cy, cz = box.center
+    dz = pts[:, 2] - cz
+    inside = np.abs(dz, out=dz) <= box.h / 2.0 + 1e-12
+    rows = np.flatnonzero(inside)
+    dx = pts[rows, 0] - cx
+    dy = pts[rows, 1] - cy
     c, s = math.cos(-box.yaw), math.sin(-box.yaw)
-    lx = c * d[:, 0] - s * d[:, 1]
-    ly = s * d[:, 0] + c * d[:, 1]
-    return ((np.abs(lx) <= box.l / 2.0 + 1e-12)
-            & (np.abs(ly) <= box.w / 2.0 + 1e-12)
-            & (np.abs(d[:, 2]) <= box.h / 2.0 + 1e-12))
+    lx = c * dx - s * dy
+    ly = s * dx + c * dy
+    inside[rows] = (np.abs(lx) <= box.l / 2.0 + 1e-12) & (np.abs(ly) <= box.w / 2.0 + 1e-12)
+    return inside

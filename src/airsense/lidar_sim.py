@@ -81,19 +81,21 @@ class ScanPattern:
 def gen_pattern(spec: ScanPattern, duration_ms: float, start_ms: float = 0.0) -> RayBundle:
     """Time-stamped sensor-frame rays for one window.
 
-    Ray i of the global timeline gets phase from its absolute index, so a
-    longer window is a strict prefix extension of a shorter one with the
-    same seed and start. Ray j is stamped floor(j * 1e6 / rate) us after the
-    window's start; the start and the duration are rounded to the
-    microsecond as simulate_frame rounds its frame's, and the ray count is
-    that of the stamps inside it: ceil(rate * duration_us / 1e6).
+    Ray i of the global timeline is stamped floor(i * 1e6 / rate) us and gets
+    its phase from i, so a longer window is a strict prefix extension of a
+    shorter one with the same seed and start. The window is rounded to the
+    microsecond as simulate_frame rounds its frame, [start_us, end_us), and
+    holds the rays stamped inside it: ceil(rate * start_us / 1e6) up to
+    ceil(rate * end_us / 1e6), so consecutive windows cast every ray once.
     """
     if duration_ms <= 0:
         raise ValueError("duration must be positive")
     rate = spec.points_per_second
-    i0 = round(rate * start_ms * 1e-3)
-    n = -(-rate * round(duration_ms * 1000) // 1_000_000)
-    idx = i0 + np.arange(n)
+    start_us = round(start_ms * 1000)
+    end_us = start_us + round(duration_ms * 1000)
+    i0 = -(-rate * start_us // 1_000_000)
+    idx = np.arange(i0, -(-rate * end_us // 1_000_000))
+    n = len(idx)
     t_s = idx / rate
 
     rng = np.random.default_rng(spec.seed)
@@ -105,7 +107,7 @@ def gen_pattern(spec: ScanPattern, duration_ms: float, start_ms: float = 0.0) ->
 
     cos_el = np.cos(el)
     dirs = np.column_stack([cos_el * np.cos(az), cos_el * np.sin(az), np.sin(el)])
-    t_us = round(start_ms * 1000) + np.arange(n, dtype=np.int64) * 1_000_000 // rate
+    t_us = idx * 1_000_000 // rate
     return RayBundle(np.zeros((n, 3)), dirs, t_us)
 
 
@@ -200,7 +202,11 @@ class VoxelRegion:
             raise ValueError(f"voxel_size must be finite and positive, got {self.voxel_size}")
         for name in ("x_range", "y_range", "z_range"):
             lo, hi = getattr(self, name)
-            if (hi - lo) / self.voxel_size + 1e-9 < 1:
+            voxels = (hi - lo) / self.voxel_size
+            if not math.isfinite(voxels):
+                raise ValueError(f"{name} holds a non-finite count of voxels of "
+                                 f"{self.voxel_size}, got {(lo, hi)}")
+            if voxels + 1e-9 < 1:
                 raise ValueError(f"{name} must be finite and span at least one voxel of "
                                  f"{self.voxel_size}, got {(lo, hi)}")
 

@@ -3,6 +3,7 @@ decoration and per-pillar max pooling into the site list the backbone takes."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,11 @@ class PillarGridSpec:
             cap = getattr(self, name)
             if cap < 1:
                 raise ValueError(f"{name} must be a positive integer, got {cap!r}")
+        for name in ("x_range", "y_range"):
+            lo, hi = getattr(self, name)
+            if not math.isfinite((hi - lo) / self.cell_size):
+                raise ValueError(f"{name} holds a non-finite count of cells of "
+                                 f"{self.cell_size}, got {(lo, hi)}")
         if self.nx < 1 or self.ny < 1:
             name = "x_range" if self.nx < 1 else "y_range"
             raise ValueError(f"{name} must span at least one cell of {self.cell_size}, "

@@ -260,8 +260,13 @@ def read_las(path) -> Iterator[ScanFrame]:
                 raise PointFormatError(
                     f"{path}: record {start + bad[0]}: GPS time {rec['gps_time'][bad[0]]} s "
                     f"is not a finite int64 count of microseconds")
-            yield _block(rec["xyz"] * scale + offset, rec["intensity"] / 65535.0,
-                         us.astype(np.int64))
+            # column by column: a length-3 broadcast over the records is
+            # about twice as slow and gives the same values
+            xyz = np.empty((n, 3))
+            for k in range(3):
+                np.multiply(rec["xyz"][:, k], scale[k], out=xyz[:, k])
+                xyz[:, k] += offset[k]
+            yield _block(xyz, rec["intensity"] / 65535.0, us.astype(np.int64))
 
 
 def read_points(path) -> Iterator[ScanFrame]:

@@ -100,7 +100,7 @@ def _estimate_yaw(points: np.ndarray, fallback: float) -> float:
         return fallback
     xy = points[:, :2] - points[:, :2].mean(axis=0)
     cov = xy.T @ xy
-    if np.allclose(cov, 0.0):
+    if (np.abs(cov) <= 1e-8).all():   # np.allclose(cov, 0.0), without its overhead
         return fallback
     evals, evecs = np.linalg.eigh(cov)
     axis = evecs[:, int(np.argmax(evals))]
@@ -125,10 +125,9 @@ def recenter(prev_box: Box3D, frame: ScanFrame, velocity: np.ndarray | None,
         predicted = prev_box.translated(np.asarray(velocity) * dt_s)
     else:
         predicted = prev_box
-    inside = points_in_box(frame.points, predicted)
-    if not inside.any():
+    pts = frame.points[points_in_box(frame.points, predicted)]
+    if not len(pts):
         return None
-    pts = frame.points[inside]
     centroid = pts.mean(axis=0)
     yaw = _estimate_yaw(pts, predicted.yaw)
     return Box3D(centroid[0], centroid[1], centroid[2],

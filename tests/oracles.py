@@ -224,6 +224,45 @@ def index_array_intersect(bvh, bundle):
     return HitBatch(hit, best_t, points, best_tri, np.clip(cosang, 0.0, 1.0)), tests
 
 
+def points_in_box_oracle(points, box: Box3D) -> np.ndarray:
+    """Containment by one full-frame (n, 3) difference, every clause on every
+    point; boundaries are inclusive."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    d = pts - box.center
+    c, s = math.cos(-box.yaw), math.sin(-box.yaw)
+    lx = c * d[:, 0] - s * d[:, 1]
+    ly = s * d[:, 0] + c * d[:, 1]
+    return ((np.abs(lx) <= box.l / 2.0 + 1e-12)
+            & (np.abs(ly) <= box.w / 2.0 + 1e-12)
+            & (np.abs(d[:, 2]) <= box.h / 2.0 + 1e-12))
+
+
+def recenter_oracle(prev_box: Box3D, frame: ScanFrame, velocity, dt_s: float):
+    """tracker.recenter on points_in_box_oracle, with the heading's
+    degenerate-scatter test written as np.allclose."""
+    predicted = prev_box if velocity is None else prev_box.translated(
+        np.asarray(velocity) * dt_s)
+    inside = points_in_box_oracle(frame.points, predicted)
+    if not inside.any():
+        return None
+    pts = frame.points[inside]
+    centroid = pts.mean(axis=0)
+    yaw = predicted.yaw
+    if pts.shape[0] >= 2:
+        xy = pts[:, :2] - pts[:, :2].mean(axis=0)
+        cov = xy.T @ xy
+        if not np.allclose(cov, 0.0):
+            evals, evecs = np.linalg.eigh(cov)
+            axis = evecs[:, int(np.argmax(evals))]
+            yaw = math.atan2(axis[1], axis[0])
+            if yaw <= -math.pi / 2:
+                yaw += math.pi
+            elif yaw > math.pi / 2:
+                yaw -= math.pi
+    return Box3D(centroid[0], centroid[1], centroid[2],
+                 predicted.l, predicted.w, predicted.h, yaw)
+
+
 def admitted(lf) -> bool:
     """The dataset admission rule: every box of the labeled frame encloses at
     least MIN_CLUSTER_HITS of its returns."""

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,60 @@ def test_gain_rule_needs_nine_in_ten_wins_and_medians_apart_by_the_parent_iqr(
     entry = bench_pairs.summarize(pair_runs(parent, change))["op_norm_ms"]
     assert entry["gain_holds"] is holds
     assert entry["change_wins"] == sum(c < p for p, c in zip(parent, change))
+
+
+def commit_fake_bench(repo, value, log):
+    """Commit a bench/run.py that logs the tree it runs in and reads `value`."""
+    (repo / "bench").mkdir(exist_ok=True)
+    (repo / "bench" / "run.py").write_text(
+        "import json, os\n"
+        f"with open({str(log)!r}, 'a') as fh:\n"
+        "    fh.write(os.path.basename(os.getcwd()) + '\\n')\n"
+        "prov = dict(python='3', numpy='2', blas='b', blas_threads=1, nproc=2)\n"
+        "print(json.dumps({'info': {'provenance': prov}}))\n"
+        "print(json.dumps({'correct': True, 'failed': 0, 'attempted': 5,\n"
+        f"                  'metrics': {{'op_norm_ms': {{'value': {value}}}}}}}))\n")
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["add", "-A"], check=True, capture_output=True)
+    subprocess.run(git + ["commit", "-qm", f"bench reads {value}"], check=True,
+                   capture_output=True)
+    return subprocess.run(git + ["rev-parse", "HEAD"], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+# the trees run in order: the control pairs interleave with the pairs, and
+# each kind alternates which side runs first
+@pytest.mark.parametrize("control, order", [
+    (0, "parent change change parent"),
+    (3, "parent change parent control change parent control parent parent control")])
+def test_control_pairs_run_the_parent_against_a_second_export_of_it(
+        tmp_path, monkeypatch, bench_pairs, control, order):
+    repo, log = tmp_path / "repo", tmp_path / "trees.log"
+    repo.mkdir()
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    parent = commit_fake_bench(repo, 10.0, log)
+    change = commit_fake_bench(repo, 8.0, log)
+    monkeypatch.setattr(bench_pairs, "ROOT", str(repo))
+    argv = ["--parent", parent, "--change", change, "--name", "t", "--what", "w",
+            "--control", str(control), "sky@7:2"]
+    assert bench_pairs.main(argv) == 0
+    entry = json.loads((repo / "BENCH_t.json").read_text())["workloads"]["sky@7"]
+    assert entry["op_norm_ms"]["parent"]["runs"] == [10.0, 10.0]
+    assert entry["op_norm_ms"]["change"]["runs"] == [8.0, 8.0]
+    assert log.read_text().split() == order.split()
+    if not control:
+        assert "control" not in entry
+        return
+    aa_entry = entry["control"]
+    assert aa_entry["pairs"] == control and aa_entry["runs_correct"]
+    assert aa_entry["op_norm_ms"]["parent"]["runs"] == [10.0] * control
+    assert aa_entry["op_norm_ms"]["change"]["runs"] == [10.0] * control
+    assert aa_entry["op_norm_ms"]["change_wins"] == 0
+    assert aa_entry["op_norm_ms"]["gain_holds"] is False
+
+
+@pytest.mark.parametrize("argv", [["--control", "-1", "sky@7:2"], ["sky@7:0"]])
+def test_negative_control_and_zero_pairs_are_refused(bench_pairs, argv):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", "--name", "t", "--what", "w", *argv])
+    assert exc.value.code

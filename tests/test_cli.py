@@ -159,6 +159,23 @@ class TestConfig:
             assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
         assert not any((tmp_path / name).exists() for name in ("s.xyz", "d.csv", "aug"))
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"grid": {"cell_size": 1e-320}},
+         "grid: x_range holds a non-finite count of cells of 1e-320, got (0.0, 70.4)"),
+        ({"augment": {"region": {"x_range": [-1e308, 1e308]}}},
+         "augment.region: x_range holds a non-finite count of voxels of 1.0, "
+         "got (-1e+308, 1e+308)"),
+    ])
+    def test_grids_too_fine_to_count_rejected_at_load(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        capsys.readouterr()
+        assert run(["--config", path, "augment", "--out", tmp_path / "aug"]) == 1
+        assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+        assert not (tmp_path / "aug").exists()
+
     def test_default_config_round_trips_through_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dataclasses.asdict(default_config())))

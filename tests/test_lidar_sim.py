@@ -86,8 +86,8 @@ class TestPattern:
         assert len(gen_pattern(FAST, 100.0)) == 2400
         assert len(gen_pattern(FAST, 33.3)) == 800   # ceil(24_000 * 33_300 us / 1e6)
 
-    # the count is that of the stamps floor(j * 1e6 / rate) inside the window
-    # rounded to the microsecond, whatever the window's start
+    # the count is that of the global stamps floor(i * 1e6 / rate) inside the
+    # window rounded to the microsecond; `count` is frame 0's
     @pytest.mark.parametrize("rate, window_ms, count", [(240_000, 100.0, 24_000),
                                                         (48_000, 100.0, 4_800),
                                                         (100_000, 12.345, 1_235),
@@ -96,8 +96,31 @@ class TestPattern:
         spec = ScanPattern(points_per_second=rate)
         window_us = round(window_ms * 1000)
         assert (count - 1) * 1_000_000 // rate < window_us <= count * 1_000_000 // rate
+        assert len(gen_pattern(spec, window_ms)) == count
+        stamps = np.arange(50 * count) * 1_000_000 // rate
         for frame in (0, 1, 41):
-            assert len(gen_pattern(spec, window_ms, frame * window_ms)) == count
+            start_us = round(frame * window_ms * 1000)
+            inside = (stamps >= start_us) & (stamps < start_us + window_us)
+            assert np.array_equal(gen_pattern(spec, window_ms, frame * window_ms).t_us,
+                                  stamps[inside])
+
+    def test_consecutive_frames_tile_the_ray_timeline(self):
+        """At 100k rays/s a ray is stamped 10 * i us, so its stamp names its
+        index: frames 0-2999 of 12.345 ms cast each index once, each stamped
+        inside its frame, and together they are the one long window's rays."""
+        spec = ScanPattern(points_per_second=100_000)
+        window_ms, window_us = 12.345, 12_345
+        frames = [gen_pattern(spec, window_ms, k * window_ms) for k in range(3000)]
+        for k, rays in enumerate(frames):
+            assert round(k * window_ms * 1000) == k * window_us
+            assert (rays.t_us >= k * window_us).all()
+            assert (rays.t_us < (k + 1) * window_us).all()
+        t_us = np.concatenate([rays.t_us for rays in frames])
+        assert np.array_equal(t_us, np.arange(-(-3000 * window_us // 10)) * 10)
+        whole = gen_pattern(spec, 3000 * window_ms)
+        assert np.array_equal(np.concatenate([rays.directions for rays in frames]),
+                              whole.directions)
+        assert np.array_equal(t_us, whole.t_us)
 
     def test_fast_scan_of_a_window_off_the_microsecond_grid(self):
         # round(2e6 rays/s * 0.1003 ms) = 201 rays stamped the last at 100 us,
@@ -144,8 +167,8 @@ class TestPattern:
         assert (np.diff(rays.t_us) >= 0).all()
         assert rays.t_us[0] >= 0 and rays.t_us[-1] < 100_000
 
-    # frames whose first ray was stamped before the frame when the stamps
-    # came from the ray's index on the global timeline
+    # frames whose first ray was stamped before the frame when its index was
+    # rounded from the frame's start
     @pytest.mark.parametrize("rate, window_ms, frame", [(48_000, 100.0, 41),
                                                         (100_000, 12.345, 21),
                                                         (100_000, 33.3333, 7)])
@@ -154,7 +177,9 @@ class TestPattern:
         start_ms = frame * window_ms
         start_us = round(start_ms * 1000)
         t_us = gen_pattern(spec, window_ms, start_ms).t_us
-        assert t_us[0] == start_us and t_us[-1] < start_us + round(window_ms * 1000)
+        # the first ray is the first whose stamp is not before the start
+        assert start_us <= t_us[0] < start_us + -(-1_000_000 // rate)
+        assert t_us[-1] < start_us + round(window_ms * 1000)
         sim = simulate_frame(spec, icosphere(0.5, 2), Pose2D(0.0, (3.0, 0.0, 0.0)),
                              window_ms, start_ms)
         assert sim.frame.t_start_us == start_us and sim.hit_count > 0
@@ -582,6 +607,9 @@ class TestDirectivity:
         ({"z_range": (math.nan, 1.0)}, "z_range"),
         ({"x_range": (5.0, math.inf)}, "x_range"),
         ({"x_range": (5.0, 5.2)}, "x_range"),
+        # finite values whose voxel count is not: centers() overflowed before
+        ({"z_range": (-1e308, 1e308)}, "^z_range holds a non-finite count of voxels"),
+        ({"voxel_size": 1e-320}, "^x_range holds a non-finite count of voxels"),
     ])
     def test_region_validated_naming_the_field(self, kwargs, field):
         args = {"x_range": (5.0, 6.0), "y_range": (0.0, 1.0), "z_range": (0.0, 1.0)}

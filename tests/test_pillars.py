@@ -228,6 +228,9 @@ class TestGridSpec:
         ({"cell_size": 0.0}, "cell_size"),
         ({"x_range": (0.0, 0.5)}, "x_range"),
         ({"y_range": (8.0, -8.0)}, "y_range"),
+        # finite values whose cell count is not: a bare OverflowError before
+        ({"cell_size": 1e-320}, "^x_range holds a non-finite count of cells"),
+        ({"y_range": (-1e308, 1e308)}, "^y_range holds a non-finite count of cells"),
         ({"max_pillars": 2.5}, "max_pillars"),
         ({"max_pillars": 0}, "max_pillars"),
         ({"max_points_per_pillar": True}, "max_points_per_pillar"),

@@ -164,6 +164,22 @@ class TestLas:
                                    fill=0xAB))
         check_hand_values(read_las(path))
 
+    @pytest.mark.parametrize("rec_len", [34, 36])
+    @pytest.mark.parametrize("block", [1 << 16, 7])
+    def test_xyz_is_the_records_scaled_and_offset(self, tmp_path, rec_len, block):
+        """Exactly rec["xyz"] * scale + offset, at a scale and offset away
+        from the defaults, in one block and in many."""
+        r = np.random.default_rng(rec_len)
+        ints = r.integers(-2**31, 2**31, (40, 3))
+        scale, offset = (0.0031, 0.0257, 0.25), (5.1, -3.7, 1e3 / 3)
+        path = tmp_path / "f.las"
+        path.write_bytes(las_bytes(ints.tolist(), [0] * 40, (np.arange(40) * 1e-3).tolist(),
+                                   scale=scale, offset=offset, rec_len=rec_len, fill=0xCD))
+        with mock.patch.object(pointio, "_BLOCK", block):
+            points, _, _ = joined(read_las(path))
+        want = ints.astype(np.int32) * np.array(scale) + np.array(offset)
+        assert np.array_equal(points, want)
+
     def test_write_read_round_trip_to_scale(self, tmp_path, rng):
         path = tmp_path / "rt.las"
         frame = sample_frame(rng, 30)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -17,6 +18,8 @@ from airsense.tracker import (
     replay,
     separation_monitor,
 )
+
+from oracles import recenter_oracle
 
 WINDOW_US = 100_000
 
@@ -69,6 +72,40 @@ class TestRecenter:
         out = recenter(prev, frame_at(0, pts), None, 0.1)
         assert out is not None
         assert abs(math.degrees(out.yaw) - 30) < 5
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_oracle_on_bench_like_frames(self, seed):
+        """24k returns over the default grid, a quarter in clumps, two drone
+        clusters; boxes that enclose a cluster, a clump, one point, one
+        repeated point, scatters just above and below the degenerate-heading
+        test's 1e-8 or nothing, with and without a velocity."""
+        r = np.random.default_rng(seed)
+        drones = [np.array([r.uniform(10, 30), r.uniform(-9, 9), r.uniform(-1, 1)])
+                  for _ in range(2)]
+        clumps = [c + r.normal(size=(750, 3)) * [0.2, 0.2, 0.3]
+                  for c in r.uniform([0, -40, -8], [70.4, 40, 8], (8, 3))]
+        pieces = [d + r.uniform(-0.4, 0.4, (60, 3)) * [1.6, 1.6, 1.0] for d in drones]
+        lone, repeated = np.array([50.0, 30.0, 9.5]), np.array([60.0, -30.0, 9.5])
+        tight = [np.array([5.0, y, 9.5]) for y in (-30.0, 30.0)]   # cov near 3e-8, 3e-10
+        pieces += clumps + [r.uniform([0, -40, -8], [70.4, 40, 8], (17_867, 3)),
+                            lone[None], np.tile(repeated, (4, 1)),
+                            tight[0] + r.normal(scale=1e-4, size=(4, 3)),
+                            tight[1] + r.normal(scale=1e-5, size=(4, 3))]
+        pts = np.vstack(pieces)[r.permutation(24_000)]
+        frame = frame_at(3, pts)
+        boxes = [Box3D(*d, 1.6, 1.6, 1.0, r.uniform(-math.pi, math.pi)) for d in drones]
+        boxes += [Box3D(*clumps[0][0], 1.6, 1.6, 1.0), Box3D(*lone, 0.5, 0.5, 0.5),
+                  Box3D(*repeated, 0.5, 0.5, 0.5, 1.0), Box3D(35.0, 0.0, 30.0, 1.6, 1.6, 1.0),
+                  Box3D(*tight[0], 0.1, 0.1, 0.1, 1.0), Box3D(*tight[1], 0.1, 0.1, 0.1, 1.0),
+                  Box3D(35.0, 0.0, 0.0, 1.6, 1.6, 40.0, 0.3)]
+        for box in boxes:
+            for velocity in (None, r.normal(scale=3.0, size=3)):
+                want = recenter_oracle(box, frame, velocity, 0.1)
+                got = recenter(box, frame, velocity, 0.1)
+                if want is None:
+                    assert got is None
+                else:
+                    assert dataclasses.astuple(got) == dataclasses.astuple(want)
 
 
 class TestSeparation:
