@@ -115,12 +115,16 @@ def parse_plan(items: list[str]) -> list[tuple[str, int, int]]:
     return plan
 
 
-def run_pair(trees: dict, i: int, runs: dict, workload: str, seed: int, seconds: float):
-    """Pair i: one run from each side's tree, the parent first in even pairs.
-    Returns the info line of the last run."""
+def run_pair(label: str, trees: dict, runs: dict, i: int, n: int, workload: str, seed: int,
+             seconds: float) -> dict:
+    """Pair i of n: one run from each side's tree, the parent first in even
+    pairs, appended to runs and printed. Returns the info line of the last."""
     for s in SIDES if i % 2 == 0 else SIDES[::-1]:
         result, info = bench(trees[s], workload, seed, seconds)
         runs[s].append(result)
+    print(f"{workload}@{seed} {label} {i + 1}/{n}: "
+          + ", ".join(f"{s} {runs[s][-1]['metrics']['op_norm_ms']['value']:.2f}"
+                      for s in SIDES), flush=True)
     return info
 
 
@@ -173,18 +177,15 @@ def main(argv=None) -> int:
             runs = {s: [] for s in SIDES}
             control = {s: [] for s in SIDES}
             for i in range(max(pairs, args.control)):
-                for label, tr, rs, n in (("pair", trees, runs, pairs),
-                                         ("control pair", control_trees, control, args.control)):
-                    if i >= n:
-                        continue
-                    info = run_pair(tr, i, rs, workload, seed, args.seconds)
-                    if record["machine"] is None:
-                        prov = info["provenance"]
-                        record["machine"] = {k: prov[k] for k in
-                                             ("python", "numpy", "blas", "blas_threads", "nproc")}
-                    print(f"{key} {label} {i + 1}/{n}: "
-                          + ", ".join(f"{s} {rs[s][-1]['metrics']['op_norm_ms']['value']:.2f}"
-                                      for s in SIDES), flush=True)
+                if i < pairs:
+                    info = run_pair("pair", trees, runs, i, pairs, workload, seed, args.seconds)
+                if i < args.control:
+                    info = run_pair("control pair", control_trees, control, i, args.control,
+                                    workload, seed, args.seconds)
+                if record["machine"] is None:
+                    prov = info["provenance"]
+                    record["machine"] = {k: prov[k] for k in
+                                         ("python", "numpy", "blas", "blas_threads", "nproc")}
                 record["workloads"][key] = summarize(runs)
                 if control["parent"]:
                     record["workloads"][key]["control"] = summarize(control)

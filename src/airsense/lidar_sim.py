@@ -107,7 +107,9 @@ def gen_pattern(spec: ScanPattern, duration_ms: float, start_ms: float = 0.0) ->
 
     cos_el = np.cos(el)
     dirs = np.column_stack([cos_el * np.cos(az), cos_el * np.sin(az), np.sin(el)])
-    t_us = idx * 1_000_000 // rate
+    # floor(i * 1e6 / rate) without forming i * 1e6, which overflows int64
+    # once the timeline passes about 1e13 / rate s (an epoch start, say)
+    t_us = idx // rate * 1_000_000 + idx % rate * 1_000_000 // rate
     return RayBundle(np.zeros((n, 3)), dirs, t_us)
 
 

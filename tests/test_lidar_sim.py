@@ -171,7 +171,9 @@ class TestPattern:
     # rounded from the frame's start
     @pytest.mark.parametrize("rate, window_ms, frame", [(48_000, 100.0, 41),
                                                         (100_000, 12.345, 21),
-                                                        (100_000, 33.3333, 7)])
+                                                        (100_000, 33.3333, 7),
+                                                        # a start 1.7e12 ms after the epoch
+                                                        (240_000, 100.0, 17_000_000_000)])
     def test_rays_stamped_inside_their_frame(self, rate, window_ms, frame):
         spec = ScanPattern(points_per_second=rate)
         start_ms = frame * window_ms
