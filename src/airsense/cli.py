@@ -22,10 +22,10 @@ from .lidar_sim import (Pose2D, ScanPattern, VoxelRegion, directivity_analysis,
                         simulate_frame)
 from .mesh import MeshError, box_mesh, icosphere, load_mesh, quadcopter_mesh
 from .metrics import aggregate, classify
-from .pointio import (PointFormatError, ScanFrame, read_jsonl, read_points, read_tensor,
-                      window_frames, write_columnar, write_jsonl, write_las)
+from .pointio import (PointFormatError, ScanFrame, read_jsonl, read_points, window_frames,
+                      write_columnar, write_jsonl, write_las)
 from .raytrace import Bvh
-from .spconv import FeatureMap, KernelTensor, Sites, conv
+from .spconv import KernelTensor, Sites, conv
 from .tracker import replay
 
 BUILTIN_MESHES = {
@@ -143,36 +143,26 @@ def _synthesize_real_frames(plan: AugPlan, pattern: ScanPattern, window_ms: floa
 
 
 def cmd_bench_conv(args) -> int:
+    for flag, value in (("--size", args.size), ("--channels", args.channels)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+    if not 0 <= args.sites <= args.size ** 2:
+        raise ValueError(f"--sites must be in 0..{args.size ** 2}, got {args.sites}")
+    if args.kernel < 1 or args.kernel % 2 == 0:
+        raise ValueError(f"--kernel must be odd and >= 1, got {args.kernel}")
     rng = np.random.default_rng(args.seed)
-    if args.features:
-        values = read_tensor(args.features).astype(np.float32)
-        if values.ndim != 3:
-            raise ValueError(f"feature fixture must be (p, q, C), got {values.shape}")
-        fm = FeatureMap(values)
-        mask = np.abs(values).max(axis=2) > 0
-    else:
-        p = q = args.size
-        flat = rng.choice(p * q, size=args.sites, replace=False)
-        mask = np.zeros(p * q, dtype=bool)
-        mask[flat] = True
-        mask = mask.reshape(p, q)
-        values = np.zeros((p, q, args.channels), dtype=np.float32)
-        values[mask] = rng.normal(size=(args.sites, args.channels)).astype(np.float32)
-        fm = FeatureMap(values)
-    sparse = Sites.from_dense(fm, mask)
-    if args.kernel_file:
-        kernel = KernelTensor(read_tensor(args.kernel_file).astype(np.float32))
-        if kernel.in_channels != fm.channels:
-            raise ValueError("kernel fixture channel count does not match features")
-    else:
-        c = fm.channels
-        kernel = KernelTensor(rng.normal(size=(c, args.kernel, args.kernel, c))
-                              .astype(np.float32) / (args.kernel * np.sqrt(c)))
+    p = q = args.size
+    c = args.channels
+    flat = rng.choice(p * q, size=args.sites, replace=False)
+    sparse = Sites(p, q, np.sort(flat), rng.normal(size=(args.sites, c)))
+    kernel = KernelTensor(rng.normal(size=(c, args.kernel, args.kernel, c))
+                          .astype(np.float32) / (args.kernel * np.sqrt(c)))
 
-    lines = [f"fixture.size = {fm.p}x{fm.q}", f"fixture.sites = {len(sparse.keys)}",
-             f"fixture.channels = {fm.channels}", f"fixture.kernel = {kernel.k}"]
+    lines = [f"fixture.size = {p}x{q}", f"fixture.sites = {args.sites}",
+             f"fixture.channels = {c}", f"fixture.kernel = {kernel.k}"]
     results = {}
-    for name, x, out in (("dense", Sites.from_dense(fm), "all"), ("sparse", sparse, "reach"),
+    for name, x, out in (("dense", Sites.from_dense(sparse.to_dense()), "all"),
+                         ("sparse", sparse, "reach"),
                          ("submanifold", sparse, "same")):
         t0 = time.perf_counter_ns()
         _, macs = conv(x, kernel, out=out)
@@ -293,10 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sites", type=int, default=5124)
     p.add_argument("--channels", type=int, default=64)
     p.add_argument("--kernel", type=int, default=3)
-    p.add_argument("--features", help="columnar tensor fixture (p, q, C) "
-                                      "overriding the random map")
-    p.add_argument("--kernel-file", dest="kernel_file",
-                   help="columnar tensor fixture (F, k, k, C)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the report here as well")
     p.set_defaults(func=cmd_bench_conv)

@@ -32,7 +32,6 @@ __all__ = [
     "write_las",
     "read_points",
     "window_frames",
-    "read_tensor",
     "write_jsonl",
     "read_jsonl",
 ]
@@ -331,27 +330,6 @@ def frame_records(frame: ScanFrame) -> Iterator[ScanFrame]:
     benchmark harness (bench/workloads.py) imports it; the next change to
     the benchmark deletes it."""
     return iter((frame,))
-
-
-# ---------------------------------------------------------------------------
-# columnar tensor format (benchmark fixtures)
-
-def read_tensor(path) -> np.ndarray:
-    """Text tensor: a `tensor <d0> <d1> ...` header line, then the row-major
-    values, split across lines in any way."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if not header or header[0] != "tensor":
-            raise BadMagic(f"{path}: missing tensor header")
-        try:
-            shape = tuple(int(d) for d in header[1:])
-            values = [float(v) for line in fh for v in line.split()]
-        except ValueError as exc:
-            raise TruncatedFile(f"{path}: {exc}") from exc
-    expected = int(np.prod(shape)) if shape else 0
-    if len(values) != expected:
-        raise TruncatedFile(f"{path}: expected {expected} values, got {len(values)}")
-    return np.array(values).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

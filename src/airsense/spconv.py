@@ -7,12 +7,13 @@ input padded by k // 2 on every side, whose cells off the list point at one
 appended zero row, so no rule book, coordinate hash map or bounds mask is
 built: each output site reads the feature row under every filter tap by
 index arithmetic alone, and the rows it gathers feed one GEMM per kernel
-row (TorchSparse's gather-GEMM, Tang et al. 2022). A transposed convolution
-splits its output into sub-pixel phases, each multiplying only the taps
-that land on input sites (Shi et al. 2016). Dense, sparse and submanifold
-convolution differ only in which output sites `conv` computes; `reach`
-returns the sparse choice on its own. `gather_conv` is the independent
-float64 oracle.
+row (TorchSparse's gather-GEMM, Tang et al. 2022). One tap rule, `_phases`,
+serves the gathers, the reach set and the MAC count: a standard convolution
+is one phase, and a transposed one splits its output into sub-pixel phases,
+each with only the taps that land on input sites (Shi et al. 2016). Dense,
+sparse and submanifold convolution differ only in which output sites `conv`
+computes; `reach` returns the sparse choice on its own. `gather_conv` is
+the independent float64 oracle.
 
 Precision: feature values and weights are stored as float32. A kernel row's
 products, with their sum over its k taps and the C input channels, come
@@ -23,6 +24,7 @@ accumulates in float64 throughout.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +58,6 @@ class FeatureMap:
     @property
     def channels(self) -> int:
         return self.values.shape[2]
-
 
 
 @dataclass
@@ -93,7 +94,6 @@ def _check_input(channels: int, kernel: KernelTensor):
         raise ValueError(
             f"kernel expects {kernel.in_channels} input channels, map has {channels}"
         )
-
 
 
 def _check_stride(stride: int):
@@ -190,62 +190,60 @@ def _out_shape(p: int, q: int, stride: int, transposed: bool) -> tuple[int, int]
     return -(-p // stride), -(-q // stride)
 
 
+def _phases(k: int, stride: int, transposed: bool):
+    """The tap rule of `conv`, `_reach` and the MAC count: (t, u, phases).
+    Output cell (R t + i, C t + j) of phase (i, j, taps_m, taps_n) reads the
+    input cell padded by a = k // 2 at (R u + dm, C u + dn) under tap (m, n),
+    for (dm, m) in taps_m and (dn, n) in taps_n: the taps that land on input
+    sites. A standard convolution is one phase, t = 1 and u = s; a
+    transposed one has t = s phases per axis and steps by u = 1."""
+    a = k // 2
+    t, u = (stride, 1) if transposed else (1, stride)
+    axis = [[((i + m - a) // t + a, m) for m in range(k) if (i + m - a) % t == 0]
+            for i in range(t)]
+    return t, u, [(i, j, axis[i], axis[j]) for i, j in np.ndindex(t, t)]
+
+
 def _reach(keys: np.ndarray, p: int, q: int, k: int, stride: int,
            transposed: bool) -> np.ndarray:
-    """Sorted output keys some tap reaches from the sites `keys`. Occupancy is
-    dilated by the stride (transposed) and padded by k // 2; output cell
-    (r, c) reads padded cell (r * s + m, c * s + n) under tap (m, n), with
-    s = 1 on the dilated grid."""
+    """Sorted output keys some tap reaches from the sites `keys`: each
+    phase ORs the occupancy grid of the padded input under its taps."""
     a = k // 2
-    out_p, out_q = _out_shape(p, q, stride, transposed)
-    d, s = (stride, 1) if transposed else (1, stride)
-    occ = np.zeros((p * d + 2 * a, q * d + 2 * a), dtype=bool)
+    occ = np.zeros((p + 2 * a, q + 2 * a), dtype=bool)
     rows, cols = np.divmod(keys, q)
-    occ[rows * d + a, cols * d + a] = True
-    hit = np.zeros((out_p, out_q), dtype=bool)
-    for m, n in np.ndindex(k, k):
-        hit |= occ[m:m + out_p * s:s, n:n + out_q * s:s]
+    occ[rows + a, cols + a] = True
+    hit = np.zeros(_out_shape(p, q, stride, transposed), dtype=bool)
+    t, u, phases = _phases(k, stride, transposed)
+    for i, j, taps_m, taps_n in phases:
+        part = hit[i::t, j::t]
+        for (dm, _), (dn, _) in itertools.product(taps_m, taps_n):
+            part |= occ[dm::u, dn::u][:part.shape[0], :part.shape[1]]
     return np.flatnonzero(hit)
 
 
-def _gemms(table: np.ndarray, feats: np.ndarray, base: np.ndarray, taps_m, taps_n,
-           weights: np.ndarray) -> np.ndarray:
-    """Output rows of one phase. Output row i reads the feature row
-    table[base[i] + dm + dn] under tap (m, n), for (dm, m) in taps_m and
-    (dn, n) in taps_n. Per kernel row m, one float32 GEMM sums its taps over
-    n and the C input channels; the kernel rows are summed in float64, in
-    order, and rounded to float32 once. A phase without taps is zero."""
+def _gemms(table: np.ndarray, feats: np.ndarray, base: np.ndarray, sel: np.ndarray | None,
+           taps_m, taps_n, width: int, weights: np.ndarray, out: np.ndarray):
+    """Fills the rows out[sel] of one phase, or every row if sel is None: row
+    r reads feature row table[base[r] + dm * width + dn] under tap (m, n), for
+    (dm, m) in taps_m and (dn, n) in taps_n. Per kernel row m, one float32
+    GEMM sums its taps over n and the C input channels; the kernel rows are
+    summed in float64, in order, and rounded to float32 once."""
     f, c = weights.shape[0], weights.shape[3]
-    if not taps_m or not taps_n:
-        return np.zeros((len(base), f), dtype=np.float32)
-    out = np.empty((len(base), f), dtype=np.float32)
-    dn = np.array([d for d, _ in taps_n])
-    ns = [n for _, n in taps_n]
-    rows = [(dm, np.ascontiguousarray(weights[:, m, ns].reshape(f, -1).T)) for dm, m in taps_m]
+    if not taps_m or not taps_n:   # no tap lands in the phase
+        out[sel] = 0.0
+        return
+    dn, ns = np.array(taps_n).T   # column offsets, kernel columns
+    rows = [(dm * width, np.ascontiguousarray(weights[:, m, ns].reshape(f, -1).T))
+            for dm, m in taps_m]
     step = max(1, _CHUNK // (len(ns) * c))
-    for lo in range(0, len(base), step):
-        b = base[lo:lo + step, None] + dn
-        acc = None
-        for dm, w in rows:
-            prod = feats[table[b + dm]].reshape(len(b), -1) @ w
-            if acc is None:
-                acc = prod.astype(np.float64)
-            else:
-                acc += prod
-        out[lo:lo + len(b)] = acc
-    return out
-
-
-def _macs(keys: np.ndarray, q: int, k: int, stride: int, c: int, f: int) -> int:
-    """Multiplies of a convolution that reads the input sites by tap: tap
-    (m, n) takes the sites with r = m - a and c = n - a modulo the stride
-    (all of them at stride 1), contributions off the grid included."""
-    a = k // 2
-    rows, cols = np.divmod(keys, q)
-    per_class = np.bincount(rows % stride * stride + cols % stride,
-                            minlength=stride * stride).reshape(stride, stride)
-    taps = np.bincount((np.arange(k) - a) % stride, minlength=stride)
-    return int(taps @ per_class @ taps) * c * f
+    for lo in range(0, len(base) if sel is None else len(sel), step):
+        at = slice(lo, lo + step) if sel is None else sel[lo:lo + step]
+        b = base[at, None] + dn
+        prods = (feats[table[b + dm]].reshape(len(b), -1) @ w for dm, w in rows)
+        acc = next(prods).astype(np.float64)
+        for prod in prods:
+            acc += prod
+        out[at] = acc
 
 
 _OUT = ("reach", "same", "all")
@@ -258,15 +256,16 @@ def conv(x: Sites, kernel: KernelTensor, stride: int = 1, transposed: bool = Fal
     The output grid is ceil(p / s) x ceil(q / s) at stride s, where output
     cell (r, c) reads input cell (r * s + m - a, c * s + n - a) under tap
     (m, n), a = k // 2. Transposed, it is (p * s, q * s), as if the input
-    were upsampled by zero insertion: it splits into s^2 phases by (r mod s,
-    c mod s), and each phase reads only the taps that land on input sites.
-    `out` picks the output sites: "reach" the cells some tap reaches (sparse
+    were upsampled by zero insertion. One loop runs the phases of the tap
+    rule: a standard convolution is one, a transposed one s^2 by (r mod s,
+    c mod s), each reading only the taps that land on input sites. `out`
+    picks the output sites: "reach" the cells some tap reaches (sparse
     convolution; every other cell is exactly zero), "same" the input sites
     (submanifold convolution, stride 1 only), "all" every cell (dense
-    convolution). Returns the output sites and the multiply count: l * k^2
-    * C * F for l input sites at stride 1 and when transposed; at stride s
-    each tap counts the sites of its stride class. Off-grid contributions
-    count in both.
+    convolution). Returns the output sites and the multiply count: C * F
+    for each tap of each phase and each input site of its residue class
+    modulo the input step (every site at stride 1 and when transposed),
+    off-grid contributions included.
 
     Precision: each kernel row's products, summed over its k taps and the C
     input channels, come from one float32 GEMM; the k kernel rows are summed
@@ -294,22 +293,23 @@ def conv(x: Sites, kernel: KernelTensor, stride: int = 1, transposed: bool = Fal
     rows, cols = np.divmod(x.keys, q)
     table[(rows + a) * w + cols + a] = np.arange(l)
     feats = np.concatenate((x.feats, np.zeros((1, c), dtype=np.float32)))
-    macs = _macs(x.keys, q, k, 1 if transposed else s, c, kernel.out_channels)
+    t, u, phases = _phases(k, s, transposed)
+    # a tap reads the input sites of one residue class modulo the input step
+    per_class = np.bincount(rows % u * u + cols % u, minlength=u * u).reshape(u, u)
     rows, cols = np.divmod(keys, out_q)
-    if not transposed:
-        base = rows * (s * w) + cols * s
-        y = _gemms(table, feats, base, [(m * w, m) for m in range(k)],
-                   [(n, n) for n in range(k)], kernel.weights)
-        return Sites(out_p, out_q, keys, y), macs
+    phase = None   # a standard convolution's one phase is every output row, in order
+    if t > 1:      # each output cell's phase, and its cell (R, C) within the phase
+        phase = rows % t * t + cols % t
+        rows, cols = rows // t, cols // t
+    base = rows * (u * w) + cols * u
     y = np.empty((len(keys), kernel.out_channels), dtype=np.float32)
-    phase = rows % s * s + cols % s
-    for i, j in np.ndindex(s, s):
-        sel = np.flatnonzero(phase == i * s + j)
-        base = (rows[sel] // s + a) * w + cols[sel] // s + a
-        taps_m = [((i + m - a) // s * w, m) for m in range(k) if (i + m - a) % s == 0]
-        taps_n = [((j + n - a) // s, n) for n in range(k) if (j + n - a) % s == 0]
-        y[sel] = _gemms(table, feats, base, taps_m, taps_n, kernel.weights)
-    return Sites(out_p, out_q, keys, y), macs
+    macs = 0
+    for i, j, taps_m, taps_n in phases:
+        sel = None if phase is None else np.flatnonzero(phase == i * t + j)
+        _gemms(table, feats, base, sel, taps_m, taps_n, w, kernel.weights, y)
+        macs += sum(int(per_class[(dm - a) % u, (dn - a) % u])
+                    for dm, _ in taps_m for dn, _ in taps_n)
+    return Sites(out_p, out_q, keys, y), macs * c * kernel.out_channels
 
 
 def reach(keys: np.ndarray, p: int, q: int, k: int, stride: int = 1,

@@ -119,17 +119,6 @@ def window_records(records, window_ms=100.0):
         yield flush()
 
 
-def write_tensor(path, array):
-    """The text tensor read_tensor reads: a `tensor <d0> <d1> ...` header
-    line, then row-major values, one line per innermost row."""
-    arr = np.asarray(array, dtype=np.float64)
-    with open(path, "w") as fh:
-        fh.write("tensor " + " ".join(str(d) for d in arr.shape) + "\n")
-        flat = arr.reshape(-1, arr.shape[-1]) if arr.ndim > 1 else arr.reshape(1, -1)
-        for row in flat:
-            fh.write(" ".join(f"{v:.9g}" for v in row) + "\n")
-
-
 _SLAB = Bvh(box_mesh((1.0, 4.0, 4.0)))
 
 

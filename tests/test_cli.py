@@ -13,7 +13,6 @@ import pytest
 from airsense.cli import build_parser, main
 from airsense.config import Config, ConfigError, default_config, load_config
 from airsense.pointio import read_jsonl, read_points, window_frames, write_jsonl
-from oracles import write_tensor
 
 
 def run(args):
@@ -332,27 +331,20 @@ class TestBenchConvCommand:
                       .split(" = ")[1])
         assert abs(ratio - 0.0202) < 1e-4
 
-    def test_reads_tensor_fixtures(self, tmp_path, capsys):
-        rng = np.random.default_rng(0)
-        values = np.zeros((12, 12, 3))
-        values[2, 3] = [1.0, -1.0, 0.5]
-        values[8, 1] = [0.2, 0.0, 0.1]
-        feats = tmp_path / "features.txt"
-        kern = tmp_path / "kernel.txt"
-        write_tensor(feats, values)
-        write_tensor(kern, rng.normal(size=(4, 3, 3, 3)))
-        assert run(["bench-conv", "--features", feats, "--kernel-file", kern]) == 0
-        text = capsys.readouterr().out
-        assert "fixture.sites = 2" in text
-        assert "fixture.size = 12x12" in text
-
-    def test_mismatched_fixture_channels_fail(self, tmp_path, capsys):
-        feats = tmp_path / "features.txt"
-        kern = tmp_path / "kernel.txt"
-        write_tensor(feats, np.ones((4, 4, 2)))
-        write_tensor(kern, np.ones((1, 3, 3, 5)))
-        assert run(["bench-conv", "--features", feats, "--kernel-file", kern]) == 1
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--size", 0, "--size must be >= 1, got 0"),
+        ("--channels", 0, "--channels must be >= 1, got 0"),
+        ("--sites", -1, "--sites must be in 0..16, got -1"),
+        ("--sites", 17, "--sites must be in 0..16, got 17"),
+        ("--kernel", 0, "--kernel must be odd and >= 1, got 0"),
+        ("--kernel", 2, "--kernel must be odd and >= 1, got 2"),
+    ])
+    def test_flags_checked_at_the_boundary(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "bench.txt"
+        args = {"--size": 4, "--sites": 3, "--channels": 2, "--kernel": 3, flag: value}
+        assert run(["bench-conv", *(a for kv in args.items() for a in kv), "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not out.exists()
 
 
 class TestDetectEvalCommand:

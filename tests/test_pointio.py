@@ -18,12 +18,11 @@ from airsense.pointio import (
     read_columnar,
     read_las,
     read_points,
-    read_tensor,
     window_frames,
     write_columnar,
     write_las,
 )
-from oracles import read_las_records, window_records, write_tensor
+from oracles import read_las_records, window_records
 
 
 def sample_frame(rng, n=50, t_step=2000):
@@ -362,33 +361,6 @@ class TestWindowing:
                         list(window_frames(read_las(path), window_ms))
                 else:
                     assert_same_frames(list(window_frames(read_las(path), window_ms)), want)
-
-
-class TestTensorFormat:
-    def test_round_trip_preserves_shape_and_values(self, tmp_path, rng):
-        arr = rng.normal(size=(5, 4, 3))
-        path = tmp_path / "t.txt"
-        write_tensor(path, arr)
-        back = read_tensor(path)
-        assert back.shape == arr.shape
-        np.testing.assert_allclose(back, arr, rtol=1e-8)
-
-    def test_one_dimensional(self, tmp_path):
-        path = tmp_path / "v.txt"
-        write_tensor(path, np.array([1.0, 2.5, -3.0]))
-        np.testing.assert_allclose(read_tensor(path), [1.0, 2.5, -3.0])
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "x.txt"
-        path.write_text("1 2 3\n")
-        with pytest.raises(BadMagic):
-            read_tensor(path)
-
-    def test_truncated_values_rejected(self, tmp_path):
-        path = tmp_path / "x.txt"
-        path.write_text("tensor 2 2\n1 2\n")
-        with pytest.raises(TruncatedFile):
-            read_tensor(path)
 
 
 class TestScanFrame:
