@@ -50,6 +50,9 @@ IGNORED = -2
 FOCAL_ALPHA = 0.25
 FOCAL_GAMMA = 2.0
 
+# IoU above which nms suppresses a box overlapping a kept one
+NMS_IOU = 0.5
+
 
 @dataclass(frozen=True)
 class MatchThresholds:
@@ -252,10 +255,11 @@ def assign_targets(gts: list[Box3D], grid: AnchorGrid,
     return TargetAssignment(labels, forced)
 
 
-def nms(boxes: list[Box3D], scores, iou_thr: float = 0.5) -> list[int]:
-    """Greedy score-descending suppression. Returns kept indices; score ties
-    fall back to the lower index. Each kept box scores every candidate in one
-    iou3d call, so memory grows with the number of boxes only."""
+def nms(boxes: list[Box3D], scores) -> list[int]:
+    """Greedy score-descending suppression of boxes overlapping a kept one by
+    IoU above NMS_IOU. Returns kept indices; score ties fall back to the
+    lower index. Each kept box scores every candidate in one iou3d call, so
+    memory grows with the number of boxes only."""
     scores = np.asarray(scores, dtype=np.float64).reshape(len(boxes))
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
@@ -265,5 +269,5 @@ def nms(boxes: list[Box3D], scores, iou_thr: float = 0.5) -> list[int]:
     for i in order:
         if not suppressed[i]:
             kept.append(i)
-            suppressed |= iou3d(boxes, [boxes[i]])[:, 0] > iou_thr
+            suppressed |= iou3d(boxes, [boxes[i]])[:, 0] > NMS_IOU
     return kept

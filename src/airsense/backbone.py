@@ -5,16 +5,15 @@ engine with per-layer instrumentation."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import check_fields
-from .spconv import FeatureMap, KernelTensor, Sites, conv, reach
+from .spconv import FeatureMap, KernelTensor, Sites, conv
 
 __all__ = [
     "BackboneSpec",
-    "BackboneWeights",
     "LayerStats",
     "InstrumentationReport",
     "make_backbone_weights",
@@ -58,18 +57,6 @@ class BackboneSpec:
                              f"three blocks, got {totals} over {tuple(self.up_strides)}")
 
 
-@dataclass
-class BackboneWeights:
-    kernels: list[KernelTensor]
-    biases: list[np.ndarray | None] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.biases:
-            self.biases = [None] * len(self.kernels)
-        if len(self.biases) != len(self.kernels):
-            raise ValueError("one bias entry per kernel required")
-
-
 def _channels(spec: BackboneSpec, in_channels: int):
     """Yield each layer's (c_in, c_out) in execution order: the block
     convolutions, then the three upsampling deconvolutions."""
@@ -83,13 +70,13 @@ def _channels(spec: BackboneSpec, in_channels: int):
 
 
 def make_backbone_weights(spec: BackboneSpec, in_channels: int,
-                          rng: np.random.Generator) -> BackboneWeights:
-    """Random weights shaped for the graph, scaled to keep activations O(1)."""
+                          rng: np.random.Generator) -> list[KernelTensor]:
+    """One random kernel per layer, in execution order, shaped for the graph
+    and scaled to keep activations O(1)."""
     k = spec.kernel_size
-    return BackboneWeights([
-        KernelTensor((rng.normal(size=(c_out, k, k, c_in)) * (1.0 / np.sqrt(k * k * c_in)))
-                     .astype(np.float32))
-        for c_in, c_out in _channels(spec, in_channels)])
+    return [KernelTensor((rng.normal(size=(c_out, k, k, c_in)) * (1.0 / np.sqrt(k * k * c_in)))
+                         .astype(np.float32))
+            for c_in, c_out in _channels(spec, in_channels)]
 
 
 @dataclass
@@ -119,7 +106,7 @@ class InstrumentationReport:
         return sum(l.nanoseconds for l in self.layers)
 
 
-def run_backbone(x: Sites, spec: BackboneSpec, weights: BackboneWeights,
+def run_backbone(x: Sites, spec: BackboneSpec, weights: list[KernelTensor],
                  engine: str = "dense") -> tuple[FeatureMap, InstrumentationReport]:
     """Forward pass of the [4, 6, 6] + 3-deconv graph on the chosen engine.
 
@@ -132,22 +119,21 @@ def run_backbone(x: Sites, spec: BackboneSpec, weights: BackboneWeights,
     every cell, sparse the cells the taps reach, and sparse+submanifold
     keeps the input set in every block convolution but the first. The
     sparse engines start from the input list as it is; the dense one
-    densifies it once. A bias, then ReLU, applies on the active set only,
-    and the dense engine masks its bias to the cells reachable from the
-    occupied input, so the engines stay numerically interchangeable. Maps
-    stay site lists between layers; the upsampled maps are cropped to the
-    first one's size (rounding in the strided blocks can leave the others a
-    few cells larger) and densified once, at the channel concat. Returns
-    that map plus per-layer stats.
+    densifies it once. ReLU, if the spec asks for it, applies to each
+    layer's output sites; it keeps zero at zero, so the engines stay
+    interchangeable. Maps stay site lists between layers; the upsampled
+    maps are cropped to the first one's size (rounding in the strided blocks
+    can leave the others a few cells larger) and densified once, at the
+    channel concat. Returns that map plus per-layer stats.
     """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if not np.isfinite(x.feats).all():
         raise ValueError("input sites contain non-finite features")
     want = list(_channels(spec, x.feats.shape[1]))
-    if len(weights.kernels) != len(want):
-        raise ValueError(f"graph needs {len(want)} kernels, got {len(weights.kernels)}")
-    for idx, (kernel, (c_in, c_out)) in enumerate(zip(weights.kernels, want)):
+    if len(weights) != len(want):
+        raise ValueError(f"graph needs {len(want)} kernels, got {len(weights)}")
+    for idx, (kernel, (c_in, c_out)) in enumerate(zip(weights, want)):
         if (kernel.in_channels, kernel.out_channels) != (c_in, c_out):
             raise ValueError(f"kernel {idx} maps {kernel.in_channels} -> {kernel.out_channels} "
                              f"channels, the graph needs {c_in} -> {c_out}")
@@ -157,37 +143,28 @@ def run_backbone(x: Sites, spec: BackboneSpec, weights: BackboneWeights,
     rest = "same" if engine == "sparse+submanifold" else first
     stats: list[LayerStats] = []
 
-    def layer(src: Sites, live, kind: str, stride: int, out: str):
-        """One conv, bias, ReLU and stats row. `live` keys the cells reachable
-        from the occupied input, tracked only for the dense engine's bias."""
+    def layer(src: Sites, kind: str, stride: int, out: str) -> Sites:
+        """One conv, ReLU and stats row."""
         idx = len(stats)
-        kernel, bias = weights.kernels[idx], weights.biases[idx]
         density = len(src.keys) / (src.p * src.q)
         t0 = time.perf_counter_ns()
-        transposed = kind == "deconv"
-        y, macs = conv(src, kernel, stride, transposed, out)
-        if live is not None:
-            live = reach(live, src.p, src.q, kernel.k, stride, transposed)
-        if bias is not None:
-            y.feats[live if dense else slice(None)] += np.asarray(bias, dtype=np.float32)
+        y, macs = conv(src, weights[idx], stride, kind == "deconv", out)
         if spec.relu:
             np.maximum(y.feats, 0.0, out=y.feats)
         stats.append(LayerStats(idx, kind, stride, macs, density, time.perf_counter_ns() - t0))
-        return y, live
+        return y
 
-    live = x.keys if dense and any(b is not None for b in weights.biases) else None
     if dense:   # every cell, without re-checking the finiteness checked above
         rows = np.zeros((x.p * x.q, x.feats.shape[1]), dtype=np.float32)
         rows[x.keys] = x.feats
         x = Sites(x.p, x.q, np.arange(x.p * x.q), rows)
-    cur = (x, live)
     blocks = []
     for n_convs, stride in zip(spec.block_convs, spec.block_strides):
-        cur = layer(*cur, "conv", stride, first)
+        x = layer(x, "conv", stride, first)
         for _ in range(n_convs - 1):
-            cur = layer(*cur, "conv", 1, rest)
-        blocks.append(cur)
-    upsampled = [layer(*block, "deconv", stride, first)[0]
+            x = layer(x, "conv", 1, rest)
+        blocks.append(x)
+    upsampled = [layer(block, "deconv", stride, first)
                  for block, stride in zip(blocks, spec.up_strides)]
 
     p, q = upsampled[0].p, upsampled[0].q

@@ -159,10 +159,11 @@ class FrameSim:
     rays_cast: int
 
 
-def simulate_frame(pattern: ScanPattern, target: TriangleMesh | Bvh, pose: Pose2D,
+def simulate_frame(pattern: ScanPattern, bvh: Bvh, pose: Pose2D,
                    window_ms: float = 100.0, start_ms: float = 0.0,
                    min_hits: int = MIN_CLUSTER_HITS) -> FrameSim:
-    """Scan a posed target for one window.
+    """Scan a posed target for one window. The target is its mesh's BVH,
+    built once by the caller and shared by every frame of that mesh.
 
     Pipeline: generate the pattern, transform rays into the mesh rest frame,
     intersect the rays that can reach the target, take each hit's Lambertian
@@ -170,7 +171,6 @@ def simulate_frame(pattern: ScanPattern, target: TriangleMesh | Bvh, pose: Pose2
     into the sensor frame. The frame is accepted only when at least min_hits
     returns came back; rays_cast counts every ray of the pattern.
     """
-    bvh = target if isinstance(target, Bvh) else Bvh(target)
     rays = gen_pattern(pattern, window_ms, start_ms)
     local = transform_rays(rays, pose)
     # every ray leaves the sensor origin (apex, here in the rest frame), so
@@ -268,31 +268,27 @@ class DirectivityGrid:
 
 
 def directivity_analysis(pattern: ScanPattern, mesh: TriangleMesh, window_ms: float,
-                         threshold: int, region: VoxelRegion,
-                         yaw: float = 0.0) -> DirectivityGrid:
+                         threshold: int, region: VoxelRegion) -> DirectivityGrid:
     """Hit-count map of the target swept over the voxel centers of a region.
 
     Only voxel centers inside the field of view are scanned; the rest stay at
-    zero. Every placement shares one acceleration structure and one yaw, so
-    the pattern turns into the mesh rest frame once and each voxel only moves
-    the rays' common origin. One cone test per chunk of voxels keeps the
-    (voxel, ray) pairs whose ray can reach the target's bounding sphere; the
-    pairs stream, in voxel-major order, into traversals of _RAY_BATCH pairs
-    that may span voxels and chunks, and each traversal's hits are counted
-    back per voxel with one bincount.
+    zero. Every placement shares one acceleration structure and the mesh's
+    rest orientation, so each voxel only moves the rays' common origin. One
+    cone test per chunk of voxels keeps the (voxel, ray) pairs whose ray can
+    reach the target's bounding sphere; the pairs stream, in voxel-major
+    order, into traversals of _RAY_BATCH pairs that may span voxels and
+    chunks, and each traversal's hits are counted back per voxel with one
+    bincount.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
     centers = region.centers()
     counts = np.zeros(len(centers), dtype=np.int64)
     voxels = np.nonzero(_in_fov(centers, pattern))[0]
-    shift = centers[voxels] - mesh.center()
-    rot_inv = Pose2D(yaw).rotation().T
     bvh = Bvh(mesh)
-    # bit for bit the rows transform_rays gives for each voxel's pose, kept
-    # column-major so that the cone test's product reads each component in one run
-    dirs = np.asfortranarray(gen_pattern(pattern, window_ms).directions @ rot_inv.T)
-    apexes = (np.zeros_like(shift) - shift) @ rot_inv.T
+    # column-major, so that the cone test's product reads each component in one run
+    dirs = np.asfortranarray(gen_pattern(pattern, window_ms).directions)
+    apexes = mesh.center() - centers[voxels]
     for pairs in _cone_pairs(bvh, apexes, dirs):
         voxel, ray = np.divmod(pairs, len(dirs))
         hit = bvh.intersect(RayBundle(apexes[voxel], dirs[ray],

@@ -143,8 +143,7 @@ def box_mesh(size=(1.0, 1.0, 1.0)) -> TriangleMesh:
     return TriangleMesh(verts, faces)
 
 
-def icosphere(radius: float = 0.5, subdivisions: int = 1,
-              center=(0.0, 0.0, 0.0)) -> TriangleMesh:
+def icosphere(radius: float = 0.5, subdivisions: int = 1) -> TriangleMesh:
     phi = (1.0 + np.sqrt(5.0)) / 2.0
     verts = np.array([
         [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
@@ -175,8 +174,7 @@ def icosphere(radius: float = 0.5, subdivisions: int = 1,
             ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
             new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
         faces = new_faces
-    v = np.array(verts) * radius + np.asarray(center, dtype=np.float64)
-    return TriangleMesh(v, np.array(faces, dtype=np.int64))
+    return TriangleMesh(np.array(verts) * radius, np.array(faces, dtype=np.int64))
 
 
 def quadcopter_mesh() -> TriangleMesh:

@@ -93,9 +93,9 @@ class ScanFrame:
         return self.points.shape[0]
 
     @classmethod
-    def empty(cls, t_start_us: int = 0, window_us: int = 100_000) -> "ScanFrame":
-        return cls(np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=np.int64),
-                   t_start_us, window_us)
+    def empty(cls) -> "ScanFrame":
+        """No returns, in the 100 ms window from t = 0."""
+        return cls(np.zeros((0, 3)), np.zeros(0), np.zeros(0, dtype=np.int64), 0, 100_000)
 
     def sorted_by_time(self) -> "ScanFrame":
         order = np.argsort(self.t_us, kind="stable")

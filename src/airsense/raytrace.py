@@ -28,6 +28,7 @@ __all__ = ["RayBundle", "HitBatch", "Bvh", "moller_trumbore"]
 
 _EPS_DET = 1e-12
 _T_MIN = 1e-9
+_LEAF_SIZE = 4   # most triangles a leaf holds
 
 
 @dataclass
@@ -118,18 +119,14 @@ class _Node:
 
 
 class Bvh:
-    """Median-split hierarchy over triangle centroids, at most leaf_size
+    """Median-split hierarchy over triangle centroids, at most _LEAF_SIZE
     triangles per leaf. Triangle test counts are tracked to make traversal
     pruning observable in tests."""
 
-    def __init__(self, mesh: TriangleMesh, leaf_size: int = 4):
-        if (isinstance(leaf_size, bool) or not isinstance(leaf_size, (int, np.integer))
-                or leaf_size < 1):
-            raise ValueError(f"leaf_size must be a positive integer, got {leaf_size!r}")
+    def __init__(self, mesh: TriangleMesh):
         if mesh.num_triangles == 0:
             raise ValueError("cannot build a hierarchy over an empty mesh")
         self.mesh = mesh
-        self.leaf_size = int(leaf_size)
         a, b, c = mesh.triangles()
         self._tri_lo = np.minimum(np.minimum(a, b), c)
         self._tri_hi = np.maximum(np.maximum(a, b), c)
@@ -157,7 +154,7 @@ class Bvh:
             hi = self._tri_hi[idx].max(axis=0)
             node = self.nodes[slot]
             node.lo, node.hi = lo, hi
-            if end - start <= self.leaf_size:
+            if end - start <= _LEAF_SIZE:
                 node.start, node.count = start, end - start
                 continue
             axis = int(np.argmax(hi - lo))

@@ -12,8 +12,7 @@ serves the gathers, the reach set and the MAC count: a standard convolution
 is one phase, and a transposed one splits its output into sub-pixel phases,
 each with only the taps that land on input sites (Shi et al. 2016). Dense,
 sparse and submanifold convolution differ only in which output sites `conv`
-computes; `reach` returns the sparse choice on its own. `gather_conv` is
-the independent float64 oracle.
+computes. `gather_conv` is the independent float64 oracle.
 
 Precision: feature values and weights are stored as float32. A kernel row's
 products, with their sum over its k taps and the C input channels, come
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["FeatureMap", "KernelTensor", "Sites", "gather_conv", "conv", "reach"]
+__all__ = ["FeatureMap", "KernelTensor", "Sites", "gather_conv", "conv"]
 
 @dataclass
 class FeatureMap:
@@ -101,18 +100,6 @@ def _check_stride(stride: int):
         raise ValueError(f"stride must be >= 1, got {stride}")
 
 
-def _check_keys(keys, p: int, q: int) -> np.ndarray:
-    if p < 1 or q < 1:
-        raise ValueError(f"grid dims must be >= 1, got {p} x {q}")
-    k = np.asarray(keys, dtype=np.int64).reshape(-1)
-    if len(k):
-        if not (np.diff(k) > 0).all():
-            raise ValueError("site keys must be unique and sorted")
-        if k[0] < 0 or k[-1] >= p * q:
-            raise ValueError(f"site key out of bounds for a {p} x {q} grid")
-    return k
-
-
 @dataclass
 class Sites:
     """Active sites of a (p, q, C) map: unique flat keys r * q + c in
@@ -125,7 +112,16 @@ class Sites:
     feats: np.ndarray
 
     def __post_init__(self):
-        self.keys = _check_keys(self.keys, self.p, self.q)
+        p, q = self.p, self.q
+        if p < 1 or q < 1:
+            raise ValueError(f"grid dims must be >= 1, got {p} x {q}")
+        k = np.asarray(self.keys, dtype=np.int64).reshape(-1)
+        if len(k):
+            if not (np.diff(k) > 0).all():
+                raise ValueError("site keys must be unique and sorted")
+            if k[0] < 0 or k[-1] >= p * q:
+                raise ValueError(f"site key out of bounds for a {p} x {q} grid")
+        self.keys = k
         f = np.asarray(self.feats, dtype=np.float32)
         if f.ndim != 2 or f.shape[0] != len(self.keys):
             raise ValueError(f"feats must be (l, C) matching {len(self.keys)} keys, "
@@ -133,16 +129,10 @@ class Sites:
         self.feats = f
 
     @classmethod
-    def from_dense(cls, fm: FeatureMap, mask: np.ndarray | None = None) -> Sites:
-        """Every cell of fm, or only the cells set in a boolean (p, q) mask."""
-        values = fm.values.reshape(fm.p * fm.q, fm.channels)
-        if mask is None:
-            return cls(fm.p, fm.q, np.arange(fm.p * fm.q), values)
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (fm.p, fm.q):
-            raise ValueError(f"mask shape {mask.shape} does not match map {(fm.p, fm.q)}")
-        keys = np.flatnonzero(mask)
-        return cls(fm.p, fm.q, keys, values[keys])
+    def from_dense(cls, fm: FeatureMap) -> Sites:
+        """Every cell of fm."""
+        return cls(fm.p, fm.q, np.arange(fm.p * fm.q),
+                   fm.values.reshape(fm.p * fm.q, fm.channels))
 
     @property
     def mask(self) -> np.ndarray:
@@ -311,12 +301,3 @@ def conv(x: Sites, kernel: KernelTensor, stride: int = 1, transposed: bool = Fal
                     for dm, _ in taps_m for dn, _ in taps_n)
     return Sites(out_p, out_q, keys, y), macs * c * kernel.out_channels
 
-
-def reach(keys: np.ndarray, p: int, q: int, k: int, stride: int = 1,
-          transposed: bool = False) -> np.ndarray:
-    """Sorted output keys that a k x k convolution of the sorted site keys of
-    a (p, q) grid reaches: the output sites of conv(..., out="reach")."""
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"kernel side must be odd, got {k}")
-    _check_stride(stride)
-    return _reach(_check_keys(keys, p, q), p, q, k, stride, transposed)

@@ -5,14 +5,27 @@ import struct
 
 import numpy as np
 
-from airsense.boxes import Box3D, points_in_box
-from airsense.lidar_sim import MIN_CLUSTER_HITS, Pose2D, _in_cone, _in_fov, gen_pattern
-from airsense.mesh import box_mesh
+from airsense.boxes import Box3D, points_in_box, rot_z
+from airsense.lidar_sim import MIN_CLUSTER_HITS, _in_cone, _in_fov, gen_pattern
+from airsense.mesh import TriangleMesh, box_mesh
 from airsense.pointio import (LAS_HEADER_SIZE, LAS_PRF3_RECORD_SIZE, BadMagic,
                               NonMonotonicTimestamps, ScanFrame, TruncatedFile,
                               UnsupportedFormat)
 from airsense.raytrace import Bvh, HitBatch, RayBundle
-from airsense.spconv import FeatureMap, KernelTensor, gather_conv
+from airsense.spconv import FeatureMap, KernelTensor, Sites, gather_conv
+
+
+def masked_sites(fm, mask):
+    """The cells of the FeatureMap fm set in the boolean (p, q) mask, as
+    Sites in row-major key order."""
+    keys = np.flatnonzero(mask)
+    return Sites(fm.p, fm.q, keys, fm.values.reshape(fm.p * fm.q, -1)[keys])
+
+
+def posed_mesh(mesh, yaw=0.0, offset=(0.0, 0.0, 0.0)):
+    """mesh's vertices turned by yaw about z, then moved by offset."""
+    return TriangleMesh(mesh.vertices @ rot_z(yaw).T + np.asarray(offset, dtype=np.float64),
+                        mesh.faces)
 
 
 def reach_oracle(mask, k, stride=1, transposed=False):
@@ -34,9 +47,9 @@ def backbone_oracle(x, spec, weights, submanifold=False):
     first one's size and concatenated, as `run_backbone` does. With
     `submanifold`, every block convolution but the first of its block keeps
     only the cells its block's first convolution reaches, as the
-    sparse+submanifold engine does. No biases."""
+    sparse+submanifold engine does."""
     k = spec.kernel_size
-    kernels = iter(weights.kernels)
+    kernels = iter(weights)
     fm, mask, blocks = x.to_dense(), x.mask, []
     for n_convs, stride in zip(spec.block_convs, spec.block_strides):
         for i in range(n_convs):
@@ -261,7 +274,7 @@ def admitted(lf) -> bool:
 LOOP_BATCH = 1 << 13
 
 
-def loop_directivity(pattern, mesh, window_ms, region, yaw=0.0):
+def loop_directivity(pattern, mesh, window_ms, region):
     """directivity_analysis's counts as a per-voxel loop: one cone test per
     in-view voxel, the kept rays of whole voxels gathered with np.repeat and
     np.concatenate into traversals of at most LOOP_BATCH rays (a voxel with
@@ -272,10 +285,9 @@ def loop_directivity(pattern, mesh, window_ms, region, yaw=0.0):
     voxels = np.nonzero(_in_fov(centers, pattern))[0]
     offset = mesh.center()
     shift = centers[voxels] - offset if np.any(offset) else centers[voxels]
-    rot_inv = Pose2D(yaw).rotation().T
     bvh = Bvh(mesh)
-    dirs = gen_pattern(pattern, window_ms).directions @ rot_inv.T
-    apexes = (np.zeros_like(shift) - shift) @ rot_inv.T
+    dirs = gen_pattern(pattern, window_ms).directions
+    apexes = -shift
 
     def count_hits(batch):
         if not batch:

@@ -23,7 +23,7 @@ from airsense.pointio import (ScanFrame, read_columnar, read_las, window_frames,
 from airsense.raytrace import Bvh, RayBundle
 from airsense.spconv import FeatureMap, KernelTensor, Sites, conv, gather_conv
 from airsense.tracker import replay
-from oracles import face_cosines
+from oracles import face_cosines, masked_sites
 
 
 def _verdict(num, desc):
@@ -63,7 +63,7 @@ def test_criterion_01_engines_match_dense_gather_oracle():
         density = float(r.uniform(0.0, 1.0))
         fm, mask = _random_sparse_map(r, p, q, c, density)
         kernel = KernelTensor(r.normal(size=(f, k, k, c)).astype(np.float32))
-        sites = Sites.from_dense(fm, mask)
+        sites = masked_sites(fm, mask)
 
         ref = gather_conv(fm, kernel, stride)
         got_dense, _ = conv(Sites.from_dense(fm), kernel, stride, out="all")
@@ -90,7 +90,7 @@ def test_criterion_02_submanifold_closure():
         c, f = int(r.integers(1, 7)), int(r.integers(1, 7))
         k = int(r.choice([1, 3, 5]))
         fm, mask = _random_sparse_map(r, p, q, c, float(r.uniform(0.0, 0.8)))
-        sites = Sites.from_dense(fm, mask)
+        sites = masked_sites(fm, mask)
         kernel = KernelTensor(r.normal(size=(f, k, k, c)).astype(np.float32))
         out, _ = conv(sites, kernel, out="same")
         assert np.array_equal(out.keys, sites.keys)  # set equality, exact
@@ -110,7 +110,7 @@ def test_criterion_03_mac_law_and_fixture_speed():
         c, f = int(r.integers(1, 7)), int(r.integers(1, 7))
         k = int(r.choice([1, 3, 5]))
         fm, mask = _random_sparse_map(r, p, q, c, float(r.uniform(0.0, 1.0)))
-        sites = Sites.from_dense(fm, mask)
+        sites = masked_sites(fm, mask)
         kernel = KernelTensor(r.normal(size=(f, k, k, c)).astype(np.float32))
         _, macs = conv(sites, kernel, 1)
         assert macs == len(sites.keys) * k * k * c * f  # exact
@@ -127,7 +127,7 @@ def test_criterion_03_mac_law_and_fixture_speed():
     values = np.zeros((p, q, c), dtype=np.float32)
     values[mask] = r.normal(size=(sites, c)).astype(np.float32)
     fm = FeatureMap(values)
-    sparse_in = Sites.from_dense(fm, mask)
+    sparse_in = masked_sites(fm, mask)
     kernel = KernelTensor((r.normal(size=(f, 3, 3, c)) / 24.0).astype(np.float32))
 
     conv(sparse_in, kernel)[0].to_dense()  # warm up
@@ -155,8 +155,7 @@ def test_criterion_04_backbone_engine_agreement():
     weights = make_backbone_weights(spec, in_channels=4, rng=r)
     worst = 0.0
     for case in range(20):
-        x = Sites.from_dense(FeatureMap(r.normal(size=(16, 16, 4)).astype(np.float32)),
-                             np.ones((16, 16), dtype=bool))
+        x = Sites.from_dense(FeatureMap(r.normal(size=(16, 16, 4)).astype(np.float32)))
         outs = {}
         for engine in ENGINES:
             out, report = run_backbone(x, spec, weights, engine=engine)
@@ -224,8 +223,9 @@ def test_criterion_07_lambertian_values():
     # a simulated return's intensity is its hit's cosine, for a unit I0
     pattern, mesh = ScanPattern(points_per_second=24_000, seed=77), quadcopter_mesh()
     pose = Pose2D(0.3, tuple(np.array([10.0, 0.5, 0.0]) - mesh.center()))
-    sim = simulate_frame(pattern, mesh, pose, 100.0)
-    hits = Bvh(mesh).intersect(transform_rays(gen_pattern(pattern, 100.0), pose))
+    bvh = Bvh(mesh)
+    sim = simulate_frame(pattern, bvh, pose, 100.0)
+    hits = bvh.intersect(transform_rays(gen_pattern(pattern, 100.0), pose))
     assert len(sim.frame) > 0
     assert sim.frame.intensity.tobytes() == hits.cos_incidence[hits.hit].tobytes()
     _verdict(7, f"I(0)=I0 exact, I(60deg)=I0/2 to 1e-15, I(89.9deg)=I0 cos 89.9deg "
@@ -251,13 +251,14 @@ def test_criterion_08_directivity_monotonicity_and_preset_nesting():
 
 
 def _make_real_frames(n, rng, pattern, mesh):
+    bvh = Bvh(mesh)
     frames = []
     k = 0
     while len(frames) < n:
         k += 1
         loc = np.array([rng.uniform(9, 14), rng.uniform(-2, 2), rng.uniform(-1, 1)])
         yaw = float(rng.uniform(-math.pi, math.pi))
-        sim = simulate_frame(pattern, mesh, Pose2D(yaw, tuple(loc)), 100.0)
+        sim = simulate_frame(pattern, bvh, Pose2D(yaw, tuple(loc)), 100.0)
         if not sim.accepted:
             continue
         n_bg = int(rng.integers(60, 150))

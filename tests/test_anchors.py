@@ -10,6 +10,7 @@ from airsense.anchors import (
     ANCHOR_SIZE,
     IGNORED,
     NEGATIVE,
+    NMS_IOU,
     NUM_LAYERS,
     MatchThresholds,
     assign_targets,
@@ -266,5 +267,4 @@ class TestNms:
         boxes = [Box3D(r.uniform(-2, 2), r.uniform(-2, 2), r.uniform(-1, 1),
                        *r.uniform(0.8, 2.0, 3), yaw=r.uniform(-3, 3)) for _ in range(n)]
         scores = r.uniform(0, 1, n)
-        thr = 0.3
-        assert nms(boxes, scores, thr) == nms_pairs(boxes, scores, thr)
+        assert nms(boxes, scores) == nms_pairs(boxes, scores, NMS_IOU)

@@ -17,6 +17,7 @@ from airsense.boxes import Box3D, points_in_box
 from airsense.lidar_sim import Pose2D, ScanPattern, VoxelRegion, simulate_frame
 from airsense.mesh import quadcopter_mesh
 from airsense.pointio import ScanFrame
+from airsense.raytrace import Bvh
 from oracles import admitted
 
 FAST = ScanPattern(points_per_second=24_000, seed=11)
@@ -73,16 +74,16 @@ class TestSplit:
 
 class TestSynthInsert:
     def simulated_cluster(self, loc, yaw):
-        mesh = quadcopter_mesh()
         dense = ScanPattern(points_per_second=96_000, seed=11)
-        sim = simulate_frame(dense, mesh, Pose2D(yaw, tuple(np.asarray(loc))), 100.0)
+        sim = simulate_frame(dense, Bvh(quadcopter_mesh()), Pose2D(yaw, tuple(np.asarray(loc))),
+                             100.0)
         assert sim.accepted
         return sim.frame
 
     def test_empty_background_gives_cluster_only(self):
         loc = (11.0, 0.0, 0.0)
         cluster = self.simulated_cluster(loc, 0.3)
-        lf, collision = synth_insert(ScanFrame.empty(window_us=WINDOW_US), cluster,
+        lf, collision = synth_insert(ScanFrame.empty(), cluster,
                                      loc, 0.3)
         assert len(lf.frame) == len(cluster)
         assert not collision
@@ -98,7 +99,7 @@ class TestSynthInsert:
     def test_label_box_encloses_cluster(self):
         loc = (12.0, 1.0, -0.5)
         cluster = self.simulated_cluster(loc, 1.2)
-        lf, _ = synth_insert(ScanFrame.empty(window_us=WINDOW_US), cluster, loc, 1.2)
+        lf, _ = synth_insert(ScanFrame.empty(), cluster, loc, 1.2)
         assert points_in_box(cluster.points, lf.boxes[0]).all()
         assert admitted(lf)
 
@@ -113,10 +114,10 @@ class TestSynthInsert:
     def test_thin_cluster_rejected(self):
         thin = frame_from([[11, 0, 0]] * 5)
         with pytest.raises(ValueError):
-            synth_insert(ScanFrame.empty(window_us=WINDOW_US), thin, (11, 0, 0), 0.0)
+            synth_insert(ScanFrame.empty(), thin, (11, 0, 0), 0.0)
 
     def test_min_points_below_one_rejected(self):
-        empty = ScanFrame.empty(window_us=WINDOW_US)
+        empty = ScanFrame.empty()
         with pytest.raises(ValueError, match="min_points must be >= 1, got 0"):
             synth_insert(empty, empty, (11, 0, 0), 0.0, min_points=0)
 
@@ -162,7 +163,7 @@ class TestEuclidean:
 def make_real_frames(n, rng):
     """Synthetic stand-ins for recorded flights: clutter plus one admitted
     target cluster per frame."""
-    mesh = quadcopter_mesh()
+    bvh = Bvh(quadcopter_mesh())
     frames = []
     k = 0
     while len(frames) < n:
@@ -170,7 +171,7 @@ def make_real_frames(n, rng):
         loc = np.array([rng.uniform(9, 14), rng.uniform(-2, 2), rng.uniform(-1, 1)])
         yaw = float(rng.uniform(-math.pi, math.pi))
         sim = simulate_frame(ScanPattern(points_per_second=24_000, seed=100 + k),
-                             mesh, Pose2D(yaw, tuple(loc)), 100.0)
+                             bvh, Pose2D(yaw, tuple(loc)), 100.0)
         if not sim.accepted:
             continue
         n_bg = int(rng.integers(50, 120))

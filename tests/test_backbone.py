@@ -8,33 +8,25 @@ from hypothesis import strategies as st
 from airsense.backbone import (
     ENGINES,
     BackboneSpec,
-    BackboneWeights,
     make_backbone_weights,
     run_backbone,
 )
 from airsense.config import ConfigError, default_config, load_config
 from airsense.spconv import FeatureMap, KernelTensor, Sites, conv
-from oracles import backbone_oracle, reach_oracle
+from oracles import backbone_oracle, masked_sites, reach_oracle
 
 
 SMALL = BackboneSpec(block_channels=(8, 16, 32), up_channels=16)
 
 
 def full_sites(rng, h, w, c):
-    return Sites.from_dense(FeatureMap(rng.normal(size=(h, w, c)).astype(np.float32)),
-                            np.ones((h, w), dtype=bool))
+    return Sites.from_dense(FeatureMap(rng.normal(size=(h, w, c)).astype(np.float32)))
 
 
 def sparse_sites(rng, h, w, c, density):
     mask = rng.random((h, w)) < density
     values = rng.normal(size=(h, w, c)).astype(np.float32) * mask[:, :, None]
-    return Sites.from_dense(FeatureMap(values), mask)
-
-
-def with_biases(weights, rng):
-    return BackboneWeights(weights.kernels,
-                           [rng.normal(size=kt.out_channels).astype(np.float32)
-                            for kt in weights.kernels])
+    return masked_sites(FeatureMap(values), mask)
 
 
 class TestGraphShape:
@@ -99,19 +91,19 @@ class TestGraphShape:
     def test_bad_last_kernel_rejected_before_any_conv(self, rng, monkeypatch):
         calls = []
         monkeypatch.setattr("airsense.backbone.conv", lambda *a: calls.append(a) or conv(*a))
-        kernels = make_backbone_weights(SMALL, 4, rng).kernels
+        kernels = make_backbone_weights(SMALL, 4, rng)
         k, c_in = SMALL.kernel_size, SMALL.block_channels[2]
         kernels[-1] = KernelTensor(np.zeros((SMALL.up_channels + 1, k, k, c_in), np.float32))
         for engine in ENGINES:
             with pytest.raises(ValueError, match="kernel 18 maps 32 -> 17 channels"):
-                run_backbone(full_sites(rng, 16, 16, 4), SMALL, BackboneWeights(kernels), engine)
+                run_backbone(full_sites(rng, 16, 16, 4), SMALL, kernels, engine)
         assert not calls
 
     def test_wrong_kernel_count_rejected(self, rng):
         weights = make_backbone_weights(SMALL, 4, rng)
         pi = full_sites(rng, 16, 16, 4)
         with pytest.raises(ValueError):
-            run_backbone(pi, SMALL, BackboneWeights(weights.kernels[:-1]), engine="dense")
+            run_backbone(pi, SMALL, weights[:-1], engine="dense")
 
     def test_unknown_engine_rejected(self, rng):
         weights = make_backbone_weights(SMALL, 4, rng)
@@ -133,8 +125,7 @@ class TestGraphShape:
 class TestEngineAgreement:
     def test_zero_image_all_engines_zero(self, rng):
         weights = make_backbone_weights(SMALL, 4, rng)
-        pi = Sites.from_dense(FeatureMap(np.zeros((16, 16, 4), np.float32)),
-                              np.zeros((16, 16), bool))
+        pi = Sites(16, 16, np.zeros(0), np.zeros((0, 4), np.float32))
         for engine in ENGINES:
             out, report = run_backbone(pi, SMALL, weights, engine=engine)
             assert not out.values.any()
@@ -147,7 +138,7 @@ class TestEngineAgreement:
         mask[7, 9] = True
         values = np.zeros((16, 16, 4), dtype=np.float32)
         values[7, 9] = rng.normal(size=4).astype(np.float32)
-        pi = Sites.from_dense(FeatureMap(values), mask)
+        pi = masked_sites(FeatureMap(values), mask)
         dense, _ = run_backbone(pi, SMALL, weights, engine="dense")
         sparse, _ = run_backbone(pi, SMALL, weights, engine="sparse")
         np.testing.assert_allclose(dense.values, sparse.values, atol=1e-4)
@@ -178,26 +169,6 @@ class TestEngineAgreement:
         np.testing.assert_allclose(outs[0], outs[2], atol=1e-4)
         assert outs[0].min() >= 0.0
 
-
-    def test_biases_preserve_agreement_on_sparse_input(self, rng):
-        spec = BackboneSpec(block_channels=(8, 16, 32), up_channels=16, relu=True)
-        weights = with_biases(make_backbone_weights(spec, 4, rng), rng)
-        mask = np.zeros(32 * 32, dtype=bool)
-        mask[rng.choice(32 * 32, size=40, replace=False)] = True
-        mask = mask.reshape(32, 32)
-        values = rng.normal(size=(32, 32, 4)).astype(np.float32) * mask[:, :, None]
-        pi = Sites.from_dense(FeatureMap(values), mask)
-        dense, _ = run_backbone(pi, spec, weights, engine="dense")
-        sparse, _ = run_backbone(pi, spec, weights, engine="sparse")
-        np.testing.assert_allclose(dense.values, sparse.values, atol=1e-4)
-
-    def test_biases_preserve_agreement_on_saturated_input(self, rng):
-        weights = with_biases(make_backbone_weights(SMALL, 4, rng), rng)
-        pi = full_sites(rng, 16, 16, 4)
-        outs = [run_backbone(pi, SMALL, weights, engine=e)[0].values for e in ENGINES]
-        np.testing.assert_allclose(outs[0], outs[1], atol=1e-4)
-        np.testing.assert_allclose(outs[0], outs[2], atol=1e-4)
-
     def test_default_grid_runs_on_every_engine(self, rng):
         grid = default_config().grid
         pi = sparse_sites(rng, grid.ny, grid.nx, 4, 0.02)
@@ -206,14 +177,12 @@ class TestEngineAgreement:
         assert all(o.shape == (250, 220, 3 * SMALL.up_channels) for o in outs)
         np.testing.assert_allclose(outs[0], outs[1], atol=1e-4)
 
-
-    def test_biases_and_relu_agree_on_the_default_grid(self, rng):
-        # the upsampled maps need cropping here, and the dense engine masks
-        # its biases to the live cells of every layer
+    def test_relu_engines_agree_on_the_default_grid(self, rng):
+        # the upsampled maps need cropping here
         grid = default_config().grid
         spec = BackboneSpec(block_channels=(8, 16, 32), up_channels=16, relu=True)
         pi = sparse_sites(rng, grid.ny, grid.nx, 4, 0.02)
-        weights = with_biases(make_backbone_weights(spec, 4, rng), rng)
+        weights = make_backbone_weights(spec, 4, rng)
         dense, _ = run_backbone(pi, spec, weights, engine="dense")
         sparse, _ = run_backbone(pi, spec, weights, engine="sparse")
         assert dense.values.shape == (250, 220, 3 * spec.up_channels)

@@ -25,7 +25,8 @@ from airsense.cli import build_parser
 from airsense.config import default_config
 from airsense.mesh import TriangleMesh, box_mesh, icosphere, quadcopter_mesh
 from airsense.raytrace import Bvh, RayBundle, moller_trumbore
-from oracles import cross_product_mt, face_cosines, index_array_intersect, loop_directivity
+from oracles import (cross_product_mt, face_cosines, index_array_intersect, loop_directivity,
+                     posed_mesh)
 
 FAST = ScanPattern(points_per_second=24_000, seed=7)
 
@@ -64,7 +65,7 @@ def unculled_frame(pattern, bvh, pose, window_ms, start_ms):
             rays.t_us[sel], int(sel.sum()), len(rays))
 
 
-def unculled_directivity(pattern, mesh, window_ms, region, yaw):
+def unculled_directivity(pattern, mesh, window_ms, region):
     """directivity_analysis as a per-voxel loop tracing every ray of the pattern."""
     centers = region.centers()
     counts = np.zeros(len(centers), dtype=np.int64)
@@ -72,7 +73,7 @@ def unculled_directivity(pattern, mesh, window_ms, region, yaw):
     bvh = Bvh(mesh)
     rays = gen_pattern(pattern, window_ms)
     for i in np.nonzero(_in_fov(centers, pattern))[0]:
-        pose = Pose2D(yaw, tuple(centers[i] - offset if np.any(offset) else centers[i]))
+        pose = Pose2D(0.0, tuple(centers[i] - offset if np.any(offset) else centers[i]))
         counts[i] = bvh.intersect(transform_rays(rays, pose)).hit.sum()
     return counts
 
@@ -125,7 +126,7 @@ class TestPattern:
     def test_fast_scan_of_a_window_off_the_microsecond_grid(self):
         # round(2e6 rays/s * 0.1003 ms) = 201 rays stamped the last at 100 us,
         # the end of the 100 us frame
-        sim = simulate_frame(ScanPattern(points_per_second=2_000_000), icosphere(0.5, 2),
+        sim = simulate_frame(ScanPattern(points_per_second=2_000_000), Bvh(icosphere(0.5, 2)),
                              Pose2D(0.0, (0.2, 0.0, 0.0)), 0.1003)
         assert sim.rays_cast == 200 and sim.frame.window_us == 100
         assert sim.frame.t_us.max() < 100
@@ -182,7 +183,7 @@ class TestPattern:
         # the first ray is the first whose stamp is not before the start
         assert start_us <= t_us[0] < start_us + -(-1_000_000 // rate)
         assert t_us[-1] < start_us + round(window_ms * 1000)
-        sim = simulate_frame(spec, icosphere(0.5, 2), Pose2D(0.0, (3.0, 0.0, 0.0)),
+        sim = simulate_frame(spec, Bvh(icosphere(0.5, 2)), Pose2D(0.0, (3.0, 0.0, 0.0)),
                              window_ms, start_ms)
         assert sim.frame.t_start_us == start_us and sim.hit_count > 0
 
@@ -245,7 +246,7 @@ class TestIntersect:
         assert hits.cos_incidence[0] == pytest.approx(1.0)
 
     def test_miss_aabb_zero_triangle_tests(self):
-        bvh = Bvh(icosphere(0.5, 1, center=(10, 0, 0)))
+        bvh = Bvh(posed_mesh(icosphere(0.5, 1), offset=(10, 0, 0)))
         bundle = RayBundle(np.zeros((5, 3)), np.tile([-1.0, 0.0, 0.0], (5, 1)),
                            np.arange(5))
         hits = bvh.intersect(bundle)
@@ -263,7 +264,7 @@ class TestIntersect:
     @given(seed=st.integers(0, 1000))
     def test_matches_brute_force(self, seed):
         r = np.random.default_rng(seed)
-        mesh = icosphere(0.8, 2, center=(8, 0, 0))  # 320 triangles
+        mesh = posed_mesh(icosphere(0.8, 2), offset=(8, 0, 0))  # 320 triangles
         bvh = Bvh(mesh)
         n = 2000
         dirs = r.normal(size=(n, 3))
@@ -277,18 +278,6 @@ class TestIntersect:
         assert np.array_equal(hits.triangle[hits.hit], bi[ref_hit])
         ref_pts = origins[ref_hit] + bt[ref_hit, None] * dirs[ref_hit]
         assert np.abs(hits.points[hits.hit] - ref_pts).max() <= 1e-7
-
-    @pytest.mark.parametrize("leaf_size", [0, -1, 2.5, True, "4", None])
-    def test_leaf_size_must_be_a_positive_integer(self, leaf_size):
-        # checked before the build, which never ends below one triangle a leaf
-        with mock.patch.object(Bvh, "_build", side_effect=AssertionError("built")):
-            with pytest.raises(ValueError, match="leaf_size must be a positive integer"):
-                Bvh(icosphere(0.5, 0), leaf_size)
-
-    def test_numpy_integer_leaf_size_accepted(self):
-        bvh = Bvh(icosphere(0.5, 1), np.int64(2))
-        assert bvh.leaf_size == 2
-        assert max(node.count for node in bvh.nodes) == 2
 
     def test_bundle_requires_unit_directions(self):
         with pytest.raises(ValueError, match="unit length"):
@@ -319,9 +308,9 @@ class TestIntersect:
 
 
 ORACLE_MESHES = {
-    "ico0": icosphere(0.9, 0, center=(0.3, -0.2, 0.1)),
+    "ico0": posed_mesh(icosphere(0.9, 0), offset=(0.3, -0.2, 0.1)),
     "ico1": icosphere(0.7, 1),
-    "ico2": icosphere(0.8, 2, center=(2.0, 0.5, -0.4)),
+    "ico2": posed_mesh(icosphere(0.8, 2), offset=(2.0, 0.5, -0.4)),
     "quad": quadcopter_mesh(),
 }
 
@@ -373,11 +362,10 @@ class TestTraversalOracle:
     the same bits in every HitBatch field and the same triangle tests."""
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 10_000), leaf_size=st.integers(1, 6),
-           mesh=st.sampled_from(sorted(ORACLE_MESHES)),
+    @given(seed=st.integers(0, 10_000), mesh=st.sampled_from(sorted(ORACLE_MESHES)),
            kind=st.sampled_from(["outside", "inside", "axis", "marks"]))
-    def test_matches_index_array_traversal(self, seed, leaf_size, mesh, kind):
-        bvh = Bvh(ORACLE_MESHES[mesh], leaf_size)
+    def test_matches_index_array_traversal(self, seed, mesh, kind):
+        bvh = Bvh(ORACLE_MESHES[mesh])
         bundle = oracle_rays(np.random.default_rng(seed), bvh, kind, 400)
         ref, tests = index_array_intersect(bvh, bundle)
         got = bvh.intersect(bundle)
@@ -428,35 +416,35 @@ class TestLambertian:
 
 class TestSimulateFrame:
     def test_mesh_outside_fov_empty(self):
-        sim = simulate_frame(FAST, quadcopter_mesh(), Pose2D(0.0, (-20, 0, 0)), 100.0)
+        sim = simulate_frame(FAST, Bvh(quadcopter_mesh()), Pose2D(0.0, (-20, 0, 0)), 100.0)
         assert sim.hit_count == 0
         assert not sim.accepted
         assert len(sim.frame) == 0
 
     def test_closer_target_yields_more_returns(self):
-        mesh = quadcopter_mesh()
-        near = simulate_frame(FAST, mesh, Pose2D(0.4, (10, 0, 0)), 100.0)
-        far = simulate_frame(FAST, mesh, Pose2D(0.4, (40, 0, 0)), 100.0)
+        bvh = Bvh(quadcopter_mesh())
+        near = simulate_frame(FAST, bvh, Pose2D(0.4, (10, 0, 0)), 100.0)
+        far = simulate_frame(FAST, bvh, Pose2D(0.4, (40, 0, 0)), 100.0)
         assert near.hit_count > far.hit_count
 
     def test_min_hits_threshold(self):
-        mesh = quadcopter_mesh()
-        sim = simulate_frame(FAST, mesh, Pose2D(0.0, (12, 0, 0)), 100.0, min_hits=10)
+        bvh = Bvh(quadcopter_mesh())
+        sim = simulate_frame(FAST, bvh, Pose2D(0.0, (12, 0, 0)), 100.0, min_hits=10)
         assert sim.accepted == (sim.hit_count >= 10)
         # force a thin cluster via an absurd threshold
-        thin = simulate_frame(FAST, mesh, Pose2D(0.0, (12, 0, 0)), 100.0,
+        thin = simulate_frame(FAST, bvh, Pose2D(0.0, (12, 0, 0)), 100.0,
                               min_hits=sim.hit_count + 1)
         assert not thin.accepted
 
     def test_intensities_bounded_by_incident(self):
-        sim = simulate_frame(FAST, quadcopter_mesh(), Pose2D(0.2, (10, 0, 0)), 100.0)
+        sim = simulate_frame(FAST, Bvh(quadcopter_mesh()), Pose2D(0.2, (10, 0, 0)), 100.0)
         assert len(sim.frame) > 0
         assert sim.frame.intensity.min() >= 0.0
         assert sim.frame.intensity.max() <= 1.0
 
     def test_nonfinite_pose_rejected_naming_the_field(self):
         with pytest.raises(ValueError, match="yaw"):
-            simulate_frame(FAST, quadcopter_mesh(), Pose2D(math.nan, (12, 0, 0)), 100.0)
+            simulate_frame(FAST, Bvh(quadcopter_mesh()), Pose2D(math.nan, (12, 0, 0)), 100.0)
         with pytest.raises(ValueError, match="yaw"):
             Pose2D(math.inf)
         for t in ((12.0, math.nan, 0.0), (math.inf, 0.0, 0.0), (12.0, 0.0)):
@@ -465,7 +453,7 @@ class TestSimulateFrame:
 
     def test_points_near_posed_target(self):
         loc = np.array([14.0, 2.0, -1.0])
-        sim = simulate_frame(FAST, icosphere(0.6, 1), Pose2D(1.0, tuple(loc)), 100.0)
+        sim = simulate_frame(FAST, Bvh(icosphere(0.6, 1)), Pose2D(1.0, tuple(loc)), 100.0)
         assert sim.hit_count > 0
         assert np.abs(sim.frame.points - loc).max() <= 0.6 + 1e-9
 
@@ -494,13 +482,14 @@ class TestConeCull:
         edge_region = (VoxelRegion((dist - 0.25, dist + 0.25), (-0.25, 0.25), across, 0.5)
                        if elevation_edge else
                        VoxelRegion((dist - 0.25, dist + 0.25), across, (-0.25, 0.25), 0.5))
+        turned = posed_mesh(mesh, yaw)
         for region in (near, edge_region):
-            ref = unculled_directivity(pattern, mesh, 50.0, region, yaw)
-            grid = directivity_analysis(pattern, mesh, 50.0, 1, region, yaw=yaw)
+            ref = unculled_directivity(pattern, turned, 50.0, region)
+            grid = directivity_analysis(pattern, turned, 50.0, 1, region)
             assert np.array_equal(grid.counts, ref)
             # a batch smaller than one voxel's rays: a traversal per voxel
             with mock.patch.object(lidar_sim, "_RAY_BATCH", 16):
-                grid = directivity_analysis(pattern, mesh, 50.0, 1, region, yaw=yaw)
+                grid = directivity_analysis(pattern, turned, 50.0, 1, region)
             assert np.array_equal(grid.counts, ref)
 
         culled, full = Bvh(mesh), Bvh(mesh)
@@ -534,23 +523,23 @@ class TestFlatSweep:
         assert np.array_equal(grid.counts,
                               loop_directivity(cfg.scan, mesh, cfg.window_ms, region))
 
-    @pytest.mark.parametrize("mesh, yaw, batch", [
-        (quadcopter_mesh(), 0.9, None),
-        (quadcopter_mesh(), -2.3, None),
-        (icosphere(0.5, 1, center=(0.4, -0.3, 0.2)), 0.0, None),
-        (icosphere(0.5, 1, center=(0.4, -0.3, 0.2)), 1.1, 16),
-        (quadcopter_mesh(), 0.0, 16),
-        (quadcopter_mesh(), 0.4, 1000),
+    @pytest.mark.parametrize("mesh, batch", [
+        (posed_mesh(quadcopter_mesh(), 0.9), None),
+        (posed_mesh(quadcopter_mesh(), -2.3), None),
+        (posed_mesh(icosphere(0.5, 1), offset=(0.4, -0.3, 0.2)), None),
+        (posed_mesh(icosphere(0.5, 1), 1.1, (0.4, -0.3, 0.2)), 16),
+        (quadcopter_mesh(), 16),
+        (posed_mesh(quadcopter_mesh(), 0.4), 1000),
     ], ids=["yawed", "yawed-back", "off-origin", "off-origin-yawed-batch-16", "batch-16",
             "yawed-batch-1000"])
-    def test_matches_the_loop(self, mesh, yaw, batch):
+    def test_matches_the_loop(self, mesh, batch):
         # 27 voxels of FAST's 2400 rays: the default batch spans chunks of six
         # voxels; 16 and 1000 end batches partway through a voxel's rays
         region = VoxelRegion((9.0, 12.0), (-1.5, 1.5), (-1.5, 1.5))
         with mock.patch.object(lidar_sim, "_RAY_BATCH", batch or lidar_sim._RAY_BATCH):
-            grid = directivity_analysis(FAST, mesh, 100.0, 1, region, yaw=yaw)
+            grid = directivity_analysis(FAST, mesh, 100.0, 1, region)
         assert grid.counts.sum() > 0
-        assert np.array_equal(grid.counts, loop_directivity(FAST, mesh, 100.0, region, yaw))
+        assert np.array_equal(grid.counts, loop_directivity(FAST, mesh, 100.0, region))
 
     def test_cone_masks_stay_within_a_batch(self):
         masks = []

@@ -39,8 +39,7 @@ class TestBuilders:
         assert icosphere(1.0, 2).num_triangles == 320
 
     def test_icosphere_vertices_on_radius(self):
-        mesh = icosphere(0.7, 2, center=(1, 2, 3))
-        r = np.linalg.norm(mesh.vertices - [1, 2, 3], axis=1)
+        r = np.linalg.norm(icosphere(0.7, 2).vertices, axis=1)
         np.testing.assert_allclose(r, 0.7, atol=1e-12)
 
     def test_quadcopter_fits_anchor_footprint(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airsense.anchors import nms
+from airsense.anchors import NMS_IOU, nms
 from airsense.boxes import Box3D, points_in_box
 from airsense.metrics import aggregate, classify, iou3d, iou_bev
 from oracles import bev_corners, classify_pairs, iou3d_pair, iou_bev_pair, nms_pairs
@@ -184,8 +184,7 @@ class TestOverlapMatrix:
         r = np.random.default_rng(seed)
         boxes = overlap_scene(r)
         scores = r.choice([0.2, 0.5, 0.9], len(boxes))   # ties fall to the lower index
-        for thr in (0.0, 0.3, 0.5):
-            assert nms(boxes, scores, thr) == nms_pairs(boxes, scores, thr)
+        assert nms(boxes, scores) == nms_pairs(boxes, scores, NMS_IOU)
         k = int(r.integers(0, len(boxes) + 1))
         dets, gts = boxes[k:], boxes[:k]
         for thr in (0.0, 0.1, 0.3):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airsense.spconv import FeatureMap, KernelTensor, Sites, conv, gather_conv, reach
-from oracles import reach_oracle
+from airsense.spconv import FeatureMap, KernelTensor, Sites, conv, gather_conv
+from oracles import masked_sites, reach_oracle
 
 
 def naive_gather(values, weights, stride=1):
@@ -59,9 +59,9 @@ class TestValidation:
     def test_submanifold_spec_requires_stride_one(self, rng):
         fm, mask, kt = random_case(rng, 6, 6, 2, 2, 3, density=0.5)
         with pytest.raises(ValueError):
-            conv(Sites.from_dense(fm, mask), kt, stride=2, out="same")
+            conv(masked_sites(fm, mask), kt, stride=2, out="same")
         with pytest.raises(ValueError):
-            conv(Sites.from_dense(fm, mask), kt, out="submanifold")
+            conv(masked_sites(fm, mask), kt, out="submanifold")
 
     def test_sparse_sites_must_be_sorted_unique(self):
         with pytest.raises(ValueError):
@@ -70,8 +70,6 @@ class TestValidation:
             Sites(4, 4, np.array([3, 3]), np.zeros((2, 1), dtype=np.float32))
         with pytest.raises(ValueError):
             Sites(4, 4, np.array([3]), np.zeros((2, 1), dtype=np.float32))
-        with pytest.raises(ValueError):
-            reach(np.array([5, 0]), 4, 4, 3)
 
 
 class TestGatherReference:
@@ -156,28 +154,29 @@ class TestScatterConv:
 
 
 class TestCompaction:
+    """Masked sites keep row-major keys, and `Sites.mask` and `to_dense`
+    give the mask and the masked map back."""
+
     def test_tiny_mask(self):
         fm = FeatureMap(np.arange(8, dtype=np.float32).reshape(2, 2, 2))
-        sites = Sites.from_dense(fm, np.array([[0, 1], [1, 0]], bool))
+        mask = np.array([[0, 1], [1, 0]], bool)
+        sites = masked_sites(fm, mask)
         assert sites.keys.tolist() == [1, 2]
         assert np.array_equal(sites.feats[0], fm.values[0, 1])
+        assert np.array_equal(sites.mask, mask)
 
     def test_empty_mask(self):
         fm = FeatureMap(np.ones((3, 3, 1), dtype=np.float32))
-        sites = Sites.from_dense(fm, np.zeros((3, 3), bool))
+        sites = masked_sites(fm, np.zeros((3, 3), bool))
         assert len(sites.keys) == 0
-
-    def test_dimension_mismatch(self):
-        fm = FeatureMap(np.ones((3, 3, 1), dtype=np.float32))
-        with pytest.raises(ValueError):
-            Sites.from_dense(fm, np.zeros((4, 3), bool))
+        assert not sites.mask.any() and not sites.to_dense().values.any()
 
     def test_matches_naive_scan(self, rng):
         fm, mask, _ = random_case(rng, 16, 16, 2, 1, 1, density=0.4)
-        sites = Sites.from_dense(fm, mask)
+        sites = masked_sites(fm, mask)
         expected = [(r, c) for r in range(16) for c in range(16) if mask[r, c]]
         assert sites.keys.tolist() == [r * 16 + c for r, c in expected]
-        assert len(sites.keys) == mask.sum()
+        assert np.array_equal(sites.mask, mask)
         for (r, c), feat in zip(expected, sites.feats):
             assert np.array_equal(feat, fm.values[r, c])
         assert np.array_equal(sites.to_dense().values, fm.values)  # masked input
@@ -202,7 +201,7 @@ class TestSparseScatter:
     def test_mac_law(self, seed, density):
         r = np.random.default_rng(seed)
         fm, mask, kt = random_case(r, 12, 10, 3, 2, 3, density)
-        sites = Sites.from_dense(fm, mask)
+        sites = masked_sites(fm, mask)
         _, macs = conv(sites, kt)
         assert macs == len(sites.keys) * 9 * 3 * 2
 
@@ -210,7 +209,7 @@ class TestSparseScatter:
         # sparse path on compacted sites == dense engine on the masked map,
         # value-exact in sequential mode
         fm, mask, kt = random_case(rng, 20, 17, 4, 5, 3, density=0.35)
-        sites = Sites.from_dense(fm, mask)
+        sites = masked_sites(fm, mask)
         for stride in (1, 2):
             sparse = conv(sites, kt, stride)[0].to_dense()
             dense, _ = dense_conv(fm, kt, stride)
@@ -220,8 +219,6 @@ class TestSparseScatter:
         for key in (16, -1):
             with pytest.raises(ValueError):
                 Sites(4, 4, np.array([key]), np.zeros((1, 1), np.float32))
-            with pytest.raises(ValueError):
-                reach(np.array([key]), 4, 4, 3)
 
     def test_fixture_scale_oracle_and_mac_ratio(self, rng):
         # benchmark-geometry fixture at low channel count: sparse output still
@@ -237,7 +234,7 @@ class TestSparseScatter:
         values[mask] = rng.normal(size=(sites, c)).astype(np.float32)
         fm = FeatureMap(values)
         kt = KernelTensor(rng.normal(size=(f, 3, 3, c)).astype(np.float32))
-        sparse, sparse_macs = conv(Sites.from_dense(fm, mask), kt)
+        sparse, sparse_macs = conv(masked_sites(fm, mask), kt)
         _, dense_macs = dense_conv(fm, kt)
         ref = gather_conv(fm, kt)
         np.testing.assert_allclose(sparse.to_dense().values, ref.values, atol=1e-5)
@@ -247,7 +244,7 @@ class TestSparseScatter:
 class TestSubmanifold:
     def test_active_set_preserved(self, rng):
         fm, mask, kt = random_case(rng, 12, 12, 3, 4, 3, density=0.3)
-        sites = Sites.from_dense(fm, mask)
+        sites = masked_sites(fm, mask)
         out, _ = conv(sites, kt, out="same")
         assert np.array_equal(out.keys, sites.keys)
 
@@ -264,7 +261,7 @@ class TestSubmanifold:
     def test_masked_dense_oracle(self, seed):
         r = np.random.default_rng(seed)
         fm, mask, kt = random_case(r, 12, 12, 2, 3, 3, density=float(r.uniform(0.05, 0.6)))
-        out, _ = conv(Sites.from_dense(fm, mask), kt, out="same")
+        out, _ = conv(masked_sites(fm, mask), kt, out="same")
         ref = gather_conv(fm, kt)  # input is already masked
         for key, feat in zip(out.keys, out.feats):
             np.testing.assert_allclose(feat, ref.values.reshape(-1, ref.channels)[key], atol=1e-5)
@@ -272,13 +269,13 @@ class TestSubmanifold:
     def test_stride_rejected_by_spec(self, rng):
         fm, mask, kt = random_case(rng, 6, 6, 2, 2, 3, density=0.5)
         with pytest.raises(ValueError):
-            conv(Sites.from_dense(fm, mask), kt, stride=2, transposed=True, out="same")
+            conv(masked_sites(fm, mask), kt, stride=2, transposed=True, out="same")
 
 
 class TestTransposed:
     def test_stride_one_equals_standard(self, rng):
         fm, mask, kt = random_case(rng, 9, 9, 2, 2, 3, density=0.4)
-        sites = Sites.from_dense(fm, mask)
+        sites = masked_sites(fm, mask)
         a, _ = conv(sites, kt, 1, transposed=True)
         b, _ = conv(sites, kt, 1)
         assert np.array_equal(a.to_dense().values, b.to_dense().values)
@@ -297,7 +294,7 @@ class TestTransposed:
         r = np.random.default_rng(seed)
         p, q = int(r.integers(2, 9)), int(r.integers(2, 9))
         fm, mask, kt = random_case(r, p, q, 2, 2, 3, density=0.5)
-        got = conv(Sites.from_dense(fm, mask), kt, stride, transposed=True)[0].to_dense()
+        got = conv(masked_sites(fm, mask), kt, stride, transposed=True)[0].to_dense()
         upsampled = np.zeros((p * stride, q * stride, 2), dtype=np.float32)
         upsampled[::stride, ::stride] = fm.values
         ref = gather_conv(FeatureMap(upsampled), kt)
@@ -317,7 +314,7 @@ class TestWideLayer:
         p, q, c = 20, 17, 256
         fm, mask, _ = random_case(r, p, q, c, 1, 3, density=0.3)
         kt = KernelTensor((r.normal(size=(c, 3, 3, c)) / np.sqrt(9 * c)).astype(np.float32))
-        got, _ = conv(Sites.from_dense(fm, mask), kt, stride, transposed, out)
+        got, _ = conv(masked_sites(fm, mask), kt, stride, transposed, out)
         if transposed:
             upsampled = np.zeros((p * stride, q * stride, c), dtype=np.float32)
             upsampled[::stride, ::stride] = fm.values
@@ -334,11 +331,12 @@ class TestReachableMask:
     def test_matches_nonzero_support(self, rng):
         # reachable set must cover every nonzero output cell
         fm, mask, kt = random_case(rng, 14, 14, 2, 2, 3, density=0.2)
-        sites = Sites.from_dense(fm, mask)
+        sites = masked_sites(fm, mask)
         for stride in (1, 2):
-            out = conv(sites, kt, stride)[0].to_dense()
+            out_sites = conv(sites, kt, stride, out="reach")[0]
+            out = out_sites.to_dense()
             touched = np.zeros(out.p * out.q, dtype=bool)
-            touched[reach(sites.keys, 14, 14, 3, stride)] = True
+            touched[out_sites.keys] = True
             nonzero = np.abs(out.values).max(axis=2) > 0
             assert not (nonzero & ~touched.reshape(out.p, out.q)).any()
 
@@ -370,7 +368,7 @@ class TestTapKernel:
         c, f = int(r.integers(1, 5)), int(r.integers(1, 5))
         mask = runs_and_singles(r, p, q)
         fm = FeatureMap(r.normal(size=(p, q, c)).astype(np.float32) * mask[:, :, None])
-        sites = Sites.from_dense(fm, mask)
+        sites = masked_sites(fm, mask)
         kt = KernelTensor(r.normal(size=(f, k, k, c)).astype(np.float32))
         out, _ = conv(sites, kt, stride, transposed)
         got = out.to_dense().values
@@ -385,10 +383,7 @@ class TestTapKernel:
         if stride == 1 and not transposed:
             sub, _ = conv(sites, kt, out="same")
             np.testing.assert_allclose(sub.feats, ref[mask], atol=1e-5)
-        touched = np.zeros(out.p * out.q, dtype=bool)
-        touched[reach(sites.keys, p, q, k, stride, transposed)] = True
-        touched = touched.reshape(out.p, out.q)
-        assert np.array_equal(touched, reach_oracle(mask, k, stride, transposed))
+        touched = reach_oracle(mask, k, stride, transposed)
         assert np.array_equal(out.keys, np.flatnonzero(touched))
         assert not got[~touched].any()
 
@@ -410,7 +405,7 @@ def check_against_oracles(fm, mask, kt, stride, transposed, out):
     when transposed): values, output set and multiply count."""
     p, q, c = fm.values.shape
     k, f = kt.k, kt.out_channels
-    sites = Sites.from_dense(fm, mask)
+    sites = masked_sites(fm, mask)
     got, macs = conv(sites, kt, stride, transposed, out)
     if transposed:
         upsampled = np.zeros((p * stride, q * stride, c), dtype=np.float32)
@@ -469,7 +464,7 @@ class TestRelativeSpeed:
         mask = rng.random((p, q)) < density
         values = rng.normal(size=(p, q, c)).astype(np.float32) * mask[:, :, None]
         fm = FeatureMap(values)
-        sites = Sites.from_dense(fm, mask)
+        sites = masked_sites(fm, mask)
         kt = KernelTensor(rng.normal(size=(f, 3, 3, c)).astype(np.float32))
         dense_conv(fm, kt)  # warm both paths
         conv(sites, kt)[0].to_dense()
