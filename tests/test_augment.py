@@ -83,8 +83,7 @@ class TestSynthInsert:
     def test_empty_background_gives_cluster_only(self):
         loc = (11.0, 0.0, 0.0)
         cluster = self.simulated_cluster(loc, 0.3)
-        lf, collision = synth_insert(ScanFrame.empty(), cluster,
-                                     loc, 0.3)
+        lf, collision = synth_insert(ScanFrame.empty(), cluster, loc, 0.3)
         assert len(lf.frame) == len(cluster)
         assert not collision
         assert len(lf.boxes) == 1
