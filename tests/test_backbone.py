@@ -169,6 +169,21 @@ class TestEngineAgreement:
         np.testing.assert_allclose(outs[0], outs[2], atol=1e-4)
         assert outs[0].min() >= 0.0
 
+    def test_relu_engines_agree_on_scattered_sites(self, rng):
+        # 40 sites of 1024: the dense engine's cells outside the sparse
+        # engine's reach sets stay zero through every ReLU
+        spec = BackboneSpec(block_channels=(8, 16, 32), up_channels=16, relu=True)
+        weights = make_backbone_weights(spec, 4, rng)
+        mask = np.zeros(32 * 32, dtype=bool)
+        mask[rng.choice(32 * 32, size=40, replace=False)] = True
+        mask = mask.reshape(32, 32)
+        values = rng.normal(size=(32, 32, 4)).astype(np.float32) * mask[:, :, None]
+        pi = masked_sites(FeatureMap(values), mask)
+        dense, _ = run_backbone(pi, spec, weights, engine="dense")
+        sparse, _ = run_backbone(pi, spec, weights, engine="sparse")
+        assert dense.values.any()
+        np.testing.assert_allclose(dense.values, sparse.values, atol=1e-4)
+
     def test_default_grid_runs_on_every_engine(self, rng):
         grid = default_config().grid
         pi = sparse_sites(rng, grid.ny, grid.nx, 4, 0.02)

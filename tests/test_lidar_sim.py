@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airsense import lidar_sim
+from airsense import lidar_sim, raytrace
 from airsense.lidar_sim import (
     THRESHOLD_DENSE,
     THRESHOLD_SPARSE,
@@ -355,6 +355,40 @@ def oracle_rays(r, bvh, kind, n):
         origins = aim - dirs * reach * r.uniform(1.0, 3.0, (n, 1))
     dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
     return RayBundle(origins, dirs, np.zeros(n, dtype=np.int64))
+
+
+LAYOUT_MESHES = dict(ORACLE_MESHES, box=box_mesh(),
+                     one=TriangleMesh(np.eye(3), np.array([[0, 1, 2]])))
+
+
+class TestBvhLayout:
+    """The median split's tree: leaves hold every triangle once, at most
+    _LEAF_SIZE and (above one leaf) at least half of _LEAF_SIZE + 1 each, and
+    every box bounds its children's."""
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_MESHES))
+    def test_leaves_partition_the_triangles_within_nested_boxes(self, name):
+        mesh = LAYOUT_MESHES[name]
+        bvh = Bvh(mesh)
+        leaves = [node for node in bvh.nodes if node.count > 0]
+        ids = np.concatenate([node.leaf[0] for node in leaves])
+        assert np.array_equal(np.sort(ids), np.arange(mesh.num_triangles))
+        counts = [node.count for node in leaves]
+        assert max(counts) <= raytrace._LEAF_SIZE
+        if mesh.num_triangles <= raytrace._LEAF_SIZE:
+            assert len(bvh.nodes) == 1
+        else:
+            assert min(counts) >= (raytrace._LEAF_SIZE + 1) // 2
+        a, b, c = mesh.triangles()
+        for node in bvh.nodes:
+            if node.count:
+                tri = node.leaf[0]
+                assert np.array_equal(node.lo, np.minimum(np.minimum(a, b), c)[tri].min(axis=0))
+                assert np.array_equal(node.hi, np.maximum(np.maximum(a, b), c)[tri].max(axis=0))
+                continue
+            assert node.left > 0 and node.right > 0
+            for child in (bvh.nodes[node.left], bvh.nodes[node.right]):
+                assert (node.lo <= child.lo).all() and (child.hi <= node.hi).all()
 
 
 class TestTraversalOracle:

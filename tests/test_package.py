@@ -7,6 +7,8 @@ import pkgutil
 import types
 import typing
 
+import pytest
+
 import airsense
 from airsense import cli
 from airsense.config import Config
@@ -83,15 +85,13 @@ UNREAD_ON_PURPOSE = dict.fromkeys(("grid", "match", "backbone", "sensor_elevatio
                                   "A.2 (ROADMAP carried item 3)")
 
 
-def _set_by_calls() -> dict[str, tuple[int, set[str]]]:
-    """For each callee name anywhere under src/, scripts/ and bench/ (a bare
-    name, or the attribute called): the most leading positional arguments
-    any call passes, and every keyword passed. A *args argument sets every
-    position from its own on, and **kwargs every keyword. Calls in the tests
-    do not count: an option only the tests set is a constant to the
-    program."""
+def _set_by_calls(nodes) -> dict[str, tuple[int, set[str]]]:
+    """For each callee name among the calls in nodes (a bare name, or the
+    attribute called): the most leading positional arguments any call
+    passes, and every keyword passed. A *args argument sets every position
+    from its own on, and **kwargs every keyword."""
     set_by: dict[str, tuple[int, set[str]]] = {}
-    for call in _nodes_under("src", "scripts", "bench"):
+    for call in nodes:
         if not isinstance(call, ast.Call):
             continue
         name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
@@ -137,12 +137,32 @@ def _callables():
                        params if isinstance(member, staticmethod) else params[1:])
 
 
+@pytest.mark.parametrize("source, callee, expected", [
+    ("f(a, b)", "f", (2, set())),
+    ("f(a, *rest)", "f", (1 << 30, set())),
+    ("f(a, k=1)", "f", (1, {"k"})),
+    ("f(**opts)", "f", (0, {"**"})),
+    ("obj.f(a)\nf(a, b, c)\nf(k=1)", "f", (3, {"k"})),
+], ids=["positions", "starred", "keyword", "double-starred", "merged-over-calls"])
+def test_set_by_calls_counts_positions_and_keywords(source, callee, expected):
+    assert _set_by_calls(ast.walk(ast.parse(source)))[callee] == expected
+
+
+def test_setter_guard_reads_no_call_in_the_tests():
+    # posed_mesh's offset= is passed only by test calls, so to the guard it
+    # is unset
+    program = _set_by_calls(_nodes_under("src", "scripts", "bench"))
+    assert "posed_mesh" not in program
+    assert "offset" in _set_by_calls(_nodes_under("tests"))["posed_mesh"][1]
+
+
 def test_every_defaulted_parameter_and_field_has_a_setter():
     """A default that no program call overrides is a constant in disguise.
-    Fields of the dataclasses under Config are exempt, since the config
-    loader sets them, and so are the parameters of the oracles that only the
-    tests call."""
-    set_by = _set_by_calls()
+    Calls in the tests do not count: an option only the tests set is a
+    constant to the program. Fields of the dataclasses under Config are
+    exempt, since the config loader sets them, and so are the parameters of
+    the oracles that only the tests call."""
+    set_by = _set_by_calls(_nodes_under("src", "scripts", "bench"))
     exempt = {cls.__name__ for cls in _config_dataclasses()} | set(UNCALLED_ON_PURPOSE)
     unset = []
     for qualname, callee, params in _callables():
