@@ -258,16 +258,21 @@ def assign_targets(gts: list[Box3D], grid: AnchorGrid,
 def nms(boxes: list[Box3D], scores) -> list[int]:
     """Greedy score-descending suppression of boxes overlapping a kept one by
     IoU above NMS_IOU. Returns kept indices; score ties fall back to the
-    lower index. Each kept box scores every candidate in one iou3d call, so
-    memory grows with the number of boxes only."""
-    scores = np.asarray(scores, dtype=np.float64).reshape(len(boxes))
+    lower index. Each kept box scores the candidates still pending in one
+    iou3d call, so memory grows with the number of boxes only."""
+    arr = np.array([[b.x, b.y, b.z, b.l, b.w, b.h, b.yaw] for b in boxes]).reshape(-1, 7)
+    scores = np.asarray(scores, dtype=np.float64).reshape(len(arr))
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    order = sorted(range(len(boxes)), key=lambda i: (-scores[i], i))
-    suppressed = np.zeros(len(boxes), dtype=bool)
+    order = sorted(range(len(arr)), key=lambda i: (-scores[i], i))
+    # neither visited nor suppressed yet
+    pending = np.ones(len(arr), dtype=bool)
     kept: list[int] = []
     for i in order:
-        if not suppressed[i]:
+        if pending[i]:
             kept.append(i)
-            suppressed |= iou3d(boxes, [boxes[i]])[:, 0] > NMS_IOU
+            pending[i] = False
+            rest = np.flatnonzero(pending)
+            if rest.size:
+                pending[rest[iou3d(arr[rest], arr[[i]])[:, 0] > NMS_IOU]] = False
     return kept

@@ -9,6 +9,8 @@ response of a target swept across the field of view.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,7 +50,8 @@ MIN_CLUSTER_HITS = 10
 # traversal pays a fixed numpy cost per node, so larger batches trace faster:
 # the 19,801 rays of the offline benchmark's 50-voxel block took 18.5 ms in
 # 8192-ray batches, 15.8 ms in 16384 and 13.2 ms in one batch (medians of 35,
-# 2 vCPUs). A traversal holds about 320 B of temporaries per ray, so a sweep of
+# 2 vCPUs). A traversal then held about 320 B of temporaries per ray (about
+# 195 B since its slab distances are freed before it narrows), so a sweep of
 # the CLI-default region peaked at 42.2 / 45.8 / 52.7 / 65.5 MB maxrss at
 # 1 << 13 / 14 / 15 / 16; 1 << 14 is the largest batch within 5 MB of 1 << 13.
 _RAY_BATCH = 1 << 14
@@ -87,12 +90,27 @@ def gen_pattern(spec: ScanPattern, duration_ms: float, start_ms: float = 0.0) ->
     microsecond as simulate_frame rounds its frame, [start_us, end_us), and
     holds the rays stamped inside it: ceil(rate * start_us / 1e6) up to
     ceil(rate * end_us / 1e6), so consecutive windows cast every ray once.
+
+    A window's rays are generated once per pattern and rounded window: the
+    last window's arrays are kept read-only and shared, and each call gets
+    its own RayBundle holding them, so rebinding one of its fields leaves
+    every other caller's rays as they were.
     """
     if duration_ms <= 0:
         raise ValueError("duration must be positive")
-    rate = spec.points_per_second
     start_us = round(start_ms * 1000)
     end_us = start_us + round(duration_ms * 1000)
+    # the field types join the key: a float32 field equals its float64 value
+    # as a key but gives other rays
+    types = tuple(map(type, vars(spec).values()))
+    return copy.copy(_window(spec, types, start_us, end_us))
+
+
+# one entry serves every caller: a sky frame's drones, a directivity sweep
+# and each attempt of an augment campaign all repeat the last window
+@functools.lru_cache(maxsize=1)
+def _window(spec: ScanPattern, types: tuple, start_us: int, end_us: int) -> RayBundle:
+    rate = spec.points_per_second
     i0 = -(-rate * start_us // 1_000_000)
     idx = np.arange(i0, -(-rate * end_us // 1_000_000))
     n = len(idx)
@@ -110,7 +128,10 @@ def gen_pattern(spec: ScanPattern, duration_ms: float, start_ms: float = 0.0) ->
     # floor(i * 1e6 / rate) without forming i * 1e6, which overflows int64
     # once the timeline passes about 1e13 / rate s (an epoch start, say)
     t_us = idx // rate * 1_000_000 + idx % rate * 1_000_000 // rate
-    return RayBundle(np.zeros((n, 3)), dirs, t_us)
+    rays = RayBundle(np.zeros((n, 3)), dirs, t_us)
+    for array in (rays.origins, rays.directions, rays.t_us):
+        array.setflags(write=False)
+    return rays
 
 
 @dataclass(frozen=True)

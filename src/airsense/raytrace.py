@@ -180,6 +180,7 @@ class Bvh:
         # rows 0-2 origin, 3-5 direction, 6-8 inverse direction; every node
         # hands its children the columns of the rays that reach its box
         cols = np.concatenate((origins.T, dirs.T, (1.0 / denom).T))
+        del denom
 
         stack = [(0, np.arange(n), cols)]
         while stack:
@@ -189,9 +190,11 @@ class Bvh:
             t0 = (node.lo[:, None] - o) * inv
             t1 = (node.hi[:, None] - o) * inv
             near = np.minimum(t0, t1)
-            far = np.maximum(t0, t1)
+            far = np.maximum(t0, t1, out=t1)
             tn = np.maximum(np.maximum(near[0], near[1]), near[2])
             tf = np.minimum(np.minimum(far[0], far[1]), far[2])
+            # freed before the narrowing take, which copies the columns
+            del o, inv, t0, t1, near, far
             alive = (tf >= np.maximum(tn, 0.0)) & (tn <= best_t[rays])
             if not alive.all():
                 keep = np.flatnonzero(alive)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from airsense.augment import (
     split_frame,
     synth_insert,
 )
+from airsense import lidar_sim
 from airsense.boxes import Box3D, points_in_box
 from airsense.lidar_sim import Pose2D, ScanPattern, VoxelRegion, simulate_frame
 from airsense.mesh import quadcopter_mesh
@@ -184,6 +186,15 @@ def make_real_frames(n, rng):
     return frames
 
 
+def dataset_bytes(pair):
+    """Each side's frames and boxes as bytes, and the manifest as JSON."""
+    sides = [[(lf.frame.t_start_us, lf.frame.window_us,
+               [a.tobytes() for a in (lf.frame.points, lf.frame.intensity, lf.frame.t_us)],
+               [json.dumps(box.to_dict()) for box in lf.boxes]) for lf in data]
+             for data in (pair.data_sim, pair.data_euc)]
+    return sides + [json.dumps(pair.manifest)]
+
+
 class TestBuildDatasets:
     def test_single_pair(self, rng):
         real = make_real_frames(1, rng)
@@ -212,6 +223,21 @@ class TestBuildDatasets:
             assert np.array_equal(a, b)
             # admission rule on both sides
             assert admitted(sim_lf) and admitted(euc_lf)
+
+    def test_cold_and_warm_pattern_give_the_same_datasets(self, rng):
+        real = make_real_frames(3, rng)
+        plan = AugPlan(background_pool=3, instances=6,
+                       region=VoxelRegion((9, 13), (-2, 2), (-1, 1)), seed=5)
+        records = []
+        for clear in (True, False):
+            if clear:
+                lidar_sim._window.cache_clear()
+            misses = lidar_sim._window.cache_info().misses
+            pair = build_datasets(plan, real, quadcopter_mesh(), FAST)
+            assert lidar_sim._window.cache_info().misses == misses + clear
+            records.append(dataset_bytes(pair))
+        assert records[0] == records[1]
+        assert len(records[0][0]) == len(records[0][1]) == 6
 
     def test_simulated_and_rigid_clusters_differ(self, rng):
         # the scan pattern depends on position, so a simulated cluster cannot

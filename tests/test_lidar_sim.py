@@ -29,6 +29,7 @@ from oracles import (cross_product_mt, face_cosines, index_array_intersect, loop
                      posed_mesh)
 
 FAST = ScanPattern(points_per_second=24_000, seed=7)
+SPEC_A = ScanPattern(points_per_second=24_000, seed=7, h_fov_deg=70.5)
 
 
 def brute_force_hits(origins, dirs, mesh):
@@ -76,6 +77,18 @@ def unculled_directivity(pattern, mesh, window_ms, region):
         pose = Pose2D(0.0, tuple(centers[i] - offset if np.any(offset) else centers[i]))
         counts[i] = bvh.intersect(transform_rays(rays, pose)).hit.sum()
     return counts
+
+
+def cold_pattern(spec, duration_ms, start_ms=0.0):
+    """gen_pattern with its memo cleared first, so the rays are computed afresh."""
+    lidar_sim._window.cache_clear()
+    return gen_pattern(spec, duration_ms, start_ms)
+
+
+def bundle_bytes(rays):
+    """Each field's dtype, shape and bytes."""
+    return [(a.dtype.str, a.shape, a.tobytes())
+            for a in (rays.origins, rays.directions, rays.t_us)]
 
 
 class TestPattern:
@@ -134,6 +147,57 @@ class TestPattern:
     def test_zero_duration_rejected(self):
         with pytest.raises(ValueError):
             gen_pattern(FAST, 0.0)
+
+    def test_negative_duration_rejected_before_the_memo(self):
+        gen_pattern(FAST, 100.0)
+        before = lidar_sim._window.cache_info()
+        for duration_ms in (0.0, -0.0, -5.0):
+            with pytest.raises(ValueError, match="duration must be positive"):
+                gen_pattern(FAST, duration_ms)
+        assert lidar_sim._window.cache_info() == before
+
+    @pytest.mark.parametrize("spec, window_ms, start_ms", [
+        (FAST, 100.0, 0.0), (ScanPattern(seed=3), 100.0, 0.0), (FAST, 33.3, 1234.5),
+        (ScanPattern(points_per_second=100_000), 12.345, 41 * 12.345)])
+    def test_warm_call_equals_a_cold_computation(self, spec, window_ms, start_ms):
+        gen_pattern(spec, window_ms, start_ms)
+        hits = lidar_sim._window.cache_info().hits
+        warm = gen_pattern(spec, window_ms, start_ms)
+        assert lidar_sim._window.cache_info().hits == hits + 1
+        assert bundle_bytes(warm) == bundle_bytes(cold_pattern(spec, window_ms, start_ms))
+
+    # B differs from A in the seed, the start or the duration, or in a field's
+    # type alone: a float32 field equals its float64 value but gives other rays
+    @pytest.mark.parametrize("other", [
+        (ScanPattern(points_per_second=24_000, seed=8, h_fov_deg=70.5), 100.0, 0.0),
+        (SPEC_A, 100.0, 100.0),
+        (SPEC_A, 100.0, 0.0004),   # rounds to A's microsecond window
+        (SPEC_A, 200.0, 0.0),
+        (ScanPattern(points_per_second=24_000, seed=7, h_fov_deg=np.float32(70.5)), 100.0, 0.0)])
+    def test_a_b_a_returns_each_key_its_own_rays(self, other):
+        a = bundle_bytes(cold_pattern(SPEC_A, 100.0))
+        b = bundle_bytes(cold_pattern(*other))
+        gen_pattern(SPEC_A, 100.0)
+        assert bundle_bytes(gen_pattern(*other)) == b
+        assert bundle_bytes(gen_pattern(SPEC_A, 100.0)) == a
+        assert (b == a) == (other == (SPEC_A, 100.0, 0.0004))
+
+    def test_returned_arrays_are_read_only(self):
+        rays = gen_pattern(FAST, 100.0)
+        for array in (rays.origins, rays.directions, rays.t_us):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            rays.directions *= 2.0
+        assert bundle_bytes(rays) == bundle_bytes(cold_pattern(FAST, 100.0))
+
+    def test_rebinding_a_field_leaves_the_next_call_unchanged(self):
+        expected = bundle_bytes(cold_pattern(FAST, 100.0))
+        rays = gen_pattern(FAST, 100.0)
+        rays.origins = rays.origins + 1.0
+        rays.directions = -rays.directions
+        rays.t_us = rays.t_us[::-1]
+        assert bundle_bytes(gen_pattern(FAST, 100.0)) == expected
 
     def test_directions_inside_fov(self):
         rays = gen_pattern(ScanPattern(seed=5), 100.0)
@@ -609,6 +673,23 @@ class TestDirectivity:
         sparse_set = {tuple(c) for c in g100.centers[g100.included()]}
         dense_set = {tuple(c) for c in dense.centers[dense.included()]}
         assert dense_set <= sparse_set
+
+    def test_cold_and_warm_pattern_give_the_same_grid(self):
+        mesh = quadcopter_mesh()
+        region = VoxelRegion((9.0, 12.0), (-1.5, 1.5), (-1.5, 1.5))
+        grids = []
+        for clear in (True, False):
+            if clear:
+                lidar_sim._window.cache_clear()
+            misses = lidar_sim._window.cache_info().misses
+            grids.append(directivity_analysis(FAST, mesh, 100.0, THRESHOLD_SPARSE, region))
+            assert lidar_sim._window.cache_info().misses == misses + clear
+        (cold, warm) = grids
+        assert cold.included().any()
+        for name in ("centers", "counts"):
+            a, b = getattr(cold, name), getattr(warm, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert cold.threshold == warm.threshold
 
     def test_close_voxel_included_at_threshold_one(self):
         mesh = quadcopter_mesh()
