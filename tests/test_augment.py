@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airsense import lidar_sim
 from airsense.augment import (
     AugPlan,
     LabeledFrame,
@@ -14,7 +15,6 @@ from airsense.augment import (
     split_frame,
     synth_insert,
 )
-from airsense import lidar_sim
 from airsense.boxes import Box3D, points_in_box
 from airsense.lidar_sim import Pose2D, ScanPattern, VoxelRegion, simulate_frame
 from airsense.mesh import quadcopter_mesh

@@ -145,10 +145,7 @@ class TestPattern:
         assert sim.frame.t_us.max() < 100
 
     def test_zero_duration_rejected(self):
-        with pytest.raises(ValueError):
-            gen_pattern(FAST, 0.0)
-
-    def test_negative_duration_rejected_before_the_memo(self):
+        # before the memo is consulted
         gen_pattern(FAST, 100.0)
         before = lidar_sim._window.cache_info()
         for duration_ms in (0.0, -0.0, -5.0):
