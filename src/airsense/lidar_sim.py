@@ -46,13 +46,14 @@ THRESHOLD_DENSE = 14
 
 MIN_CLUSTER_HITS = 10
 
-# (voxel, ray) pairs traced per traversal in directivity_analysis. Each
-# traversal pays a fixed numpy cost per node, so larger batches trace faster:
-# the 19,801 rays of the offline benchmark's 50-voxel block took 18.5 ms in
-# 8192-ray batches, 15.8 ms in 16384 and 13.2 ms in one batch (medians of 35,
-# 2 vCPUs). A traversal then held about 320 B of temporaries per ray (about
-# 195 B since its slab distances are freed before it narrows), so a sweep of
-# the CLI-default region peaked at 42.2 / 45.8 / 52.7 / 65.5 MB maxrss at
+# (voxel, ray) pairs traced per traversal in directivity_analysis. A
+# traversal pays a fixed numpy cost per node it visits and element work per
+# pair. At the 12-triangle leaves of raytrace._LEAF_SIZE, the 19,801 pairs of
+# the offline benchmark's 50-voxel block took 11.5 / 13.9 / 13.5 ms in
+# batches of 1 << 13 / 14 / 15 (medians of 35, 2 vCPUs; 18.2 / 18.2 / 17.3 ms
+# at 4-triangle leaves), and the CLI-default region 194 / 202 / 217 ms
+# (medians of 9). A traversal holds about 245 B per pair, results included,
+# so that region peaked at 47.7 / 51.5 / 57.7 / 70.1 MB maxrss at
 # 1 << 13 / 14 / 15 / 16; 1 << 14 is the largest batch within 5 MB of 1 << 13.
 _RAY_BATCH = 1 << 14
 
@@ -110,7 +111,8 @@ def gen_pattern(spec: ScanPattern, duration_ms: float, start_ms: float = 0.0) ->
 # and each attempt of an augment campaign all repeat the last window
 @functools.lru_cache(maxsize=1)
 def _window(spec: ScanPattern, types: tuple, start_us: int, end_us: int) -> RayBundle:
-    rate = spec.points_per_second
+    # a Python int: a narrow numpy rate would overflow rate * start_us
+    rate = int(spec.points_per_second)
     i0 = -(-rate * start_us // 1_000_000)
     idx = np.arange(i0, -(-rate * end_us // 1_000_000))
     n = len(idx)

@@ -14,6 +14,15 @@ gathering each node's rays by index and reducing over the length-3 axis (the
 index-array traversal the tests keep as an oracle): min and max are exact,
 the dot products add in the same order, and nodes are visited in the same
 order, so pruning and triangle_tests agree too.
+
+The tree is shallow, with up to _LEAF_SIZE = 12 triangles a leaf, as shallow
+BVHs serve SIMD tracers (Dammertz, Hanika and Keller, EGSR 2008): every node
+a batch visits costs a fixed ~20 numpy calls however few rays reach it,
+while one more triangle in a leaf costs only element work. The leaf size
+changes the work, not the hits, on the simulator's rays; grazing and tied
+rays can resolve differently when the node boxes move, since the pruning
+test compares the slab's entry distance with a Moller-Trumbore distance
+rounded another way.
 """
 
 from __future__ import annotations
@@ -28,7 +37,26 @@ __all__ = ["RayBundle", "HitBatch", "Bvh", "moller_trumbore"]
 
 _EPS_DET = 1e-12
 _T_MIN = 1e-9
-_LEAF_SIZE = 4   # most triangles a leaf holds
+# Most triangles a leaf holds. A node visit costs the same ~20 numpy calls
+# at 10 rays or 10,000, so a batched traversal pays for depth that a scalar
+# tracer's 4-triangle leaves buy it. Medians of 41 interleaved rounds on
+# 2 vCPUs, against leaf 4: simulate_frame over 8 rosette poses 10-35 m out
+# (a 24,000-ray window) on the drone, icosphere(0.8, 2) and icosphere(0.8, 3),
+# and the offline benchmark's 50-voxel directivity block on the drone:
+#
+#   leaf   drone (36)   ico 2 (320)   ico 3 (1280)   block     worst
+#      4   19.4 ms      75.1 ms       160.7 ms       16.8 ms
+#      8   -11 %        -30 %         -28 %          -1 %      -1 %
+#     12   -23 %        -52 %         -53 %          -10 %     -10 %
+#     16   -27 %        -54 %         -55 %          -10 %     -10 %
+#     24   -34 %        -63 %         -67 %          +1 %      +1 %
+#
+# 12 and 16 build the same trees on these meshes (the drone's is 7 nodes and
+# 4 leaves of 9, from 23 nodes and 12 leaves at 4), so the smaller bound is
+# kept; past it the block's leaf tests outgrow the visits saved. Leaf 12
+# against 4 in 81 more rounds: the block -11.7 % (72/81), the CLI-default
+# 900-voxel region -6.9 % (18/21).
+_LEAF_SIZE = 12
 
 
 @dataclass

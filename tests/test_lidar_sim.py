@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -248,6 +249,16 @@ class TestPattern:
                              window_ms, start_ms)
         assert sim.frame.t_start_us == start_us and sim.hit_count > 0
 
+    @pytest.mark.parametrize("rate_type", [np.int32, np.int64])
+    def test_numpy_rate_gives_the_int_rate_rays(self, rate_type):
+        """A window at 100 ms forms rate * start_us = 2.4e10, past int32."""
+        expected = bundle_bytes(cold_pattern(ScanPattern(), 100.0, 100.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rays = cold_pattern(ScanPattern(points_per_second=rate_type(240_000)), 100.0, 100.0)
+        assert len(rays) == 24_000 and rays.t_us[0] == 100_000
+        assert bundle_bytes(rays) == expected
+
     @pytest.mark.parametrize("field, value, message", [
         ("seed", -1, "seed must be an integer >= 0, got"),
         ("seed", 1.5, "seed: expected an integer, got 1.5"),
@@ -450,6 +461,40 @@ class TestBvhLayout:
             assert node.left > 0 and node.right > 0
             for child in (bvh.nodes[node.left], bvh.nodes[node.right]):
                 assert (node.lo <= child.lo).all() and (child.hi <= node.hi).all()
+
+
+class TestLeafSize:
+    """The leaf size changes the work, not the results, on the program's
+    rays: 4-triangle leaves and _LEAF_SIZE give the same directivity counts
+    on the offline benchmark's block and the same frames. triangle_tests
+    differs by design and is not compared."""
+
+    PATTERN = ScanPattern(seed=7)
+
+    def test_directivity_counts_equal_on_the_offline_block(self):
+        region = VoxelRegion((10.0, 15.0), (-5.0, 5.0), (0.0, 1.0))
+        grid = directivity_analysis(self.PATTERN, quadcopter_mesh(), 100.0, 1, region)
+        with mock.patch.object(raytrace, "_LEAF_SIZE", 4):
+            small = directivity_analysis(self.PATTERN, quadcopter_mesh(), 100.0, 1, region)
+        assert grid.counts.sum() > 0
+        assert np.array_equal(grid.counts, small.counts)
+
+    @pytest.mark.parametrize("mesh", [quadcopter_mesh(), icosphere(0.8, 2)],
+                             ids=["quad", "ico2"])
+    def test_frames_equal_at_three_poses(self, mesh):
+        wide = Bvh(mesh)
+        with mock.patch.object(raytrace, "_LEAF_SIZE", 4):
+            narrow = Bvh(mesh)
+        assert raytrace._LEAF_SIZE > 4 and len(narrow.nodes) > len(wide.nodes)
+        for k, (yaw, at) in enumerate([(0.3, (10.0, 1.0, 0.5)), (-1.2, (20.0, -3.0, 1.5)),
+                                       (2.5, (35.0, 4.0, -2.0))]):
+            pose = Pose2D(yaw, at)
+            a = simulate_frame(self.PATTERN, wide, pose, start_ms=100.0 * k)
+            b = simulate_frame(self.PATTERN, narrow, pose, start_ms=100.0 * k)
+            assert a.hit_count > 0
+            for field in ("points", "intensity", "t_us"):
+                assert getattr(a.frame, field).tobytes() == getattr(b.frame, field).tobytes()
+            assert (a.hit_count, a.rays_cast) == (b.hit_count, b.rays_cast)
 
 
 class TestTraversalOracle:
