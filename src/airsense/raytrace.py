@@ -37,12 +37,11 @@ __all__ = ["RayBundle", "HitBatch", "Bvh", "moller_trumbore"]
 
 _EPS_DET = 1e-12
 _T_MIN = 1e-9
-# Most triangles a leaf holds. A node visit costs the same ~20 numpy calls
-# at 10 rays or 10,000, so a batched traversal pays for depth that a scalar
-# tracer's 4-triangle leaves buy it. Medians of 41 interleaved rounds on
-# 2 vCPUs, against leaf 4: simulate_frame over 8 rosette poses 10-35 m out
-# (a 24,000-ray window) on the drone, icosphere(0.8, 2) and icosphere(0.8, 3),
-# and the offline benchmark's 50-voxel directivity block on the drone:
+# Most triangles a leaf holds, sized for the batched traversal (module
+# docstring). Medians of 41 interleaved rounds on 2 vCPUs, against leaf 4:
+# simulate_frame over 8 rosette poses 10-35 m out (a 24,000-ray window) on
+# the drone, icosphere(0.8, 2) and icosphere(0.8, 3), and the offline
+# benchmark's 50-voxel directivity block on the drone:
 #
 #   leaf   drone (36)   ico 2 (320)   ico 3 (1280)   block     worst
 #      4   19.4 ms      75.1 ms       160.7 ms       16.8 ms
@@ -53,9 +52,9 @@ _T_MIN = 1e-9
 #
 # 12 and 16 build the same trees on these meshes (the drone's is 7 nodes and
 # 4 leaves of 9, from 23 nodes and 12 leaves at 4), so the smaller bound is
-# kept; past it the block's leaf tests outgrow the visits saved. Leaf 12
-# against 4 in 81 more rounds: the block -11.7 % (72/81), the CLI-default
-# 900-voxel region -6.9 % (18/21).
+# kept; at 24 the block is no faster than at 4. Leaf 12 against 4 in 81 more
+# rounds: the block -11.7 % (72/81), the CLI-default 900-voxel region -6.9 %
+# (18/21).
 _LEAF_SIZE = 12
 
 
