@@ -1,15 +1,16 @@
 """Digital-twin scan simulator.
 
-Produces a seeded non-repetitive rosette scan pattern inside the sensor field
-of view, poses targets by transforming rays into the mesh rest frame (the
-acceleration structure is built once and never rebuilt), applies a Lambertian
-return intensity, assembles time-windowed frames, and maps the directivity
-response of a target swept across the field of view.
+A seeded non-repetitive rosette scan pattern gives each window's rays as unit
+directions and microsecond stamps; every ray leaves the sensor origin. A
+frame scans a posed target without rebuilding its BVH: the rays in the cone
+around the posed target's bounding sphere move into the mesh rest frame and
+are traced, and each nearest hit becomes a return with a Lambertian
+intensity, mapped back into the sensor frame. The directivity map counts the
+hits of a target swept across the field of view.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from .boxes import rot_z
 from .fields import check_fields
 from .mesh import TriangleMesh
 from .pointio import ScanFrame
-from .raytrace import Bvh, RayBundle
+from .raytrace import Bvh
 
 __all__ = [
     "ScanPattern",
@@ -82,8 +83,10 @@ class ScanPattern:
             raise ValueError("field of view must be in (0, 180) degrees")
 
 
-def gen_pattern(spec: ScanPattern, duration_ms: float, start_ms: float = 0.0) -> RayBundle:
-    """Time-stamped sensor-frame rays for one window.
+def gen_pattern(spec: ScanPattern, duration_ms: float,
+                start_ms: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """One window's sensor-frame rays, all leaving the sensor origin: unit
+    directions (n, 3) and int64 stamps (n,) in microseconds.
 
     Ray i of the global timeline is stamped floor(i * 1e6 / rate) us and gets
     its phase from i, so a longer window is a strict prefix extension of a
@@ -92,11 +95,12 @@ def gen_pattern(spec: ScanPattern, duration_ms: float, start_ms: float = 0.0) ->
     holds the rays stamped inside it: ceil(rate * start_us / 1e6) up to
     ceil(rate * end_us / 1e6), so consecutive windows cast every ray once.
 
-    A window's rays are generated once per pattern and rounded window: the
-    last window's arrays are kept read-only and shared, and each call gets
-    its own RayBundle holding them, so rebinding one of its fields leaves
-    every other caller's rays as they were.
+    A window's arrays are generated once per pattern and rounded window: the
+    last window's are kept, read-only, and every call returns them.
     """
+    for name, value in (("duration_ms", duration_ms), ("start_ms", start_ms)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if duration_ms <= 0:
         raise ValueError("duration must be positive")
     start_us = round(start_ms * 1000)
@@ -104,18 +108,18 @@ def gen_pattern(spec: ScanPattern, duration_ms: float, start_ms: float = 0.0) ->
     # the field types join the key: a float32 field equals its float64 value
     # as a key but gives other rays
     types = tuple(map(type, vars(spec).values()))
-    return copy.copy(_window(spec, types, start_us, end_us))
+    return _window(spec, types, start_us, end_us)
 
 
 # one entry serves every caller: a sky frame's drones, a directivity sweep
 # and each attempt of an augment campaign all repeat the last window
 @functools.lru_cache(maxsize=1)
-def _window(spec: ScanPattern, types: tuple, start_us: int, end_us: int) -> RayBundle:
+def _window(spec: ScanPattern, types: tuple, start_us: int,
+            end_us: int) -> tuple[np.ndarray, np.ndarray]:
     # a Python int: a narrow numpy rate would overflow rate * start_us
     rate = int(spec.points_per_second)
     i0 = -(-rate * start_us // 1_000_000)
     idx = np.arange(i0, -(-rate * end_us // 1_000_000))
-    n = len(idx)
     t_s = idx / rate
 
     rng = np.random.default_rng(spec.seed)
@@ -130,10 +134,9 @@ def _window(spec: ScanPattern, types: tuple, start_us: int, end_us: int) -> RayB
     # floor(i * 1e6 / rate) without forming i * 1e6, which overflows int64
     # once the timeline passes about 1e13 / rate s (an epoch start, say)
     t_us = idx // rate * 1_000_000 + idx % rate * 1_000_000 // rate
-    rays = RayBundle(np.zeros((n, 3)), dirs, t_us)
-    for array in (rays.origins, rays.directions, rays.t_us):
+    for array in (dirs, t_us):
         array.setflags(write=False)
-    return rays
+    return dirs, t_us
 
 
 @dataclass(frozen=True)
@@ -150,19 +153,16 @@ class Pose2D:
         return rot_z(self.yaw)
 
 
-def transform_rays(bundle: RayBundle, pose: Pose2D) -> RayBundle:
-    """Express sensor-frame rays in the rest frame of a posed mesh.
-
-    Directions rotate by -yaw about z; origins shift to the mesh center and
-    rotate by -yaw. Intersecting these rays against the unposed mesh is
-    equivalent to intersecting the originals against the posed mesh, so the
-    acceleration structure never needs a rebuild.
+def transform_rays(directions: np.ndarray, pose: Pose2D) -> tuple[np.ndarray, np.ndarray]:
+    """Express rays leaving the sensor origin in the rest frame of a posed
+    mesh: returns their common origin there, the apex, and their directions
+    (n, 3), both rotated by -yaw about z, the apex from -translation.
+    Intersecting these rays against the unposed mesh is equivalent to
+    intersecting the originals against the posed mesh, so the acceleration
+    structure never needs a rebuild.
     """
-    rot_inv = pose.rotation().T
-    t = np.asarray(pose.translation, dtype=np.float64)
-    dirs = bundle.directions @ rot_inv.T
-    origins = (bundle.origins - t) @ rot_inv.T
-    return RayBundle(origins, dirs, bundle.t_us)
+    rot = pose.rotation()
+    return -np.asarray(pose.translation, dtype=np.float64) @ rot, directions @ rot
 
 
 def rays_to_sensor_frame(points: np.ndarray, pose: Pose2D) -> np.ndarray:
@@ -188,28 +188,32 @@ def simulate_frame(pattern: ScanPattern, bvh: Bvh, pose: Pose2D,
     """Scan a posed target for one window. The target is its mesh's BVH,
     built once by the caller and shared by every frame of that mesh.
 
-    Pipeline: generate the pattern, transform rays into the mesh rest frame,
-    intersect the rays that can reach the target, take each hit's Lambertian
-    cosine as its intensity (unit incident intensity) and map hit points back
-    into the sensor frame. The frame is accepted only when at least min_hits
-    returns came back; rays_cast counts every ray of the pattern.
+    Pipeline: generate the pattern, keep the rays in the cone around the
+    posed target's bounding sphere (the rest cannot reach it), move them into
+    the mesh rest frame, trace them, take each hit's Lambertian cosine as its
+    intensity (unit incident intensity) and map hit points back into the
+    sensor frame. The frame is accepted only when at least min_hits returns
+    came back; rays_cast counts every ray of the pattern.
     """
-    rays = gen_pattern(pattern, window_ms, start_ms)
-    local = transform_rays(rays, pose)
-    # every ray leaves the sensor origin (apex, here in the rest frame), so
-    # only rays in the cone around the target's bounding sphere can reach it;
-    # the rest skip the traversal
-    apex = -np.asarray(pose.translation, dtype=np.float64) @ pose.rotation()
-    keep = _in_cone(bvh, apex[None], local.directions)[0]
-    hits = bvh.intersect(RayBundle(local.origins[keep], local.directions[keep],
-                                   local.t_us[keep]))
-    sel = hits.hit
-    points = rays_to_sensor_frame(hits.points[sel], pose)
-    t_start = int(round(start_ms * 1000))
-    frame = ScanFrame(points, hits.cos_incidence[sel], local.t_us[keep][sel],
-                      t_start, int(round(window_ms * 1000)))
-    count = int(sel.sum())
-    return FrameSim(frame, count, count >= min_hits, len(rays))
+    dirs, t_us = gen_pattern(pattern, window_ms, start_ms)
+    center, radius = _root_sphere(bvh)
+    keep = _in_cone(rays_to_sensor_frame(center, pose)[None], radius, dirs)[0]
+    apex, local = transform_rays(dirs[keep], pose)
+    t, tri = bvh.intersect(np.broadcast_to(apex, local.shape), local)
+    hit = tri >= 0
+    local = local[hit]
+    points = rays_to_sensor_frame(apex + t[hit, None] * local, pose)
+    frame = ScanFrame(points, _lambertian(local, bvh.mesh.normals[tri[hit]]),
+                      t_us[keep][hit], int(round(start_ms * 1000)),
+                      int(round(window_ms * 1000)))
+    return FrameSim(frame, len(frame), len(frame) >= min_hits, len(dirs))
+
+
+def _lambertian(directions: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Return intensity of a unit incident intensity on a Lambertian surface:
+    |d . n| per row of unit directions and face normals, capped at 1
+    against rounding."""
+    return np.minimum(np.abs(np.sum(directions * normals, axis=1)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -244,21 +248,25 @@ class VoxelRegion:
         return np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
 
 
-def _in_cone(bvh: Bvh, apexes: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """(m, n) mask of the rays from each of m apexes that can meet the sphere
-    through the corners of bvh's root box: those whose unit direction lies
+def _root_sphere(bvh: Bvh) -> tuple[np.ndarray, float]:
+    """Center and radius of the sphere through the corners of bvh's root box."""
+    root = bvh.nodes[0]
+    return (root.lo + root.hi) / 2.0, math.dist(root.lo, root.hi) / 2.0
+
+
+def _in_cone(spheres: np.ndarray, radius: float, directions: np.ndarray) -> np.ndarray:
+    """(m, n) mask of the rays from the origin that can meet each of m spheres
+    of the radius centered at spheres (m, 3): those whose unit direction lies
     within the sphere's angular radius of its center, one dot product each.
     The radius is padded by 1e-6 of itself plus 1e-9 of the distance to the
-    apex, far above the rounding of this test and of the slab test, so no ray
-    that reaches the root box is dropped. Rays from an apex inside the sphere
-    are all kept."""
-    root = bvh.nodes[0]
-    v = (root.lo + root.hi) / 2.0 - apexes
-    dist = np.sqrt(np.einsum("ij,ij->i", v, v))
-    r = math.dist(root.lo, root.hi) / 2.0 * (1.0 + 1e-6) + dist * 1e-9
-    # cosine of each apex's angular radius; -inf keeps every ray from inside
+    center, far above the rounding of this test and of the slab test, so no
+    ray that reaches the box inside the sphere is dropped. Every ray is kept
+    for a sphere that holds the origin."""
+    dist = np.sqrt(np.einsum("ij,ij->i", spheres, spheres))
+    r = radius * (1.0 + 1e-6) + dist * 1e-9
+    # cosine of each sphere's angular radius, times dist; -inf keeps every ray
     cos_min = np.where(dist > r, np.sqrt(np.maximum(dist * dist - r * r, 0.0)), -np.inf)
-    return v @ directions.T >= cos_min[:, None]
+    return spheres @ directions.T >= cos_min[:, None]
 
 
 def _in_fov(centers: np.ndarray, pattern: ScanPattern) -> np.ndarray:
@@ -298,7 +306,7 @@ def directivity_analysis(pattern: ScanPattern, mesh: TriangleMesh, window_ms: fl
     zero. Every placement shares one acceleration structure and the mesh's
     rest orientation, so each voxel only moves the rays' common origin. One
     cone test per chunk of voxels keeps the (voxel, ray) pairs whose ray can
-    reach the target's bounding sphere; the pairs stream, in voxel-major
+    reach the placed target's bounding sphere; the pairs stream, in voxel-major
     order, into traversals of _RAY_BATCH pairs that may span voxels and
     chunks, and each traversal's hits are counted back per voxel with one
     bincount.
@@ -310,26 +318,27 @@ def directivity_analysis(pattern: ScanPattern, mesh: TriangleMesh, window_ms: fl
     voxels = np.nonzero(_in_fov(centers, pattern))[0]
     bvh = Bvh(mesh)
     # column-major, so that the cone test's product reads each component in one run
-    dirs = np.asfortranarray(gen_pattern(pattern, window_ms).directions)
+    dirs = np.asfortranarray(gen_pattern(pattern, window_ms)[0])
     apexes = mesh.center() - centers[voxels]
-    for pairs in _cone_pairs(bvh, apexes, dirs):
+    center, radius = _root_sphere(bvh)
+    for pairs in _cone_pairs(center - apexes, radius, dirs):
         voxel, ray = np.divmod(pairs, len(dirs))
-        hit = bvh.intersect(RayBundle(apexes[voxel], dirs[ray],
-                                      np.zeros(len(pairs), dtype=np.int64))).hit
-        counts[voxels] += np.bincount(voxel[hit], minlength=len(voxels))
+        _, tri = bvh.intersect(apexes[voxel], dirs[ray])
+        counts[voxels] += np.bincount(voxel[tri >= 0], minlength=len(voxels))
     return DirectivityGrid(centers, counts, threshold)
 
 
-def _cone_pairs(bvh: Bvh, apexes: np.ndarray, dirs: np.ndarray):
+def _cone_pairs(spheres: np.ndarray, radius: float, dirs: np.ndarray):
     """Batches of _RAY_BATCH (the last one fewer) flat indices voxel * n + ray
-    of the rays in each apex's cone, in ascending order. The cone test runs
-    on chunks of apexes whose masks hold at most _RAY_BATCH entries, or one
-    apex's n rays, and at most one batch plus one chunk of pairs is held."""
+    of the rays in each voxel's cone, the sphere of the radius at its row of
+    spheres, in ascending order. The cone test runs on chunks of voxels whose
+    masks hold at most _RAY_BATCH entries, or one voxel's n rays, and at most
+    one batch plus one chunk of pairs is held."""
     n = len(dirs)
     step = max(1, _RAY_BATCH // max(n, 1))
     parts, size = [], 0
-    for a in range(0, len(apexes), step):
-        flat = np.flatnonzero(_in_cone(bvh, apexes[a:a + step], dirs))
+    for a in range(0, len(spheres), step):
+        flat = np.flatnonzero(_in_cone(spheres[a:a + step], radius, dirs))
         flat += a * n
         parts.append(flat)
         size += flat.size

@@ -1,9 +1,12 @@
-"""Ray-triangle intersection over a bounding volume hierarchy.
+"""Nearest ray-triangle hits over a bounding volume hierarchy.
 
-The BVH is built once per mesh by median-splitting triangle centroids and is
-never rebuilt: posed queries are handled upstream by transforming the rays
-into the mesh rest frame. Each leaf keeps its triangle ids in ascending
-order with their v0 and edges, computed once per BVH.
+Bvh.intersect takes arrays of ray origins and unit directions and returns
+each ray's nearest hit as a distance and a triangle id (inf and -1 for a
+miss); what a hit means, its point and its return, is the caller's. The BVH
+is built once per mesh by median-splitting triangle centroids and is never
+rebuilt: posed queries move the rays into the mesh rest frame instead. Each
+leaf keeps its triangle ids in ascending order with their v0 and edges,
+computed once per BVH.
 
 Traversal is batched: the rays' origins, directions and inverse directions
 go down the tree as one (9, n) block of columns. Every node runs the slab
@@ -33,7 +36,7 @@ import numpy as np
 
 from .mesh import TriangleMesh
 
-__all__ = ["RayBundle", "HitBatch", "Bvh", "moller_trumbore"]
+__all__ = ["Bvh", "moller_trumbore"]
 
 _EPS_DET = 1e-12
 _T_MIN = 1e-9
@@ -56,44 +59,6 @@ _T_MIN = 1e-9
 # rounds: the block -11.7 % (72/81), the CLI-default 900-voxel region -6.9 %
 # (18/21).
 _LEAF_SIZE = 12
-
-
-@dataclass
-class RayBundle:
-    """Batch of rays sharing a timeline: origins (n, 3), unit directions
-    (n, 3), timestamps (n,) int64 microseconds."""
-
-    origins: np.ndarray
-    directions: np.ndarray
-    t_us: np.ndarray
-
-    def __post_init__(self):
-        self.origins = np.asarray(self.origins, dtype=np.float64).reshape(-1, 3)
-        self.directions = np.asarray(self.directions, dtype=np.float64).reshape(-1, 3)
-        self.t_us = np.asarray(self.t_us, dtype=np.int64).reshape(-1)
-        if not (len(self.origins) == len(self.directions) == len(self.t_us)):
-            raise ValueError("bundle arrays must share length")
-        for name in ("origins", "directions"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ValueError(f"{name} must be finite")
-        norms = np.linalg.norm(self.directions, axis=1)
-        if not (np.abs(norms - 1.0) <= 1e-9).all():
-            raise ValueError("directions must be unit length")
-
-    def __len__(self) -> int:
-        return self.origins.shape[0]
-
-
-@dataclass
-class HitBatch:
-    """Per-ray nearest-hit results; cos_incidence is |d . n| of the hit
-    triangle, in [0, 1]."""
-
-    hit: np.ndarray           # (n,) bool
-    t: np.ndarray             # (n,) float64, inf where no hit
-    points: np.ndarray        # (n, 3) float64
-    triangle: np.ndarray      # (n,) int64, -1 where no hit
-    cos_incidence: np.ndarray # (n,) float64
 
 
 def moller_trumbore(origins, directions, v0, v1, v2):
@@ -195,12 +160,23 @@ class Bvh:
             stack.append((node.left, start, mid))
             stack.append((node.right, mid, end))
 
-    def intersect(self, bundle: RayBundle) -> HitBatch:
-        n = len(bundle)
+    def intersect(self, origins, directions) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest hit of each ray, origins and unit directions (n, 3): the
+        distance t along the ray and the triangle id, inf and -1 where the
+        ray misses. Ties go to the lowest triangle id."""
+        origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
+        dirs = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
+        if len(origins) != len(dirs):
+            raise ValueError(f"origins and directions must share length, got "
+                             f"{len(origins)} and {len(dirs)}")
+        for name, rays in (("origins", origins), ("directions", dirs)):
+            if not np.isfinite(rays).all():
+                raise ValueError(f"{name} must be finite")
+        if not (np.abs(np.linalg.norm(dirs, axis=1) - 1.0) <= 1e-9).all():
+            raise ValueError("directions must be unit length")
+        n = len(dirs)
         best_t = np.full(n, np.inf)
         best_tri = np.full(n, -1, dtype=np.int64)
-        origins = bundle.origins
-        dirs = bundle.directions
         # clamp tiny components instead of letting 1/0 produce inf: keeps the
         # slab arithmetic finite (0 * inf would poison the interval with NaN)
         denom = np.where(np.abs(dirs) < 1e-12, np.copysign(1e-12, dirs), dirs)
@@ -248,11 +224,4 @@ class Bvh:
                 stack.append((node.left, rays, cols))
                 stack.append((node.right, rays, cols))
 
-        hit = np.isfinite(best_t)
-        points = np.full((n, 3), np.nan)
-        cosang = np.zeros(n)
-        if hit.any():
-            points[hit] = origins[hit] + best_t[hit, None] * dirs[hit]
-            normals = self.mesh.normals[best_tri[hit]]
-            cosang[hit] = np.abs(np.sum(dirs[hit] * normals, axis=1))
-        return HitBatch(hit, best_t, points, best_tri, np.clip(cosang, 0.0, 1.0))
+        return best_t, best_tri

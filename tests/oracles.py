@@ -6,12 +6,13 @@ import struct
 import numpy as np
 
 from airsense.boxes import Box3D, points_in_box, rot_z
-from airsense.lidar_sim import MIN_CLUSTER_HITS, _in_cone, _in_fov, gen_pattern
+from airsense.lidar_sim import (MIN_CLUSTER_HITS, _in_cone, _in_fov, _lambertian, _root_sphere,
+                                gen_pattern)
 from airsense.mesh import TriangleMesh, box_mesh
 from airsense.pointio import (LAS_HEADER_SIZE, LAS_PRF3_RECORD_SIZE, BadMagic,
                               NonMonotonicTimestamps, ScanFrame, TruncatedFile,
                               UnsupportedFormat)
-from airsense.raytrace import Bvh, HitBatch, RayBundle
+from airsense.raytrace import Bvh
 from airsense.spconv import FeatureMap, KernelTensor, Sites, gather_conv
 
 
@@ -136,7 +137,7 @@ _SLAB = Bvh(box_mesh((1.0, 4.0, 4.0)))
 
 
 def face_cosines(*angles, inside=False):
-    """Bvh.intersect's cos_incidence for rays that meet the -x face of an
+    """simulate_frame's Lambertian intensity for rays that meet the -x face of an
     axis-aligned box_mesh at (-0.5, 0, 0.5), each at its angle (radians)
     from the face normal, in the plane z = 0.5. The rays come from outside
     the box, or with inside=True from within it. The face's normal is
@@ -146,9 +147,9 @@ def face_cosines(*angles, inside=False):
     if inside:
         d[:, 0] = -d[:, 0]
     origins = np.array([-0.5, 0.0, 0.5]) - 0.5 * d
-    hits = _SLAB.intersect(RayBundle(origins, d, np.zeros(len(d))))
-    assert hits.hit.all() and set(hits.triangle.tolist()) <= {0, 1}   # the -x face
-    return hits.cos_incidence
+    _, tri = _SLAB.intersect(origins, d)
+    assert set(tri.tolist()) <= {0, 1}   # every ray hits the -x face
+    return _lambertian(d, _SLAB.mesh.normals[tri])
 
 
 def cross_product_mt(origins, directions, v0, v1, v2):
@@ -169,20 +170,18 @@ def cross_product_mt(origins, directions, v0, v1, v2):
     return valid, t, u, v
 
 
-def index_array_intersect(bvh, bundle):
+def index_array_intersect(bvh, origins, dirs):
     """Bvh.intersect as index-array traversal over bvh's nodes: every node
     gathers its rays' origins and inverse directions by index and reduces the
     slab test over the length-3 axis, every leaf tests its triangles in
     hierarchy order and sorts their ids to send ties to the lowest. Returns
-    the HitBatch and the number of ray-triangle tests, leaving
+    (t, triangle) and the number of ray-triangle tests, leaving
     bvh.triangle_tests alone."""
     v0, v1, v2 = bvh.mesh.triangles()
-    n = len(bundle)
+    n = len(dirs)
     tests = 0
     best_t = np.full(n, np.inf)
     best_tri = np.full(n, -1, dtype=np.int64)
-    origins = bundle.origins
-    dirs = bundle.directions
     denom = np.where(np.abs(dirs) < 1e-12, np.copysign(1e-12, dirs), dirs)
     inv = 1.0 / denom
     stack = [(0, np.arange(n))]
@@ -218,12 +217,7 @@ def index_array_intersect(bvh, bundle):
         else:
             stack.append((node.left, rays))
             stack.append((node.right, rays))
-    hit = np.isfinite(best_t)
-    points = np.full((n, 3), np.nan)
-    cosang = np.zeros(n)
-    points[hit] = origins[hit] + best_t[hit, None] * dirs[hit]
-    cosang[hit] = np.abs(np.sum(dirs[hit] * bvh.mesh.normals[best_tri[hit]], axis=1))
-    return HitBatch(hit, best_t, points, best_tri, np.clip(cosang, 0.0, 1.0)), tests
+    return (best_t, best_tri), tests
 
 
 def points_in_box_oracle(points, box: Box3D) -> np.ndarray:
@@ -286,21 +280,21 @@ def loop_directivity(pattern, mesh, window_ms, region):
     offset = mesh.center()
     shift = centers[voxels] - offset if np.any(offset) else centers[voxels]
     bvh = Bvh(mesh)
-    dirs = gen_pattern(pattern, window_ms).directions
+    dirs = gen_pattern(pattern, window_ms)[0]
     apexes = -shift
+    center, radius = _root_sphere(bvh)
 
     def count_hits(batch):
         if not batch:
             return
         ids, origins, kept = zip(*batch)
         sizes = [len(d) for d in kept]
-        hit = bvh.intersect(RayBundle(np.repeat(origins, sizes, axis=0), np.concatenate(kept),
-                                      np.zeros(sum(sizes), dtype=np.int64))).hit
-        counts[:] += np.bincount(np.repeat(ids, sizes)[hit], minlength=len(counts))
+        _, tri = bvh.intersect(np.repeat(origins, sizes, axis=0), np.concatenate(kept))
+        counts[:] += np.bincount(np.repeat(ids, sizes)[tri >= 0], minlength=len(counts))
 
     batch, size = [], 0
     for voxel, apex in zip(voxels, apexes):
-        kept = dirs[_in_cone(bvh, apex[None], dirs)[0]]
+        kept = dirs[_in_cone((center - apex)[None], radius, dirs)[0]]
         if size + len(kept) > LOOP_BATCH:
             count_hits(batch)
             batch, size = [], 0

@@ -20,7 +20,7 @@ from airsense.mesh import TriangleMesh, icosphere, quadcopter_mesh
 from airsense.metrics import aggregate, classify, iou3d
 from airsense.pointio import (ScanFrame, read_columnar, read_las, window_frames,
                               write_columnar)
-from airsense.raytrace import Bvh, RayBundle
+from airsense.raytrace import Bvh
 from airsense.spconv import FeatureMap, KernelTensor, Sites, conv, gather_conv
 from airsense.tracker import replay
 from oracles import face_cosines, masked_sites
@@ -175,9 +175,7 @@ def test_criterion_05_ray_transform_equivalence():
     mesh = icosphere(0.8, 3)  # 1280 triangles, under the 5k cap
     assert mesh.num_triangles <= 5000
     bvh = Bvh(mesh)
-    pattern = gen_pattern(ScanPattern(seed=55), 100.0)
-    sub = RayBundle(pattern.origins[::16], pattern.directions[::16],
-                    pattern.t_us[::16])
+    sub = gen_pattern(ScanPattern(seed=55), 100.0)[0][::16]
     worst = 0.0
     total_hits = 0
     for case in range(100):
@@ -186,14 +184,16 @@ def test_criterion_05_ray_transform_equivalence():
         t = np.array([x, r.uniform(-0.3, 0.3) * x, r.uniform(-0.3, 0.3) * x])
         assert np.linalg.norm(t) <= 50.0
         pose = Pose2D(yaw, tuple(t))
-        hits = bvh.intersect(transform_rays(sub, pose))
+        apex, local = transform_rays(sub, pose)
+        t_hit, tri = bvh.intersect(np.broadcast_to(apex, local.shape), local)
+        hit = tri >= 0
         posed = TriangleMesh(mesh.vertices @ pose.rotation().T + t, mesh.faces.copy())
-        ref = Bvh(posed).intersect(sub)
-        assert np.array_equal(hits.hit, ref.hit)
-        if hits.hit.any():
-            back = rays_to_sensor_frame(hits.points[hits.hit], pose)
-            worst = max(worst, float(np.abs(back - ref.points[ref.hit]).max()))
-            total_hits += int(hits.hit.sum())
+        ref_t, ref_tri = Bvh(posed).intersect(np.zeros_like(sub), sub)
+        assert np.array_equal(hit, ref_tri >= 0)
+        if hit.any():
+            back = rays_to_sensor_frame(apex + t_hit[hit, None] * local[hit], pose)
+            worst = max(worst, float(np.abs(back - ref_t[hit, None] * sub[hit]).max()))
+            total_hits += int(hit.sum())
     assert worst <= 1e-6
     assert total_hits > 0
     _verdict(5, f"100 poses: ray-transform hits match rotate-the-mesh oracle "
@@ -202,13 +202,13 @@ def test_criterion_05_ray_transform_equivalence():
 
 @criterion(6, "ray budget and field-of-view bounds")
 def test_criterion_06_ray_budget_and_fov():
-    rays = gen_pattern(ScanPattern(seed=66), 100.0)
-    assert abs(len(rays) - 24_000) <= 1
-    az = np.degrees(np.arctan2(rays.directions[:, 1], rays.directions[:, 0]))
-    el = np.degrees(np.arcsin(np.clip(rays.directions[:, 2], -1.0, 1.0)))
+    dirs = gen_pattern(ScanPattern(seed=66), 100.0)[0]
+    assert abs(len(dirs) - 24_000) <= 1
+    az = np.degrees(np.arctan2(dirs[:, 1], dirs[:, 0]))
+    el = np.degrees(np.arcsin(np.clip(dirs[:, 2], -1.0, 1.0)))
     assert np.abs(az).max() <= 70.4 / 2 + 1e-9
     assert np.abs(el).max() <= 77.2 / 2 + 1e-9
-    _verdict(6, f"100 ms pattern: {len(rays)} rays inside 70.4 x 77.2 degrees")
+    _verdict(6, f"100 ms pattern: {len(dirs)} rays inside 70.4 x 77.2 degrees")
 
 
 @criterion(7, "Lambertian intensity values")
@@ -225,9 +225,12 @@ def test_criterion_07_lambertian_values():
     pose = Pose2D(0.3, tuple(np.array([10.0, 0.5, 0.0]) - mesh.center()))
     bvh = Bvh(mesh)
     sim = simulate_frame(pattern, bvh, pose, 100.0)
-    hits = bvh.intersect(transform_rays(gen_pattern(pattern, 100.0), pose))
+    apex, local = transform_rays(gen_pattern(pattern, 100.0)[0], pose)
+    _, tri = bvh.intersect(np.broadcast_to(apex, local.shape), local)
+    hit = tri >= 0
+    cosines = np.minimum(np.abs(np.sum(local[hit] * mesh.normals[tri[hit]], axis=1)), 1.0)
     assert len(sim.frame) > 0
-    assert sim.frame.intensity.tobytes() == hits.cos_incidence[hits.hit].tobytes()
+    assert sim.frame.intensity.tobytes() == cosines.tobytes()
     _verdict(7, f"I(0)=I0 exact, I(60deg)=I0/2 to 1e-15, I(89.9deg)=I0 cos 89.9deg "
                 f"exact; {len(sim.frame)} simulated intensities equal their cosines")
 

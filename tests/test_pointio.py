@@ -317,8 +317,8 @@ class TestWindowing:
     def test_generator_count_audit(self):
         from airsense.lidar_sim import ScanPattern, gen_pattern
         spec = ScanPattern(points_per_second=240_000, seed=2)
-        rays = gen_pattern(spec, 1000.0)
-        frames = list(window_frames(blocks_of(rays.t_us), 100.0))
+        t_us = gen_pattern(spec, 1000.0)[1]
+        frames = list(window_frames(blocks_of(t_us), 100.0))
         assert len(frames) == 10
         assert all(len(f) == 24_000 for f in frames)
 
