@@ -256,12 +256,12 @@ def _root_sphere(bvh: Bvh) -> tuple[np.ndarray, float]:
 
 def _in_cone(spheres: np.ndarray, radius: float, directions: np.ndarray) -> np.ndarray:
     """(m, n) mask of the rays from the origin that can meet each of m spheres
-    of the radius centered at spheres (m, 3): those whose unit direction lies
-    within the sphere's angular radius of its center, one dot product each.
-    The radius is padded by 1e-6 of itself plus 1e-9 of the distance to the
-    center, far above the rounding of this test and of the slab test, so no
-    ray that reaches the box inside the sphere is dropped. Every ray is kept
-    for a sphere that holds the origin."""
+    of the given radius, centered at the rows of spheres (m, 3): those whose
+    unit direction lies within the sphere's angular radius of its center,
+    one dot product each. The radius is padded by 1e-6 of itself plus 1e-9
+    of the distance to the center, far above the rounding of this test and
+    of the slab test, so no ray that reaches the box inside the sphere is
+    dropped. Every ray is kept for a sphere that holds the origin."""
     dist = np.sqrt(np.einsum("ij,ij->i", spheres, spheres))
     r = radius * (1.0 + 1e-6) + dist * 1e-9
     # cosine of each sphere's angular radius, times dist; -inf keeps every ray
@@ -330,10 +330,10 @@ def directivity_analysis(pattern: ScanPattern, mesh: TriangleMesh, window_ms: fl
 
 def _cone_pairs(spheres: np.ndarray, radius: float, dirs: np.ndarray):
     """Batches of _RAY_BATCH (the last one fewer) flat indices voxel * n + ray
-    of the rays in each voxel's cone, the sphere of the radius at its row of
-    spheres, in ascending order. The cone test runs on chunks of voxels whose
-    masks hold at most _RAY_BATCH entries, or one voxel's n rays, and at most
-    one batch plus one chunk of pairs is held."""
+    of the rays in each voxel's cone, around the sphere of the given radius
+    centered at its row of spheres, in ascending order. The cone test runs
+    on chunks of voxels whose masks hold at most _RAY_BATCH entries, or one
+    voxel's n rays, and at most one batch plus one chunk of pairs is held."""
     n = len(dirs)
     step = max(1, _RAY_BATCH // max(n, 1))
     parts, size = [], 0

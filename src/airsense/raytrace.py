@@ -161,9 +161,10 @@ class Bvh:
             stack.append((node.right, mid, end))
 
     def intersect(self, origins, directions) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest hit of each ray, origins and unit directions (n, 3): the
-        distance t along the ray and the triangle id, inf and -1 where the
-        ray misses. Ties go to the lowest triangle id."""
+        """Nearest hit of each ray given by origins and unit directions, (n, 3)
+        each: its distance t along the ray and its triangle id, inf and -1
+        where it misses; ties go to the lowest triangle id. Unequal counts,
+        non-finite values or non-unit directions raise ValueError."""
         origins = np.asarray(origins, dtype=np.float64).reshape(-1, 3)
         dirs = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
         if len(origins) != len(dirs):
