@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import Box3D, wrap_angle
+from .boxes import Box3D, box_rows, wrap_angle
 from .fields import check_fields
 from .metrics import iou3d
 from .pillars import PillarGridSpec
@@ -260,7 +260,7 @@ def nms(boxes: list[Box3D], scores) -> list[int]:
     IoU above NMS_IOU. Returns kept indices; score ties fall back to the
     lower index. Each kept box scores the candidates still pending in one
     iou3d call, so memory grows with the number of boxes only."""
-    arr = np.array([[b.x, b.y, b.z, b.l, b.w, b.h, b.yaw] for b in boxes]).reshape(-1, 7)
+    arr = box_rows(boxes)
     scores = np.asarray(scores, dtype=np.float64).reshape(len(arr))
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["Box3D", "wrap_angle", "rot_z", "points_in_box"]
+__all__ = ["Box3D", "box_rows", "wrap_angle", "rot_z", "points_in_box"]
 
 
 def wrap_angle(theta: float) -> float:
@@ -65,6 +65,15 @@ class Box3D:
         if missing:
             raise ValueError(f"box is missing {', '.join(missing)}")
         return cls(d["x"], d["y"], d["z"], d["l"], d["w"], d["h"], d.get("yaw", 0.0))
+
+
+def box_rows(boxes) -> np.ndarray:
+    """(N, 7) float64 rows x, y, z, l, w, h, yaw from Box3D objects or rows."""
+    if not isinstance(boxes, np.ndarray):
+        boxes = np.array([[b.x, b.y, b.z, b.l, b.w, b.h, b.yaw] for b in boxes]).reshape(-1, 7)
+    if boxes.ndim != 2 or boxes.shape[1] != 7:
+        raise ValueError(f"boxes must be (N, 7) rows x, y, z, l, w, h, yaw, got {boxes.shape}")
+    return boxes.astype(np.float64, copy=False)
 
 
 def points_in_box(points: np.ndarray, box: Box3D) -> np.ndarray:

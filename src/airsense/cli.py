@@ -313,7 +313,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, PointFormatError, MeshError, ValueError, FileNotFoundError,
+    except (ConfigError, PointFormatError, MeshError, ValueError, OSError,
             RuntimeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -306,10 +306,10 @@ def directivity_analysis(pattern: ScanPattern, mesh: TriangleMesh, window_ms: fl
     zero. Every placement shares one acceleration structure and the mesh's
     rest orientation, so each voxel only moves the rays' common origin. One
     cone test per chunk of voxels keeps the (voxel, ray) pairs whose ray can
-    reach the placed target's bounding sphere; the pairs stream, in voxel-major
-    order, into traversals of _RAY_BATCH pairs that may span voxels and
-    chunks, and each traversal's hits are counted back per voxel with one
-    bincount.
+    reach the placed target's bounding sphere, 8 B a pair against the about
+    245 B a pair a traversal holds; the voxel-major pair list is sliced into
+    traversals of _RAY_BATCH pairs that may span voxels and chunks, and each
+    traversal's hits are counted back per voxel with one bincount.
     """
     if threshold < 1:
         raise ValueError("threshold must be >= 1")
@@ -321,32 +321,21 @@ def directivity_analysis(pattern: ScanPattern, mesh: TriangleMesh, window_ms: fl
     dirs = np.asfortranarray(gen_pattern(pattern, window_ms)[0])
     apexes = mesh.center() - centers[voxels]
     center, radius = _root_sphere(bvh)
-    for pairs in _cone_pairs(center - apexes, radius, dirs):
-        voxel, ray = np.divmod(pairs, len(dirs))
+    pairs = _cone_pairs(center - apexes, radius, dirs)
+    for b in range(0, pairs.size, _RAY_BATCH):
+        voxel, ray = np.divmod(pairs[b:b + _RAY_BATCH], len(dirs))
         _, tri = bvh.intersect(apexes[voxel], dirs[ray])
         counts[voxels] += np.bincount(voxel[tri >= 0], minlength=len(voxels))
     return DirectivityGrid(centers, counts, threshold)
 
 
-def _cone_pairs(spheres: np.ndarray, radius: float, dirs: np.ndarray):
-    """Batches of _RAY_BATCH (the last one fewer) flat indices voxel * n + ray
-    of the rays in each voxel's cone, around the sphere of the given radius
-    centered at its row of spheres, in ascending order. The cone test runs
-    on chunks of voxels whose masks hold at most _RAY_BATCH entries, or one
-    voxel's n rays, and at most one batch plus one chunk of pairs is held."""
+def _cone_pairs(spheres: np.ndarray, radius: float, dirs: np.ndarray) -> np.ndarray:
+    """Ascending flat indices voxel * n + ray of the rays in each voxel's
+    cone, around the sphere of the given radius centered at its row of
+    spheres. The cone test runs on chunks of voxels whose masks hold at most
+    _RAY_BATCH entries, or one voxel's n rays."""
     n = len(dirs)
     step = max(1, _RAY_BATCH // max(n, 1))
-    parts, size = [], 0
-    for a in range(0, len(spheres), step):
-        flat = np.flatnonzero(_in_cone(spheres[a:a + step], radius, dirs))
-        flat += a * n
-        parts.append(flat)
-        size += flat.size
-        if size >= _RAY_BATCH:
-            pairs = np.concatenate(parts)
-            cut = size - size % _RAY_BATCH
-            for b in range(0, cut, _RAY_BATCH):
-                yield pairs[b:b + _RAY_BATCH]
-            parts, size = [pairs[cut:]], size - cut
-    if size:
-        yield np.concatenate(parts)
+    return np.concatenate([np.empty(0, dtype=np.intp)] + [
+        np.flatnonzero(_in_cone(spheres[a:a + step], radius, dirs)) + a * n
+        for a in range(0, len(spheres), step)])

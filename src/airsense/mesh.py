@@ -28,8 +28,8 @@ class MeshError(Exception):
 class TriangleMesh:
     """Indexed triangle soup with unit per-triangle normals.
 
-    Zero-area triangles are dropped at construction and counted in
-    degenerate_skipped rather than poisoning the normals.
+    Zero-area triangles are dropped and counted in degenerate_skipped rather
+    than poisoning the normals; a non-finite vertex raises MeshError.
     """
 
     vertices: np.ndarray          # (nv, 3) float64
@@ -40,6 +40,9 @@ class TriangleMesh:
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         f = np.asarray(self.faces, dtype=np.int64).reshape(-1, 3)
+        bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+        if bad.size:
+            raise MeshError(f"vertex {bad[0]} is not finite: {v[bad[0]].tolist()}")
         if f.size and (f.min() < 0 or f.max() >= len(v)):
             raise MeshError("face index out of range")
         e1 = v[f[:, 1]] - v[f[:, 0]]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boxes import Box3D
+from .boxes import Box3D, box_rows
 
 __all__ = [
     "EvalOutcome",
@@ -26,15 +26,6 @@ __all__ = [
 ]
 
 TP_IOU_THRESHOLD = 0.30
-
-
-def _box_array(boxes) -> np.ndarray:
-    """(N, 7) float64 rows x, y, z, l, w, h, yaw from Box3D objects or rows."""
-    if not isinstance(boxes, np.ndarray):
-        boxes = np.array([[b.x, b.y, b.z, b.l, b.w, b.h, b.yaw] for b in boxes]).reshape(-1, 7)
-    if boxes.ndim != 2 or boxes.shape[1] != 7:
-        raise ValueError(f"boxes must be (N, 7) rows x, y, z, l, w, h, yaw, got {boxes.shape}")
-    return boxes.astype(np.float64, copy=False)
 
 
 def _corners(arr: np.ndarray) -> np.ndarray:
@@ -94,7 +85,7 @@ def iou3d(a, b) -> np.ndarray:
     box in b, an (N, M) matrix. a and b are sequences of Box3D or (N, 7)
     arrays of x, y, z, l, w, h, yaw rows. Entry (i, j) clips a[i]'s footprint
     to b[j]'s, and the rounding depends on that order."""
-    a, b = _box_array(a), _box_array(b)
+    a, b = box_rows(a), box_rows(b)
     dz = (np.minimum((a[:, 2] + a[:, 5] / 2.0)[:, None], b[:, 2] + b[:, 5] / 2.0)
           - np.maximum((a[:, 2] - a[:, 5] / 2.0)[:, None], b[:, 2] - b[:, 5] / 2.0))
     # a pair that does not overlap in z has IoU 0 without clipping
@@ -110,7 +101,7 @@ def iou_bev(a, b) -> np.ndarray:
     """Footprint intersection area over footprint union area, as iou3d. It is
     iou3d of the boxes set at z = 0 with h = 1, whose vertical overlap is
     exactly 1."""
-    a, b = _box_array(a).copy(), _box_array(b).copy()
+    a, b = box_rows(a).copy(), box_rows(b).copy()
     a[:, 2], a[:, 5], b[:, 2], b[:, 5] = 0.0, 1.0, 0.0, 1.0
     return iou3d(a, b)
 

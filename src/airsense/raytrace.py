@@ -3,10 +3,10 @@
 Bvh.intersect takes arrays of ray origins and unit directions and returns
 each ray's nearest hit as a distance and a triangle id (inf and -1 for a
 miss); what a hit means, its point and its return, is the caller's. The BVH
-is built once per mesh by median-splitting triangle centroids and is never
-rebuilt: posed queries move the rays into the mesh rest frame instead. Each
-leaf keeps its triangle ids in ascending order with their v0 and edges,
-computed once per BVH.
+is built once per mesh, by one recursive median split of triangle centroids
+along each box's longest axis, and is never rebuilt: posed queries move the
+rays into the mesh rest frame instead. Each leaf keeps its triangle ids in
+ascending order with their v0 and edges.
 
 Traversal is batched: the rays' origins, directions and inverse directions
 go down the tree as one (9, n) block of columns. Every node runs the slab
@@ -103,10 +103,8 @@ class _Node:
     hi: np.ndarray
     left: int = -1
     right: int = -1
-    start: int = 0
-    count: int = 0
     # leaves: triangle ids in ascending order, then v0, e1 and e2 of those
-    # triangles as (3, count, 1) columns
+    # triangles as (3, count, 1) columns; empty for inner nodes
     leaf: tuple = ()
 
 
@@ -119,46 +117,31 @@ class Bvh:
         if mesh.num_triangles == 0:
             raise ValueError("cannot build a hierarchy over an empty mesh")
         self.mesh = mesh
-        a, b, c = mesh.triangles()
-        self._tri_lo = np.minimum(np.minimum(a, b), c)
-        self._tri_hi = np.maximum(np.maximum(a, b), c)
-        centroids = (a + b + c) / 3.0
-        self.order = np.arange(mesh.num_triangles)
         self.nodes: list[_Node] = []
         self.triangle_tests = 0
-        self._build(centroids)
-        for node in self.nodes:
-            if node.count > 0:
-                ids = np.sort(self.order[node.start:node.start + node.count])
-                v0 = a[ids]
-                node.leaf = (ids,) + tuple(x.T[:, :, None].copy()
-                                           for x in (v0, b[ids] - v0, c[ids] - v0))
+        a, b, c = mesh.triangles()
+        self._split(np.arange(mesh.num_triangles), (a, b, c),
+                    np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c),
+                    (a + b + c) / 3.0)
 
-    def _build(self, centroids):
-        # iterative construction; each stack entry carries its slot index
-        root = _Node(np.zeros(3), np.zeros(3))
-        self.nodes.append(root)
-        stack = [(0, 0, len(self.order))]
-        while stack:
-            slot, start, end = stack.pop()
-            idx = self.order[start:end]
-            lo = self._tri_lo[idx].min(axis=0)
-            hi = self._tri_hi[idx].max(axis=0)
-            node = self.nodes[slot]
-            node.lo, node.hi = lo, hi
-            if end - start <= _LEAF_SIZE:
-                node.start, node.count = start, end - start
-                continue
-            axis = int(np.argmax(hi - lo))
-            mid = (start + end) // 2
-            part = np.argsort(centroids[idx, axis], kind="stable")
-            self.order[start:end] = idx[part]
-            node.left = len(self.nodes)
-            self.nodes.append(_Node(np.zeros(3), np.zeros(3)))
-            node.right = len(self.nodes)
-            self.nodes.append(_Node(np.zeros(3), np.zeros(3)))
-            stack.append((node.left, start, mid))
-            stack.append((node.right, mid, end))
+    def _split(self, ids, tris, tri_lo, tri_hi, centroids):
+        """Append the node over triangles ids, then fill it as a leaf or sort
+        ids by centroid along its box's longest axis and append the subtrees
+        of the halves. Depth <= ceil(log2(n / _LEAF_SIZE)) + 1."""
+        node = _Node(tri_lo[ids].min(axis=0), tri_hi[ids].max(axis=0))
+        self.nodes.append(node)
+        if ids.size <= _LEAF_SIZE:
+            ids = np.sort(ids)
+            v0, v1, v2 = (x[ids] for x in tris)
+            node.leaf = (ids,) + tuple(x.T[:, :, None].copy() for x in (v0, v1 - v0, v2 - v0))
+            return
+        axis = int(np.argmax(node.hi - node.lo))
+        ids = ids[np.argsort(centroids[ids, axis], kind="stable")]
+        mid = ids.size // 2
+        node.left = len(self.nodes)
+        self._split(ids[:mid], tris, tri_lo, tri_hi, centroids)
+        node.right = len(self.nodes)
+        self._split(ids[mid:], tris, tri_lo, tri_hi, centroids)
 
     def intersect(self, origins, directions) -> tuple[np.ndarray, np.ndarray]:
         """Nearest hit of each ray given by origins and unit directions, (n, 3)
@@ -206,7 +189,7 @@ class Bvh:
                     continue
                 rays = rays[keep]
                 cols = cols.take(keep, axis=1)
-            if node.count > 0:
+            if node.leaf:
                 tri_ids, v0, e1, e2 = node.leaf
                 self.triangle_tests += rays.size * tri_ids.size
                 valid, t, _, _ = _moller_trumbore(cols[0:3, None], cols[3:6, None], v0, e1, e2)

@@ -173,10 +173,9 @@ def cross_product_mt(origins, directions, v0, v1, v2):
 def index_array_intersect(bvh, origins, dirs):
     """Bvh.intersect as index-array traversal over bvh's nodes: every node
     gathers its rays' origins and inverse directions by index and reduces the
-    slab test over the length-3 axis, every leaf tests its triangles in
-    hierarchy order and sorts their ids to send ties to the lowest. Returns
-    (t, triangle) and the number of ray-triangle tests, leaving
-    bvh.triangle_tests alone."""
+    slab test over the length-3 axis, every leaf tests its triangles and
+    ranks their ids to send ties to the lowest. Returns (t, triangle) and
+    the number of ray-triangle tests, leaving bvh.triangle_tests alone."""
     v0, v1, v2 = bvh.mesh.triangles()
     n = len(dirs)
     tests = 0
@@ -196,8 +195,8 @@ def index_array_intersect(bvh, origins, dirs):
         rays = rays[alive]
         if rays.size == 0:
             continue
-        if node.count > 0:
-            tri_ids = bvh.order[node.start:node.start + node.count]
+        if node.leaf:
+            tri_ids = node.leaf[0]
             tests += rays.size * tri_ids.size
             valid, t, _, _ = cross_product_mt(
                 origins[rays][:, None, :], dirs[rays][:, None, :],

@@ -1,10 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airsense.boxes import Box3D, points_in_box
+from airsense.boxes import Box3D, box_rows, points_in_box
 
 from oracles import points_in_box_oracle
 
@@ -73,3 +74,16 @@ def test_points_are_not_modified():
     before = pts.copy()
     points_in_box(pts, Box3D(0.0, 0.0, 0.0, 1.0, 1.0, 1.0))
     assert np.array_equal(pts, before)
+
+
+def test_box_rows_of_objects_and_arrays():
+    boxes = [Box3D(1, 2, 3, 4, 5, 6, 0.5), Box3D(-1.5, 0.0, 2.0, 1.0, 1.0, 1.0, 4.0)]
+    rows = box_rows(boxes)
+    assert rows.dtype == np.float64
+    assert rows.tolist() == [[b.x, b.y, b.z, b.l, b.w, b.h, b.yaw] for b in boxes]
+    assert box_rows(rows) is rows
+    assert box_rows([]).shape == (0, 7)
+    assert box_rows(rows.astype(np.float32)).dtype == np.float64
+    with pytest.raises(ValueError, match=r"\(N, 7\) rows"):
+        box_rows(rows[:, :6])
+

@@ -235,6 +235,13 @@ class TestSimulateCommand:
                     "--out", tmp_path / "x.xyz"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_directory_as_out_exits_with_an_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scan": {"points_per_second": 24_000}}))
+        assert run(["--config", cfg, "simulate", "--mesh", "builtin:sphere",
+                    "--at", 9, 0, 0, "--out", tmp_path]) == 1
+        assert capsys.readouterr().err.startswith("error: IsADirectoryError: ")
+
     def test_config_window_is_the_default(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"window_ms": 50}))
@@ -375,6 +382,12 @@ class TestDetectEvalCommand:
         assert run(["detect-eval", "--detections", d, "--truth", d, "--iou", 7]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: iou_threshold must be in (0, 1]")
+
+    def test_directory_as_detections_exits_with_an_error_line(self, tmp_path, capsys):
+        g = tmp_path / "g.jsonl"
+        write_jsonl(g, [])
+        assert run(["detect-eval", "--detections", tmp_path, "--truth", g]) == 1
+        assert capsys.readouterr().err.startswith("error: IsADirectoryError: ")
 
     @pytest.mark.parametrize("field, bad", [("x", "1"), ("l", True), ("yaw", None)])
     def test_mistyped_box_field_exits_with_an_error_line(self, tmp_path, capsys, field, bad):

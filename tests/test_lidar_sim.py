@@ -459,10 +459,10 @@ class TestBvhLayout:
     def test_leaves_partition_the_triangles_within_nested_boxes(self, name):
         mesh = LAYOUT_MESHES[name]
         bvh = Bvh(mesh)
-        leaves = [node for node in bvh.nodes if node.count > 0]
+        leaves = [node for node in bvh.nodes if node.leaf]
         ids = np.concatenate([node.leaf[0] for node in leaves])
         assert np.array_equal(np.sort(ids), np.arange(mesh.num_triangles))
-        counts = [node.count for node in leaves]
+        counts = [node.leaf[0].size for node in leaves]
         assert max(counts) <= raytrace._LEAF_SIZE
         if mesh.num_triangles <= raytrace._LEAF_SIZE:
             assert len(bvh.nodes) == 1
@@ -470,7 +470,7 @@ class TestBvhLayout:
             assert min(counts) >= (raytrace._LEAF_SIZE + 1) // 2
         a, b, c = mesh.triangles()
         for node in bvh.nodes:
-            if node.count:
+            if node.leaf:
                 tri = node.leaf[0]
                 assert np.array_equal(node.lo, np.minimum(np.minimum(a, b), c)[tri].min(axis=0))
                 assert np.array_equal(node.hi, np.maximum(np.maximum(a, b), c)[tri].max(axis=0))
@@ -478,6 +478,29 @@ class TestBvhLayout:
             assert node.left > 0 and node.right > 0
             for child in (bvh.nodes[node.left], bvh.nodes[node.right]):
                 assert (node.lo <= child.lo).all() and (child.hi <= node.hi).all()
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_MESHES))
+    def test_children_hold_the_halves_along_the_longest_axis(self, name):
+        """Each inner node's left child holds the floor half of its triangles
+        and the right child the ceil half, split at the median centroid along
+        the node box's longest axis."""
+        mesh = LAYOUT_MESHES[name]
+        bvh = Bvh(mesh)
+        centroids = sum(mesh.triangles()) / 3.0
+
+        def under(i):
+            node = bvh.nodes[i]
+            return node.leaf[0] if node.leaf else np.concatenate(
+                [under(node.left), under(node.right)])
+
+        for node in bvh.nodes:
+            if node.leaf:
+                continue
+            left, right = under(node.left), under(node.right)
+            n = left.size + right.size
+            assert (left.size, right.size) == (n // 2, n - n // 2)
+            axis = np.argmax(node.hi - node.lo)
+            assert centroids[left, axis].max() <= centroids[right, axis].min()
 
 
 class TestLeafSize:
@@ -697,6 +720,24 @@ class TestFlatSweep:
             grid = directivity_analysis(FAST, mesh, 100.0, 1, region)
         assert grid.counts.sum() > 0
         assert np.array_equal(grid.counts, loop_directivity(FAST, mesh, 100.0, region))
+
+    def test_traversals_take_full_batches_but_the_last(self):
+        sizes = []
+        intersect = Bvh.intersect
+
+        def recorded(self, origins, directions):
+            sizes.append(len(origins))
+            return intersect(self, origins, directions)
+
+        # the offline benchmark's block: 50 voxels of 24,000 rays, whose
+        # cone pairs fill 20 batches that end partway through voxels
+        region = VoxelRegion((10.0, 15.0), (-5.0, 5.0), (0.0, 1.0))
+        with mock.patch.object(Bvh, "intersect", recorded), \
+                mock.patch.object(lidar_sim, "_RAY_BATCH", 1000):
+            grid = directivity_analysis(ScanPattern(seed=7), quadcopter_mesh(), 100.0, 1,
+                                        region)
+        assert grid.counts.sum() > 0 and len(sizes) == 20
+        assert sizes[:-1] == [1000] * (len(sizes) - 1) and 0 < sizes[-1] <= 1000
 
     def test_cone_masks_stay_within_a_batch(self):
         masks = []

@@ -26,6 +26,18 @@ def save_off(path, mesh: TriangleMesh):
             fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
 
 
+def save_stl(path, v0, v1, v2):
+    """A binary STL of the triangles (v0[i], v1[i], v2[i]), zero normals."""
+    with open(path, "wb") as fh:
+        fh.write(b"\0" * 80)
+        fh.write(struct.pack("<I", len(v0)))
+        for tri in zip(v0, v1, v2):
+            fh.write(struct.pack("<fff", 0.0, 0.0, 0.0))
+            for v in tri:
+                fh.write(struct.pack("<fff", *v))
+            fh.write(struct.pack("<H", 0))
+
+
 class TestBuilders:
     def test_box_has_twelve_triangles(self):
         mesh = box_mesh((2.0, 1.0, 0.5))
@@ -68,6 +80,12 @@ class TestOff:
         with pytest.raises(MeshError):
             load_off(path)
 
+    def test_non_finite_vertex_rejected(self, tmp_path):
+        path = tmp_path / "inf.off"
+        path.write_text("OFF\n4 2 0\n0 0 0\n1 0 0\ninf 1 0\n0 0 1\n3 0 1 2\n3 0 1 3\n")
+        with pytest.raises(MeshError, match=r"vertex 2 is not finite: \[inf, 1\.0, 0\.0\]"):
+            load_off(path)
+
     def test_non_triangle_face_rejected(self, tmp_path):
         path = tmp_path / "quad.off"
         path.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")
@@ -79,19 +97,20 @@ class TestStl:
     def test_binary_stl_reader(self, tmp_path):
         mesh = box_mesh((1.0, 1.0, 1.0))
         path = tmp_path / "box.stl"
-        v0, v1, v2 = mesh.triangles()
-        with open(path, "wb") as fh:
-            fh.write(b"\0" * 80)
-            fh.write(struct.pack("<I", mesh.num_triangles))
-            for i in range(mesh.num_triangles):
-                fh.write(struct.pack("<fff", *mesh.normals[i]))
-                for v in (v0[i], v1[i], v2[i]):
-                    fh.write(struct.pack("<fff", *v))
-                fh.write(struct.pack("<H", 0))
+        save_stl(path, *mesh.triangles())
         back = load_stl(path)
         assert back.num_triangles == 12
         lo, hi = back.aabb()
         np.testing.assert_allclose(hi - lo, [1.0, 1.0, 1.0], atol=1e-6)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_vertex_rejected(self, tmp_path, bad):
+        v0, v1, v2 = (np.array(x) for x in box_mesh().triangles())
+        v1[3, 2] = np.float32(bad)
+        path = tmp_path / "bad.stl"
+        save_stl(path, v0, v1, v2)
+        with pytest.raises(MeshError, match=r"vertex \d+ is not finite: \[.*(inf|nan)"):
+            load_stl(path)
 
     def test_truncated_stl_rejected(self, tmp_path):
         path = tmp_path / "bad.stl"
@@ -110,3 +129,13 @@ class TestValidation:
     def test_face_index_out_of_range(self):
         with pytest.raises(MeshError):
             TriangleMesh(np.zeros((2, 3)), np.array([[0, 1, 2]]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_vertex_rejected(self, bad):
+        verts = np.eye(3)
+        verts[1, 0] = bad
+        with pytest.raises(MeshError, match="vertex 1 is not finite"):
+            TriangleMesh(verts, np.array([[0, 1, 2]]))
+        # an unused vertex is still a bad vertex
+        with pytest.raises(MeshError, match="vertex 3 is not finite"):
+            TriangleMesh(np.vstack([np.eye(3), verts[1]]), np.array([[0, 1, 2]]))
