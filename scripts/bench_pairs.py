@@ -35,7 +35,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
-STDERR_LINES = 20
+TAIL_LINES = 20
 
 
 def git(*args: str) -> bytes:
@@ -56,17 +56,24 @@ def source_lines(tree: str) -> int:
 
 def bench(tree: str, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One run of the tree's bench/run.py: its result and its info line. A
-    run that exits non-zero ends the script with the tail of its stderr."""
+    run that exits non-zero, or whose stdout does not end in the info line
+    and the result line, ends the script with the tail of its stderr or stdout."""
+    def fail(what: str, text: str):
+        tail = "\n".join(text.strip().splitlines()[-TAIL_LINES:])
+        side = os.path.basename(tree)
+        raise SystemExit(f"error: {side} run of {workload}@{seed} {what}:\n{tail}")
+
     try:
         out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                               "--seed", str(seed), "--seconds", str(seconds)],
                              cwd=tree, check=True, capture_output=True, text=True).stdout
     except subprocess.CalledProcessError as exc:
-        tail = "\n".join(exc.stderr.strip().splitlines()[-STDERR_LINES:])
-        raise SystemExit(f"error: {os.path.basename(tree)} run of {workload}@{seed} exited "
-                         f"with code {exc.returncode}; last lines of its stderr:\n{tail}")
-    info, result = out.strip().splitlines()[-2:]
-    return json.loads(result), json.loads(info)["info"]
+        fail(f"exited with code {exc.returncode}; last lines of its stderr", exc.stderr)
+    try:
+        info, result = out.strip().splitlines()[-2:]
+        return json.loads(result), json.loads(info)["info"]
+    except (ValueError, KeyError, TypeError):
+        fail("did not end in its info and result lines; last lines of its stdout", out)
 
 
 def summarize(runs: dict[str, list[dict]]) -> dict:

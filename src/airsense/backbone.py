@@ -114,12 +114,11 @@ def run_backbone(x: Sites, spec: BackboneSpec, weights: list[KernelTensor],
     their pooled features. Every kernel's channels are checked against the
     graph before the first layer runs. Each block is one strided convolution
     and then stride-1 ones; each block output then feeds one upsampling
-    deconvolution. Every layer is one `conv` over a list of active sites;
-    the engines differ only in the output sites they ask for. Dense keeps
-    every cell, sparse the cells the taps reach, and sparse+submanifold
-    keeps the input set in every block convolution but the first. The
-    sparse engines start from the input list as it is; the dense one
-    densifies it once. ReLU, if the spec asks for it, applies to each
+    deconvolution. Every layer is one `conv` over a list of active sites,
+    and the engines differ in two facts: the dense engine densifies the
+    input list once, and every layer keeps the cells its taps reach except
+    the sparse+submanifold engine's stride-1 block convolutions, which keep
+    their input set. ReLU, if the spec asks for it, applies to each
     layer's output sites; it keeps zero at zero, so the engines stay
     interchangeable. Maps stay site lists between layers; the upsampled
     maps are cropped to the first one's size (rounding in the strided blocks
@@ -138,9 +137,7 @@ def run_backbone(x: Sites, spec: BackboneSpec, weights: list[KernelTensor],
             raise ValueError(f"kernel {idx} maps {kernel.in_channels} -> {kernel.out_channels} "
                              f"channels, the graph needs {c_in} -> {c_out}")
 
-    dense = engine == "dense"
-    first = "all" if dense else "reach"
-    rest = "same" if engine == "sparse+submanifold" else first
+    rest = "same" if engine == "sparse+submanifold" else "reach"
     stats: list[LayerStats] = []
 
     def layer(src: Sites, kind: str, stride: int, out: str) -> Sites:
@@ -154,17 +151,17 @@ def run_backbone(x: Sites, spec: BackboneSpec, weights: list[KernelTensor],
         stats.append(LayerStats(idx, kind, stride, macs, density, time.perf_counter_ns() - t0))
         return y
 
-    if dense:   # every cell, without re-checking the finiteness checked above
+    if engine == "dense":   # every cell, without re-checking the finiteness checked above
         rows = np.zeros((x.p * x.q, x.feats.shape[1]), dtype=np.float32)
         rows[x.keys] = x.feats
         x = Sites(x.p, x.q, np.arange(x.p * x.q), rows)
     blocks = []
     for n_convs, stride in zip(spec.block_convs, spec.block_strides):
-        x = layer(x, "conv", stride, first)
+        x = layer(x, "conv", stride, "reach")
         for _ in range(n_convs - 1):
             x = layer(x, "conv", 1, rest)
         blocks.append(x)
-    upsampled = [layer(block, "deconv", stride, first)
+    upsampled = [layer(block, "deconv", stride, "reach")
                  for block, stride in zip(blocks, spec.up_strides)]
 
     p, q = upsampled[0].p, upsampled[0].q

@@ -68,6 +68,7 @@ def cmd_simulate(args) -> int:
     cfg = _load_cfg(args)
     bvh = Bvh(_resolve_mesh(args.mesh))
     pose = Pose2D(args.yaw, (args.at[0], args.at[1], args.at[2]))
+    open(args.out, "ab").close()   # an unwritable path fails before the first frame
     frames = []
     for k in range(args.frames):
         start = k * cfg.window_ms
@@ -161,7 +162,7 @@ def cmd_bench_conv(args) -> int:
     lines = [f"fixture.size = {p}x{q}", f"fixture.sites = {args.sites}",
              f"fixture.channels = {c}", f"fixture.kernel = {kernel.k}"]
     results = {}
-    for name, x, out in (("dense", Sites.from_dense(sparse.to_dense()), "all"),
+    for name, x, out in (("dense", Sites.from_dense(sparse.to_dense()), "reach"),
                          ("sparse", sparse, "reach"),
                          ("submanifold", sparse, "same")):
         t0 = time.perf_counter_ns()

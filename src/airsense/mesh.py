@@ -78,6 +78,14 @@ class TriangleMesh:
 # ---------------------------------------------------------------------------
 # file formats
 
+def _file_mesh(path, vertices, faces) -> TriangleMesh:
+    """The loaders' TriangleMesh, its MeshError prefixed with the path."""
+    try:
+        return TriangleMesh(vertices, faces)
+    except MeshError as exc:
+        raise MeshError(f"{path}: {exc}") from exc
+
+
 def load_off(path) -> TriangleMesh:
     """Indexed-triangle text format: OFF header, counts, vertices, faces."""
     with open(path) as fh:
@@ -98,7 +106,7 @@ def load_off(path) -> TriangleMesh:
             pos += cnt + 1
     except (IndexError, ValueError) as exc:
         raise MeshError(f"{path}: malformed OFF file: {exc}") from exc
-    return TriangleMesh(verts, np.array(faces, dtype=np.int64))
+    return _file_mesh(path, verts, np.array(faces, dtype=np.int64))
 
 
 def load_stl(path) -> TriangleMesh:
@@ -118,8 +126,7 @@ def load_stl(path) -> TriangleMesh:
     coords = tris[:, 12:48].copy().view("<f4").reshape(count, 3, 3).astype(np.float64)
     flat = coords.reshape(-1, 3)
     verts, inverse = np.unique(flat, axis=0, return_inverse=True)
-    faces = inverse.reshape(count, 3)
-    return TriangleMesh(verts, faces)
+    return _file_mesh(path, verts, inverse.reshape(count, 3))
 
 
 def load_mesh(path) -> TriangleMesh:

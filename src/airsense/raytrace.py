@@ -36,7 +36,7 @@ import numpy as np
 
 from .mesh import TriangleMesh
 
-__all__ = ["Bvh", "moller_trumbore"]
+__all__ = ["Bvh"]
 
 _EPS_DET = 1e-12
 _T_MIN = 1e-9
@@ -61,23 +61,14 @@ _T_MIN = 1e-9
 _LEAF_SIZE = 12
 
 
-def moller_trumbore(origins, directions, v0, v1, v2):
-    """Vectorized ray-triangle test with broadcasting over rays x triangles.
-
-    Returns (valid, t, u, v). Boundary hits (u or v at 0 or 1) count as hits
-    so shared edges of a watertight mesh never leak.
-    """
-    o, d, a, b, c = (np.moveaxis(np.asarray(x, dtype=np.float64), -1, 0)
-                     for x in (origins, directions, v0, v1, v2))
-    return _moller_trumbore(o, d, a, b - a, c - a)
-
-
 def _moller_trumbore(o, d, v0, e1, e2):
     """The Moller-Trumbore test on components: each argument is an x, y, z
     sequence of mutually broadcasting arrays, e1 and e2 the triangles' edges
-    from v0. The dot products add left to right, which gives the bits of
-    np.sum over a length-3 axis except for the sign of an exact zero sum; no
-    comparison below and no hit (t > _T_MIN) depends on that sign."""
+    from v0. Returns (valid, t, u, v). Boundary hits (u or v at 0 or 1)
+    count as hits so shared edges of a watertight mesh never leak. The dot
+    products add left to right, which gives the bits of np.sum over a
+    length-3 axis except for the sign of an exact zero sum; no comparison
+    below and no hit (t > _T_MIN) depends on that sign."""
     px, py, pz = _cross(d, e2)
     det = e1[0] * px + e1[1] * py + e1[2] * pz
     valid = np.abs(det) > _EPS_DET

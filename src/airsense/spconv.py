@@ -10,9 +10,10 @@ index arithmetic alone, and the rows it gathers feed one GEMM per kernel
 row (TorchSparse's gather-GEMM, Tang et al. 2022). One tap rule, `_phases`,
 serves the gathers, the reach set and the MAC count: a standard convolution
 is one phase, and a transposed one splits its output into sub-pixel phases,
-each with only the taps that land on input sites (Shi et al. 2016). Dense,
-sparse and submanifold convolution differ only in which output sites `conv`
-computes. `gather_conv` is the independent float64 oracle.
+each with only the taps that land on input sites (Shi et al. 2016). `conv`
+computes the cells some tap reaches (sparse), read off the same index grid,
+or the input sites (submanifold); dense is reach on a list of every cell.
+`gather_conv` is the independent float64 oracle.
 
 Precision: feature values and weights are stored as float32. A kernel row's
 products, with their sum over its k taps and the C input channels, come
@@ -174,36 +175,27 @@ def gather_conv(fm: FeatureMap, kernel: KernelTensor, stride: int = 1) -> Featur
 _CHUNK = 1 << 20
 
 
-def _out_shape(p: int, q: int, stride: int, transposed: bool) -> tuple[int, int]:
-    if transposed:
-        return p * stride, q * stride
-    return -(-p // stride), -(-q // stride)
-
-
 def _phases(k: int, stride: int, transposed: bool):
     """The tap rule of `conv`, `_reach` and the MAC count: (t, u, phases).
     Output cell (R t + i, C t + j) of phase (i, j, taps_m, taps_n) reads the
     input cell padded by a = k // 2 at (R u + dm, C u + dn) under tap (m, n),
     for (dm, m) in taps_m and (dn, n) in taps_n: the taps that land on input
     sites. A standard convolution is one phase, t = 1 and u = s; a
-    transposed one has t = s phases per axis and steps by u = 1."""
+    transposed one has t = s phases per axis and steps by u = 1. A phase no
+    tap lands in (t > k) is left out: no tap reaches its cells."""
     a = k // 2
     t, u = (stride, 1) if transposed else (1, stride)
     axis = [[((i + m - a) // t + a, m) for m in range(k) if (i + m - a) % t == 0]
             for i in range(t)]
-    return t, u, [(i, j, axis[i], axis[j]) for i, j in np.ndindex(t, t)]
+    return t, u, [(i, j, axis[i], axis[j]) for i, j in np.ndindex(t, t)
+                  if axis[i] and axis[j]]
 
 
-def _reach(keys: np.ndarray, p: int, q: int, k: int, stride: int,
-           transposed: bool) -> np.ndarray:
-    """Sorted output keys some tap reaches from the sites `keys`: each
-    phase ORs the occupancy grid of the padded input under its taps."""
-    a = k // 2
-    occ = np.zeros((p + 2 * a, q + 2 * a), dtype=bool)
-    rows, cols = np.divmod(keys, q)
-    occ[rows + a, cols + a] = True
-    hit = np.zeros(_out_shape(p, q, stride, transposed), dtype=bool)
-    t, u, phases = _phases(k, stride, transposed)
+def _reach(occ: np.ndarray, shape: tuple[int, int], t: int, u: int, phases) -> np.ndarray:
+    """Sorted keys of the cells of an output grid of this shape that some
+    tap of the phases reaches: each phase ORs the occupancy grid occ of the
+    padded input under its taps."""
+    hit = np.zeros(shape, dtype=bool)
     for i, j, taps_m, taps_n in phases:
         part = hit[i::t, j::t]
         for (dm, _), (dn, _) in itertools.product(taps_m, taps_n):
@@ -219,9 +211,6 @@ def _gemms(table: np.ndarray, feats: np.ndarray, base: np.ndarray, sel: np.ndarr
     GEMM sums its taps over n and the C input channels; the kernel rows are
     summed in float64, in order, and rounded to float32 once."""
     f, c = weights.shape[0], weights.shape[3]
-    if not taps_m or not taps_n:   # no tap lands in the phase
-        out[sel] = 0.0
-        return
     dn, ns = np.array(taps_n).T   # column offsets, kernel columns
     rows = [(dm * width, np.ascontiguousarray(weights[:, m, ns].reshape(f, -1).T))
             for dm, m in taps_m]
@@ -236,7 +225,7 @@ def _gemms(table: np.ndarray, feats: np.ndarray, base: np.ndarray, sel: np.ndarr
         out[at] = acc
 
 
-_OUT = ("reach", "same", "all")
+_OUT = ("reach", "same")
 
 
 def conv(x: Sites, kernel: KernelTensor, stride: int = 1, transposed: bool = False,
@@ -249,10 +238,11 @@ def conv(x: Sites, kernel: KernelTensor, stride: int = 1, transposed: bool = Fal
     were upsampled by zero insertion. One loop runs the phases of the tap
     rule: a standard convolution is one, a transposed one s^2 by (r mod s,
     c mod s), each reading only the taps that land on input sites. `out`
-    picks the output sites: "reach" the cells some tap reaches (sparse
-    convolution; every other cell is exactly zero), "same" the input sites
-    (submanifold convolution, stride 1 only), "all" every cell (dense
-    convolution). Returns the output sites and the multiply count: C * F
+    picks the output sites: "reach" the cells some tap reaches (every other
+    cell is exactly zero), "same" the input sites (submanifold convolution,
+    stride 1 only). Reach on every cell (`Sites.from_dense`) is dense
+    convolution; it leaves out only a transposed phase with no tap, whose
+    cells are zero. Returns the output sites and the multiply count: C * F
     for each tap of each phase and each input site of its residue class
     modulo the input step (every site at stride 1 and when transposed),
     off-grid contributions included.
@@ -269,13 +259,7 @@ def conv(x: Sites, kernel: KernelTensor, stride: int = 1, transposed: bool = Fal
         raise ValueError("submanifold convolution requires stride 1")
     p, q, k, s = x.p, x.q, kernel.k, stride
     a = k // 2
-    out_p, out_q = _out_shape(p, q, s, transposed)
-    if out == "all":
-        keys = np.arange(out_p * out_q)
-    elif out == "same":
-        keys = x.keys
-    else:
-        keys = _reach(x.keys, p, q, k, s, transposed)
+    out_p, out_q = (p * s, q * s) if transposed else (-(-p // s), -(-q // s))
     # index grid of the padded input; cells off the list read the zero row
     l, c = x.feats.shape
     w = q + 2 * a
@@ -284,6 +268,8 @@ def conv(x: Sites, kernel: KernelTensor, stride: int = 1, transposed: bool = Fal
     table[(rows + a) * w + cols + a] = np.arange(l)
     feats = np.concatenate((x.feats, np.zeros((1, c), dtype=np.float32)))
     t, u, phases = _phases(k, s, transposed)
+    keys = (x.keys if out == "same"
+            else _reach(table.reshape(-1, w) < l, (out_p, out_q), t, u, phases))
     # a tap reads the input sites of one residue class modulo the input step
     per_class = np.bincount(rows % u * u + cols % u, minlength=u * u).reshape(u, u)
     rows, cols = np.divmod(keys, out_q)

@@ -153,8 +153,9 @@ def face_cosines(*angles, inside=False):
 
 
 def cross_product_mt(origins, directions, v0, v1, v2):
-    """moller_trumbore as written with np.cross, its dot products as np.sum
-    over the length-3 axis."""
+    """The Moller-Trumbore test of raytrace._moller_trumbore on vertex
+    arrays, written with np.cross, its dot products as np.sum over the
+    length-3 axis."""
     e1 = v1 - v0
     e2 = v2 - v0
     pvec = np.cross(directions, e2)

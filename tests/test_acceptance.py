@@ -66,7 +66,7 @@ def test_criterion_01_engines_match_dense_gather_oracle():
         sites = masked_sites(fm, mask)
 
         ref = gather_conv(fm, kernel, stride)
-        got_dense, _ = conv(Sites.from_dense(fm), kernel, stride, out="all")
+        got_dense, _ = conv(Sites.from_dense(fm), kernel, stride)
         np.testing.assert_allclose(got_dense.to_dense().values, ref.values, atol=1e-5)
         got_sparse, _ = conv(sites, kernel, stride)
         np.testing.assert_allclose(got_sparse.to_dense().values, ref.values, atol=1e-5)
@@ -132,7 +132,7 @@ def test_criterion_03_mac_law_and_fixture_speed():
 
     conv(sparse_in, kernel)[0].to_dense()  # warm up
     t0 = time.perf_counter()
-    dense_out, dense_macs = conv(Sites.from_dense(fm), kernel, out="all")
+    dense_out, dense_macs = conv(Sites.from_dense(fm), kernel)
     dense_out = dense_out.to_dense()
     t_dense = time.perf_counter() - t0
     t0 = time.perf_counter()

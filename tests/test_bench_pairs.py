@@ -33,6 +33,22 @@ def test_failed_run_exits_naming_the_side_and_the_tail_of_its_stderr(tmp_path, b
     assert "stderr line 11" in message and "stderr line 10" not in message
 
 
+@pytest.mark.parametrize("stdout", ["", "one line\n", "not json\n{\"correct\": true}\n",
+                                    "{\"seed\": 7}\n{\"correct\": true}\n"],
+                         ids=["empty", "one-line", "not-json", "no-info-key"])
+def test_malformed_run_exits_naming_the_side_and_the_tail_of_its_stdout(tmp_path, bench_pairs,
+                                                                        stdout):
+    tree = tmp_path / "parent"
+    (tree / "bench").mkdir(parents=True)
+    (tree / "bench" / "run.py").write_text(f"print({stdout!r}, end='')\n")
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.bench(str(tree), "sky", 7, 1.0)
+    message = str(exc.value.code)
+    assert message.startswith("error: parent run of sky@7 did not end in its info and "
+                              "result lines; last lines of its stdout:")
+    assert message.endswith(stdout.strip())
+
+
 def test_finished_run_returns_its_result_and_info(tmp_path, bench_pairs):
     tree = tmp_path / "parent"
     (tree / "bench").mkdir(parents=True)

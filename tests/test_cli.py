@@ -239,8 +239,10 @@ class TestSimulateCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scan": {"points_per_second": 24_000}}))
         assert run(["--config", cfg, "simulate", "--mesh", "builtin:sphere",
-                    "--at", 9, 0, 0, "--out", tmp_path]) == 1
-        assert capsys.readouterr().err.startswith("error: IsADirectoryError: ")
+                    "--at", 9, 0, 0, "--frames", 3, "--out", tmp_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: IsADirectoryError: ")
+        assert "frame 0:" not in captured.out   # fails before it traces
 
     def test_config_window_is_the_default(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

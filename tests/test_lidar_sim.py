@@ -25,7 +25,7 @@ from airsense.lidar_sim import (
 from airsense.cli import build_parser
 from airsense.config import default_config
 from airsense.mesh import TriangleMesh, box_mesh, icosphere, quadcopter_mesh
-from airsense.raytrace import Bvh, moller_trumbore
+from airsense.raytrace import Bvh, _moller_trumbore
 from oracles import (cross_product_mt, face_cosines, index_array_intersect, loop_directivity,
                      posed_mesh)
 
@@ -392,8 +392,8 @@ class TestIntersect:
         d = r.normal(size=(rays, 1, 3))
         d /= np.linalg.norm(d, axis=-1, keepdims=True)
         v0, v1, v2 = (r.normal(size=(1, tris, 3)) for _ in range(3))
-        for got, ref in zip(moller_trumbore(o, d, v0, v1, v2),
-                            cross_product_mt(o, d, v0, v1, v2)):
+        comps = [np.moveaxis(x, -1, 0) for x in (o, d, v0, v1 - v0, v2 - v0)]
+        for got, ref in zip(_moller_trumbore(*comps), cross_product_mt(o, d, v0, v1, v2)):
             assert np.array_equal(got, ref)
 
 

@@ -86,6 +86,18 @@ class TestOff:
         with pytest.raises(MeshError, match=r"vertex 2 is not finite: \[inf, 1\.0, 0\.0\]"):
             load_off(path)
 
+    @pytest.mark.parametrize("name, body, why", [
+        ("inf.off", "OFF\n3 1 0\n0 0 0\ninf 1 0\n0 1 0\n3 0 1 2\n",
+         "vertex 1 is not finite: [inf, 1.0, 0.0]"),
+        ("range.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 3\n",
+         "face index out of range")], ids=["inf-vertex", "face-out-of-range"])
+    def test_mesh_errors_name_the_file(self, tmp_path, name, body, why):
+        path = tmp_path / name
+        path.write_text(body)
+        with pytest.raises(MeshError) as exc:
+            load_off(path)
+        assert str(exc.value) == f"{path}: {why}"
+
     def test_non_triangle_face_rejected(self, tmp_path):
         path = tmp_path / "quad.off"
         path.write_text("OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n")
@@ -111,6 +123,15 @@ class TestStl:
         save_stl(path, v0, v1, v2)
         with pytest.raises(MeshError, match=r"vertex \d+ is not finite: \[.*(inf|nan)"):
             load_stl(path)
+
+    def test_mesh_error_names_the_file(self, tmp_path):
+        v0, v1, v2 = (np.array(x) for x in box_mesh().triangles())
+        v1[3, 2] = np.float32(np.inf)
+        path = tmp_path / "inf.stl"
+        save_stl(path, v0, v1, v2)
+        with pytest.raises(MeshError) as exc:
+            load_stl(path)
+        assert str(exc.value).startswith(f"{path}: vertex ")
 
     def test_truncated_stl_rejected(self, tmp_path):
         path = tmp_path / "bad.stl"

@@ -16,7 +16,6 @@ from airsense.config import Config
 # public names that only the tests call, each with the reason it stays
 UNCALLED_ON_PURPOSE = {
     "focal_cls_term": "acceptance criterion 12 checks it",
-    "moller_trumbore": "the per-triangle entry point the traversal's bit-identity tests use",
     "gather_conv": "the float64 reference every convolution engine is checked against",
 }
 

@@ -38,8 +38,8 @@ def random_case(rng, p, q, c, f, k, density=1.0):
 
 
 def dense_conv(fm, kernel, stride=1):
-    """The dense engine: every cell is an input and an output site."""
-    out, macs = conv(Sites.from_dense(fm), kernel, stride, out="all")
+    """The dense engine: the reach rule on every cell of fm."""
+    out, macs = conv(Sites.from_dense(fm), kernel, stride)
     return out.to_dense(), macs
 
 
@@ -62,6 +62,12 @@ class TestValidation:
             conv(masked_sites(fm, mask), kt, stride=2, out="same")
         with pytest.raises(ValueError):
             conv(masked_sites(fm, mask), kt, out="submanifold")
+
+    def test_dense_is_not_an_output_rule(self, rng):
+        # the dense engine is "reach" on every cell, not a rule of its own
+        fm, _, kt = random_case(rng, 6, 6, 2, 2, 3)
+        with pytest.raises(ValueError, match=r"out must be one of \('reach', 'same'\)"):
+            conv(Sites.from_dense(fm), kt, out="all")
 
     def test_sparse_sites_must_be_sorted_unique(self):
         with pytest.raises(ValueError):
@@ -304,15 +310,16 @@ class TestTransposed:
 class TestWideLayer:
     """C = F = 256, the widest layer of the default backbone, with weights at
     its 1 / sqrt(k^2 C) scale: float32 tap products summed over 256 channels
-    stay within the oracle tolerance."""
+    stay within the oracle tolerance. Density 1.0 is the dense engine."""
 
-    @pytest.mark.parametrize("stride, transposed, out", [
-        (1, False, "reach"), (1, False, "same"), (1, False, "all"),
-        (2, False, "reach"), (2, False, "all"), (2, True, "reach"), (2, True, "all")])
-    def test_matches_gather_oracle(self, stride, transposed, out):
+    @pytest.mark.parametrize("stride, transposed, out, density", [
+        (1, False, "reach", 0.3), (1, False, "same", 0.3), (1, False, "reach", 1.0),
+        (2, False, "reach", 0.3), (2, False, "reach", 1.0), (2, True, "reach", 0.3),
+        (2, True, "reach", 1.0)])
+    def test_matches_gather_oracle(self, stride, transposed, out, density):
         r = np.random.default_rng(256)
         p, q, c = 20, 17, 256
-        fm, mask, _ = random_case(r, p, q, c, 1, 3, density=0.3)
+        fm, mask, _ = random_case(r, p, q, c, 1, 3, density)
         kt = KernelTensor((r.normal(size=(c, 3, 3, c)) / np.sqrt(9 * c)).astype(np.float32))
         got, _ = conv(masked_sites(fm, mask), kt, stride, transposed, out)
         if transposed:
@@ -328,9 +335,10 @@ class TestWideLayer:
 
 
 class TestReachableMask:
-    def test_matches_nonzero_support(self, rng):
+    @pytest.mark.parametrize("density", [0.2, 1.0])   # 1.0: the dense engine's path
+    def test_matches_nonzero_support(self, rng, density):
         # reachable set must cover every nonzero output cell
-        fm, mask, kt = random_case(rng, 14, 14, 2, 2, 3, density=0.2)
+        fm, mask, kt = random_case(rng, 14, 14, 2, 2, 3, density)
         sites = masked_sites(fm, mask)
         for stride in (1, 2):
             out_sites = conv(sites, kt, stride, out="reach")[0]
@@ -435,7 +443,7 @@ class TestStridesAndPhases:
     @given(seed=st.integers(0, 10_000), p=st.integers(1, 14), q=st.integers(1, 14),
            mode=st.sampled_from([(False, 3, 1), (False, 3, 3), (False, 3, 5), (False, 4, 1),
                                  (False, 4, 3), (False, 4, 5), (True, 2, 1), (True, 4, 1)]),
-           out=st.sampled_from(["reach", "same", "all"]), density=st.floats(0.0, 1.0))
+           out=st.sampled_from(["reach", "same"]), density=st.floats(0.0, 1.0))
     def test_matches_oracles(self, seed, p, q, mode, out, density):
         transposed, stride, k = mode
         if out == "same":
@@ -445,7 +453,7 @@ class TestStridesAndPhases:
         fm, mask, kt = random_case(r, p, q, c, f, k, density)
         check_against_oracles(fm, mask, kt, stride, transposed, out)
 
-    @pytest.mark.parametrize("out", ["reach", "same", "all"])
+    @pytest.mark.parametrize("out", ["reach", "same"])
     def test_output_set_larger_than_one_chunk(self, rng, out):
         # k = 3, C = 8: a gathered block of 2^20 float32 values holds 43690
         # output rows, fewer than this grid's output set
