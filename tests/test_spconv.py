@@ -427,7 +427,6 @@ def check_against_oracles(fm, mask, kt, stride, transposed, out):
         np.testing.assert_allclose(got.feats, ref[mask], atol=1e-5)
     else:
         np.testing.assert_allclose(got.to_dense().values, ref, atol=1e-5)
-    if out == "reach":
         want = reach_oracle(mask, k, stride, transposed)
         assert np.array_equal(got.keys, np.flatnonzero(want))
     assert macs == stride_class_macs(sites.keys, q, k, stride, transposed, c, f)
