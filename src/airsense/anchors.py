@@ -2,9 +2,9 @@
 classification loss terms, and non-maximum suppression.
 
 The scan space is cut into 1 m altitude layers, ten above and ten below the
-sensor plane plus the sensor layer, 21 in total. Each layer owns one class
-name (drone_0 .. drone_20) and one 1.6 x 1.6 x 1.0 m anchor box centered in
-the layer, so the predicted class doubles as a coarse elevation estimate.
+sensor plane plus the sensor layer, 21 in total. Layer i is class i and owns
+one 1.6 x 1.6 x 1.0 m anchor box centered in the layer, so the predicted
+class doubles as a coarse elevation estimate.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "MatchThresholds",
     "AnchorLayer",
     "AnchorGrid",
-    "build_anchor_layers",
     "build_anchor_grid",
     "focal_cls_term",
     "encode_box",
@@ -68,59 +67,38 @@ class MatchThresholds:
 
 @dataclass(frozen=True)
 class AnchorLayer:
-    class_id: int
-    class_name: str
     z_center: float
-
-
-def build_anchor_layers(sensor_elevation: float = 0.0) -> list[AnchorLayer]:
-    """NUM_LAYERS anchor layers, one per LAYER_HEIGHT altitude band.
-
-    Layer i spans [i - LAYERS_BELOW, i - LAYERS_BELOW + 1) bands relative to
-    the sensor elevation, so its center sits at (i - LAYERS_BELOW + 0.5).
-    """
-    return [AnchorLayer(i, f"drone_{i}",
-                        sensor_elevation + (i - LAYERS_BELOW) * LAYER_HEIGHT + 0.5 * LAYER_HEIGHT)
-            for i in range(NUM_LAYERS)]
 
 
 @dataclass
 class AnchorGrid:
-    """Anchors at every pillar cell center, replicated across all layers."""
+    """Anchors at every pillar cell center, replicated across all layers;
+    layers[i] is class i."""
 
     grid: PillarGridSpec
     layers: list[AnchorLayer]
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
 
     def anchor_box(self, iy: int, ix: int, layer: int) -> Box3D:
         cx, cy = self.grid.cell_center(ix, iy)
         return Box3D(cx, cy, self.layers[layer].z_center, *ANCHOR_SIZE, yaw=0.0)
 
-    def class_of_layer(self, layer: int) -> int:
-        return self.layers[layer].class_id
-
 
 def build_anchor_grid(grid: PillarGridSpec, sensor_elevation: float = 0.0) -> AnchorGrid:
-    return AnchorGrid(grid, build_anchor_layers(sensor_elevation))
+    """NUM_LAYERS anchor layers, one per LAYER_HEIGHT altitude band. Layer i
+    spans [i - LAYERS_BELOW, i - LAYERS_BELOW + 1) bands relative to the
+    sensor elevation, so its center sits at (i - LAYERS_BELOW + 0.5)."""
+    return AnchorGrid(grid, [
+        AnchorLayer(sensor_elevation + (i - LAYERS_BELOW) * LAYER_HEIGHT + 0.5 * LAYER_HEIGHT)
+        for i in range(NUM_LAYERS)])
 
 
-def focal_cls_term(p: float, with_log: bool = False) -> float:
-    """Class-imbalance weighted classification term.
-
-    The default evaluates -FOCAL_ALPHA * (1 - p)^FOCAL_GAMMA; with_log=True
-    multiplies in the log-likelihood factor of the conventional focal loss.
-    """
+def focal_cls_term(p: float) -> float:
+    """Class-imbalance weighted classification term,
+    -FOCAL_ALPHA * (1 - p)^FOCAL_GAMMA: RetinaNet's focal weights without
+    the log-likelihood factor."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of range: {p}")
-    base = -FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA
-    if not with_log:
-        return base
-    if p == 0.0:
-        return math.inf
-    return base * math.log(p)
+    return -FOCAL_ALPHA * (1.0 - p) ** FOCAL_GAMMA
 
 
 def encode_box(box: Box3D, anchor: Box3D) -> np.ndarray:
@@ -158,8 +136,8 @@ def decode_box(anchor: Box3D, residuals) -> Box3D:
 
 @dataclass
 class TargetAssignment:
-    """labels[iy, ix, layer] is the layer's class id where positive, NEGATIVE
-    (-1) or IGNORED (-2) otherwise."""
+    """labels[iy, ix, layer] is the layer index, which is its class, where
+    positive, NEGATIVE (-1) or IGNORED (-2) otherwise."""
 
     labels: np.ndarray
     forced_positives: list[tuple[int, int, int]] = field(default_factory=list)
@@ -193,10 +171,10 @@ def assign_targets(gts: list[Box3D], grid: AnchorGrid,
                    thr: MatchThresholds = MatchThresholds()) -> TargetAssignment:
     """Label every anchor from its best overlap with the ground truth.
 
-    Overlap >= pos_iou makes the anchor positive with its layer's class,
-    overlap < neg_iou negative, anything between is ignored. Each ground
-    truth box additionally forces its single best anchor positive so no
-    target goes unsupervised; a box that overlaps no anchor forces the
+    Overlap >= pos_iou makes the anchor positive with its layer index as
+    class, overlap < neg_iou negative, anything between is ignored. Each
+    ground truth box additionally forces its single best anchor positive so
+    no target goes unsupervised; a box that overlaps no anchor forces the
     nearest one.
 
     Overlap is evaluated only where it can be non-zero. Two footprints whose
@@ -212,13 +190,12 @@ def assign_targets(gts: list[Box3D], grid: AnchorGrid,
     for bit.
     """
     spec = grid.grid
-    ny, nx, nl = spec.ny, spec.nx, grid.num_layers
+    ny, nx, nl = spec.ny, spec.nx, len(grid.layers)
     cell = spec.cell_size
     # an anchor that no box reaches has best overlap 0.0
     labels = np.full((ny, nx, nl), IGNORED if 0.0 >= thr.neg_iou else NEGATIVE,
                      dtype=np.int16)
     layer_z = np.array([layer.z_center for layer in grid.layers])
-    class_ids = np.array([grid.class_of_layer(il) for il in range(nl)], dtype=np.int16)
 
     forced = []
     for gt in gts:
@@ -237,7 +214,7 @@ def assign_targets(gts: list[Box3D], grid: AnchorGrid,
         iy, ix = iy.ravel()[cells], ix.ravel()[cells]
         current = labels[iy, ix, il]
         labels[iy, ix, il] = np.where(
-            v >= thr.pos_iou, class_ids[il],
+            v >= thr.pos_iou, il,
             np.where((v >= thr.neg_iou) & (current == NEGATIVE), IGNORED, current))
         if len(v) and v.max() > 0.0:
             k = int(np.argmax(v))
@@ -251,7 +228,7 @@ def assign_targets(gts: list[Box3D], grid: AnchorGrid,
             best_anchor = (iy, ix, il)
         forced.append(best_anchor)
     for iy, ix, il in forced:
-        labels[iy, ix, il] = grid.class_of_layer(il)
+        labels[iy, ix, il] = il
     return TargetAssignment(labels, forced)
 
 

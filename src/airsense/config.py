@@ -52,6 +52,9 @@ class Config:
         check_fields(self)
         if self.window_ms <= 0:
             raise ValueError(f"window_ms must be finite and > 0, got {self.window_ms!r}")
+        # a frame's window is rounded, half to even, to the microsecond
+        if self.window_ms * 1000 <= 0.5:
+            raise ValueError(f"window_ms must hold at least 1 us, got {self.window_ms!r}")
 
 
 def _build(tp, value, where: str, default):

@@ -91,9 +91,10 @@ def gen_pattern(spec: ScanPattern, duration_ms: float,
     Ray i of the global timeline is stamped floor(i * 1e6 / rate) us and gets
     its phase from i, so a longer window is a strict prefix extension of a
     shorter one with the same seed and start. The window is rounded to the
-    microsecond as simulate_frame rounds its frame, [start_us, end_us), and
-    holds the rays stamped inside it: ceil(rate * start_us / 1e6) up to
-    ceil(rate * end_us / 1e6), so consecutive windows cast every ray once.
+    microsecond as simulate_frame rounds its frame, [start_us, end_us), must
+    hold at least 1 us, and holds the rays stamped inside it:
+    ceil(rate * start_us / 1e6) up to ceil(rate * end_us / 1e6), so
+    consecutive windows cast every ray once.
 
     A window's arrays are generated once per pattern and rounded window: the
     last window's are kept, read-only, and every call returns them.
@@ -103,8 +104,11 @@ def gen_pattern(spec: ScanPattern, duration_ms: float,
             raise ValueError(f"{name} must be finite, got {value}")
     if duration_ms <= 0:
         raise ValueError("duration must be positive")
+    window_us = round(duration_ms * 1000)
+    if window_us < 1:
+        raise ValueError(f"duration_ms must hold at least 1 us, got {duration_ms}")
     start_us = round(start_ms * 1000)
-    end_us = start_us + round(duration_ms * 1000)
+    end_us = start_us + window_us
     # the field types join the key: a float32 field equals its float64 value
     # as a key but gives other rays
     types = tuple(map(type, vars(spec).values()))

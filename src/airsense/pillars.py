@@ -108,18 +108,15 @@ def assign_pillars(frame: ScanFrame, spec: PillarGridSpec) -> PillarAssignment:
     """
     if frame is None:
         raise ValueError("frame must not be None")
-    order = np.argsort(frame.t_us, kind="stable")
-    pts = np.column_stack([frame.points, frame.intensity,
-                           frame.t_us.astype(np.float64)])[order]
-
+    pts = np.column_stack([frame.points, frame.intensity, frame.t_us.astype(np.float64)])
     ix = np.floor((pts[:, 0] - spec.x_range[0]) / spec.cell_size).astype(np.int64)
     iy = np.floor((pts[:, 1] - spec.y_range[0]) / spec.cell_size).astype(np.int64)
     in_range = ((ix >= 0) & (ix < spec.nx) & (iy >= 0) & (iy < spec.ny)
                 & (pts[:, 2] >= spec.z_range[0]) & (pts[:, 2] <= spec.z_range[1]))
     dropped = int(len(pts) - in_range.sum())
     key = iy[in_range] * spec.nx + ix[in_range]
-    # stable on time-sorted rows: each cell's returns stay earliest first
-    order = np.argsort(key, kind="stable")
+    # by cell, then time, then input order: each cell's returns earliest first
+    order = np.lexsort((frame.t_us[in_range], key))
     pts, key = pts[in_range][order], key[order]
 
     starts = np.flatnonzero(np.diff(key, prepend=-1))

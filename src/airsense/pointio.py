@@ -342,10 +342,15 @@ def write_jsonl(path, rows: Iterable[dict]):
 
 
 def read_jsonl(path) -> list[dict]:
+    """One JSON value per non-blank line. Raises ValueError naming the file
+    line, blank lines counted, of a row that is not valid JSON."""
     rows = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    rows.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: invalid JSON: {exc.msg} "
+                                     f"at column {exc.colno}") from exc
     return rows

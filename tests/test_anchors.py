@@ -15,7 +15,6 @@ from airsense.anchors import (
     MatchThresholds,
     assign_targets,
     build_anchor_grid,
-    build_anchor_layers,
     decode_box,
     encode_box,
     focal_cls_term,
@@ -31,33 +30,30 @@ SMALL_GRID = PillarGridSpec(x_range=(0.0, 8.0), y_range=(-4.0, 4.0),
 
 class TestLayers:
     def test_twenty_one_layers(self):
-        layers = build_anchor_layers()
+        layers = build_anchor_grid(SMALL_GRID).layers
         assert len(layers) == NUM_LAYERS == 21
-        assert layers[0].class_name == "drone_0"
-        assert layers[20].class_name == "drone_20"
 
     def test_anchor_size(self):
         grid = build_anchor_grid(SMALL_GRID)
-        for il in range(grid.num_layers):
+        for il in range(len(grid.layers)):
             box = grid.anchor_box(0, 0, il)
             assert (box.l, box.w, box.h) == ANCHOR_SIZE == (1.6, 1.6, 1.0)
 
     def test_middle_layer_center(self):
         # layer 10 spans [0, 1) m relative to the sensor, so its center is 0.5
-        layers = build_anchor_layers(sensor_elevation=0.0)
+        layers = build_anchor_grid(SMALL_GRID, sensor_elevation=0.0).layers
         assert layers[10].z_center == pytest.approx(0.5)
 
     def test_one_meter_spacing(self):
-        layers = build_anchor_layers(sensor_elevation=2.0)
+        layers = build_anchor_grid(SMALL_GRID, sensor_elevation=2.0).layers
         zs = [l.z_center for l in layers]
         np.testing.assert_allclose(np.diff(zs), 1.0)
         assert zs[0] == pytest.approx(2.0 - 10 + 0.5)
 
     def test_class_to_elevation_bijection(self):
-        layers = build_anchor_layers()
-        zs = {l.z_center for l in layers}
-        ids = {l.class_id for l in layers}
-        assert len(zs) == len(ids) == NUM_LAYERS
+        # layer i is class i, so distinct centers make class and elevation a bijection
+        layers = build_anchor_grid(SMALL_GRID).layers
+        assert len({l.z_center for l in layers}) == len(layers) == NUM_LAYERS
 
 
 def z_residual(z: float, anchor_z: float, h: float = 1.0) -> float:
@@ -108,11 +104,6 @@ class TestFocalTerm:
         assert focal_cls_term(lo) <= focal_cls_term(hi) + 1e-15
         assert focal_cls_term(hi) <= 0.0
 
-    def test_log_variant(self):
-        expected = -0.25 * (0.5 ** 2) * math.log(0.5)
-        assert focal_cls_term(0.5, with_log=True) == pytest.approx(expected)
-        assert focal_cls_term(0.0, with_log=True) == math.inf
-
 
 class TestBoxCoding:
     def anchor(self):
@@ -147,7 +138,7 @@ class TestAssignTargets:
         grid = build_anchor_grid(SMALL_GRID)
         gt = grid.anchor_box(4, 3, 12)
         ta = assign_targets([gt], grid)
-        assert ta.labels[4, 3, 12] == grid.class_of_layer(12) == 12
+        assert ta.labels[4, 3, 12] == 12
 
     def test_far_ground_truth_forces_best_match(self):
         grid = build_anchor_grid(SMALL_GRID)

@@ -94,6 +94,13 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError") and name in err
 
+    def test_window_under_one_microsecond_rejected(self, tmp_path):
+        # 0.5 us rounds half to even to an empty 0 us window
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"window_ms": 0.0005}))
+        with pytest.raises(ConfigError, match="window_ms must hold at least 1 us, got 0.0005"):
+            load_config(path)
+
     def test_boolean_fields_still_take_booleans(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"eval": {"use_bev": True}, "backbone": {"relu": True}}))
@@ -270,6 +277,15 @@ class TestSimulateCommand:
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not out.exists()
 
+    def test_window_under_one_microsecond_exits_before_the_first_frame(self, tmp_path, capsys):
+        out = tmp_path / "w.las"
+        assert run(["simulate", "--mesh", "builtin:sphere", "--at", 3, 0, 0,
+                    "--window", 0.0004, "--frames", 2, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: ValueError: window_ms must hold at least 1 us, got 0.0004\n"
+        assert "frame 0:" not in captured.out
+        assert not out.exists()
+
     @pytest.mark.parametrize("frames", [-1, 0])
     def test_frame_count_below_one_rejected(self, tmp_path, capsys, frames):
         out = tmp_path / "s.xyz"
@@ -421,6 +437,15 @@ class TestDetectEvalCommand:
             assert err.startswith("error: ValueError: ") and f"d.jsonl: {message}" in err
 
 
+    def test_invalid_json_names_the_file_and_line(self, tmp_path, capsys):
+        good = {"frame": 0, "box": {"x": 0, "y": 0, "z": 0, "l": 1, "w": 1, "h": 1}}
+        d, g = tmp_path / "bad.jsonl", tmp_path / "g.jsonl"
+        d.write_text(json.dumps(good) + '\n{"frame": 1, "box":\n')
+        write_jsonl(g, [good])
+        assert run(["detect-eval", "--detections", d, "--truth", g]) == 1
+        assert capsys.readouterr().err.startswith(f"error: ValueError: {d}:2: invalid JSON: ")
+
+
 class TestTrackCommand:
     @staticmethod
     def flyby(tmp_path):
@@ -502,6 +527,15 @@ class TestTrackCommand:
                     "--out-alerts", tmp_path / "a.jsonl"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: ") and f"bad.jsonl: {message}" in err
+
+    def test_invalid_json_line_counts_blank_lines(self, tmp_path, capsys):
+        pts, _ = self.flyby(tmp_path)
+        dets = tmp_path / "bad.jsonl"
+        dets.write_text('\n{"frame": 1, "box":\n')
+        assert run(["track", "--frames", pts, "--detections", dets,
+                    "--out-tracks", tmp_path / "t.jsonl",
+                    "--out-alerts", tmp_path / "a.jsonl"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: ValueError: {dets}:2: invalid JSON: ")
 
     @pytest.mark.parametrize("gps", [math.nan, math.inf])
     def test_bad_gps_time_fails_with_a_typed_error(self, tmp_path, capsys, gps):

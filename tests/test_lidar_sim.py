@@ -156,6 +156,14 @@ class TestPattern:
                 gen_pattern(FAST, duration_ms)
         assert lidar_sim._window.cache_info() == before
 
+    def test_window_under_one_microsecond_rejected(self):
+        # 0.5 us rounds half to even to an empty 0 us window
+        gen_pattern(FAST, 100.0)
+        before = lidar_sim._window.cache_info()
+        with pytest.raises(ValueError, match="^duration_ms must hold at least 1 us, got 0.0005"):
+            gen_pattern(FAST, 0.0005)
+        assert lidar_sim._window.cache_info() == before
+
     # rejected before the memo is consulted, naming the argument: an infinite
     # window overflowed the microsecond rounding and NaN failed in round()
     @pytest.mark.parametrize("name", ["duration_ms", "start_ms"])
